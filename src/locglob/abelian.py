@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .linalg import (LatticeQuotient, identity_matrix, kernel_mod_lattice,
-                     lattice_quotient)
+from .linalg import (LatticeQuotient, identity_matrix, integer_kernel,
+                     kernel_mod_lattice, lattice_quotient, mat_vec)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,9 @@ class Subgroup:
 
     generators are ambient elements; structure is the subgroup in invariant
     factor form; quotient tracks span(generators + ambient relations) over
-    the ambient relations, which is exactly the subgroup.
+    the ambient relations, which is exactly the subgroup.  Its numerator is
+    the integer lift of the subgroup, so membership tests and intersections
+    are read from it; it is None for the trivial ambient group.
     """
 
     ambient: FinAb
@@ -140,9 +142,7 @@ class Subgroup:
 
     def contains(self, vec) -> bool:
         target = self.ambient.reduce(vec)
-        gens = [list(g) for g in self.generators]
-        lift = _solve_in_span(gens, list(self.ambient.invariant_factors), list(target))
-        return lift is not None
+        return self._quotient is None or self._quotient.contains(target)
 
     def elements(self):
         seen = {self.ambient.zero()}
@@ -163,38 +163,18 @@ class Subgroup:
         return self.ambient.reduce(self._quotient.representative(k))
 
 
-def _solve_in_span(gens, moduli, target):
-    """Integer combination of gens hitting target mod moduli, or None."""
-    from .linalg import columns_matrix, smith_normal_form, solve_integer
-    n = len(moduli)
-    cols = [list(g) for g in gens] + [[moduli[i] if j == i else 0 for i in range(n)]
-                                      for j in range(n)]
-    mat = columns_matrix(cols, n)
-    snf = smith_normal_form(mat)
-    return solve_integer(snf, target)
-
-
 def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two subgroups of the same ambient group, computed on
     the integer lifts: solve B_a u = B_b w and project."""
-    from .linalg import (columns_matrix, integer_kernel, lattice_image_basis,
-                         mat_vec)
     if a.ambient != b.ambient:
         raise InputError("subgroups live in different ambient groups")
     n = a.ambient.rank
     if n == 0:
         return a
-    rel = [[a.ambient.invariant_factors[i] if j == i else 0 for i in range(n)]
-           for j in range(n)]
-    basis_a = lattice_image_basis(columns_matrix([list(g) for g in a.generators] + rel, n))
-    basis_b = lattice_image_basis(columns_matrix([list(g) for g in b.generators] + rel, n))
-    stacked = [[basis_a[j][i] for j in range(len(basis_a))]
-               + [-basis_b[j][i] for j in range(len(basis_b))] for i in range(n)]
-    gens = []
-    for v in integer_kernel(stacked):
-        u = v[:len(basis_a)]
-        vec = [sum(basis_a[j][i] * u[j] for j in range(len(basis_a))) for i in range(n)]
-        gens.append(vec)
+    basis_a = a._quotient.basis
+    basis_b = b._quotient.basis
+    stacked = [list(ra) + [-x for x in rb] for ra, rb in zip(basis_a, basis_b)]
+    gens = [mat_vec(basis_a, v[:n]) for v in integer_kernel(stacked)]
     return subgroup_from_generators(a.ambient, gens)
 
 
@@ -203,12 +183,9 @@ def subgroup_from_generators(ambient: FinAb, generators) -> Subgroup:
     n = ambient.rank
     rel = [[ambient.invariant_factors[i] if j == i else 0 for i in range(n)]
            for j in range(n)]
-    x_gens = [list(g) for g in gens] + rel
     if n == 0:
-        structure = FinAb(())
-        quo = None
-        return Subgroup(ambient, gens, structure, quo)
-    quo = lattice_quotient(x_gens, rel, n)
+        return Subgroup(ambient, gens, FinAb(()), None)
+    quo = lattice_quotient([list(g) for g in gens] + rel, rel, n)
     return Subgroup(ambient, gens, FinAb(quo.invariant_factors), quo)
 
 
@@ -295,8 +272,7 @@ def annihilator(space: FinAb, subgroup_gens) -> Subgroup:
     for g in gens:
         rows.append([(n // d) * x for d, x in zip(space.invariant_factors, g)])
     if not rows:
-        basis = [list(row) for row in identity_matrix(r)]
-        return subgroup_from_generators(chars, basis)
+        return subgroup_from_generators(chars, identity_matrix(r))
     out = kernel_mod_lattice(rows, [n] * len(rows), r)
     return subgroup_from_generators(chars, out)
 
@@ -349,8 +325,7 @@ def orthogonal_complement_chain(a3: FinAb, a1_gens, a2_gens,
             rows.append([sum(pairing.matrix[i][j] * g[j] for j in range(r))
                          for i in range(r)])
         if not rows:
-            basis = [list(row) for row in identity_matrix(r)]
-            return subgroup_from_generators(a3, basis)
+            return subgroup_from_generators(a3, identity_matrix(r))
         gens = kernel_mod_lattice(rows, [n] * len(rows), r)
         return subgroup_from_generators(a3, gens)
 

@@ -279,16 +279,17 @@ def _canonical_representative(c: CocycleClass) -> CocycleClass:
 
 def restrict_class(c: CocycleClass, elements) -> CocycleClass:
     """Restriction of a cocycle to a subgroup (given by its element set)."""
-    sub_mod, _ = _restricted_module(c.module, elements)
+    sub_mod = restricted_module(c.module, elements)
     elems = tuple(sorted(set(elements)))
     return CocycleClass._unchecked(sub_mod, tuple(c.values[e] for e in elems))
 
 
-def _restricted_module(module: GModule, elements):
+def restricted_module(module: GModule, elements) -> GModule:
+    """The module over the subgroup with the given element set (reindexed)."""
     key = (module, tuple(sorted(set(elements))))
     cached = _RESTRICT_CACHE.get(key)
     if cached is None:
-        cached = module.restrict(elements)
+        cached = module.restrict(elements)[0]
         _RESTRICT_CACHE[key] = cached
     return cached
 
@@ -333,8 +334,7 @@ def joint_restriction_kernel(h: H1Group, element_sets) -> H1Subgroup:
     rows = []
     moduli = []
     for elems in element_sets:
-        sub_mod, _ = _restricted_module(h.module, elems)
-        hz = h1(sub_mod)
+        hz = h1(restricted_module(h.module, elems))
         tz = hz.structure.invariant_factors
         if not tz:
             continue

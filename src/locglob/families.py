@@ -13,6 +13,7 @@ from .abelian import FinAb
 from .gmodules import GModule, enumerate_automorphisms
 from .groups import (GroupTable, cyclic_group, direct_product,
                      klein_four_group, symmetric_group_3, trivial_group)
+from .linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
 from .models import PlaceModel
 
 
@@ -57,21 +58,14 @@ def _prod(xs):
     return p
 
 
-def _mat_mul_mod(a, b, space: FinAb):
-    r = space.rank
-    d = space.invariant_factors
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) % d[i]
-                       for j in range(r)) for i in range(r))
-
-
 def _mat_pow_mod(a, k, space: FinAb):
-    r = space.rank
-    out = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+    d = space.invariant_factors
+    out = mat_mod(identity_matrix(space.rank), d)
     base = a
     while k:
         if k & 1:
-            out = _mat_mul_mod(out, base, space)
-        base = _mat_mul_mod(base, base, space)
+            out = mat_mod(mat_mul(out, base), d)
+        base = mat_mod(mat_mul(base, base), d)
         k >>= 1
     return out
 
@@ -159,10 +153,8 @@ def all_actions(group: GroupTable, space: FinAb, dedup_first: bool = True):
     image back to its representative carries the other images along, and
     those range over the full candidate set."""
     gens = group.generating_set()
-    r = space.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
     if not gens:
-        yield (ident,) * group.order
+        yield (identity_matrix(space.rank),) * group.order
         return
     elems, mats, perms, _ = _aut_permutations(space)
     pident = tuple(range(len(elems)))
@@ -186,9 +178,8 @@ def all_actions(group: GroupTable, space: FinAb, dedup_first: bool = True):
 def _extend_action(group: GroupTable, space: FinAb, gens, images):
     """Extend generator images along the Cayley graph, then verify the
     result is a homomorphism; None when the images violate a relation."""
-    r = space.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-    act = {0: ident}
+    d = space.invariant_factors
+    act = {0: mat_mod(identity_matrix(space.rank), d)}
     queue = [0]
     img = dict(zip(gens, images))
     while queue:
@@ -196,12 +187,12 @@ def _extend_action(group: GroupTable, space: FinAb, gens, images):
         for s in gens:
             gs = group.mul(g, s)
             if gs not in act:
-                act[gs] = _mat_mul_mod(act[g], img[s], space)
+                act[gs] = mat_mod(mat_mul(act[g], img[s]), d)
                 queue.append(gs)
     table = tuple(act[g] for g in range(group.order))
     for g in range(group.order):
         for h in range(group.order):
-            if _mat_mul_mod(table[g], table[h], space) != table[group.mul(g, h)]:
+            if mat_mod(mat_mul(table[g], table[h]), d) != table[group.mul(g, h)]:
                 return None
     return table
 
@@ -304,7 +295,7 @@ def random_homothety_module(rng: random.Random) -> GModule:
         c += 1
     group = cyclic_group(c)
     r = shape.rank
-    homothety = [_scalar_matrix(pow(m, k, q), r) for k in range(c)]
+    homothety = [scalar_matrix(pow(m, k, q), r) for k in range(c)]
     if rng.random() < 0.5 or shape.order > 50:
         return GModule(group, shape, tuple(homothety))
     # add an independent commuting factor of small order
@@ -312,9 +303,9 @@ def random_homothety_module(rng: random.Random) -> GModule:
     b = auts[rng.randrange(len(auts))]
     k = 1
     power = b
-    ident = _scalar_matrix(1, r)
-    while _mat_mod(power, shape) != _mat_mod(ident, shape):
-        power = _mat_mul_mod(power, b, shape)
+    d = shape.invariant_factors
+    while mat_mod(power, d) != mat_mod(identity_matrix(r), d):
+        power = mat_mod(mat_mul(power, b), d)
         k += 1
         if k > 8:
             return GModule(group, shape, tuple(homothety))
@@ -322,15 +313,6 @@ def random_homothety_module(rng: random.Random) -> GModule:
     act = []
     for a in range(c):
         for bb in range(k):
-            act.append(_mat_mul_mod(_scalar_matrix(pow(m, a, q), r),
-                                    _mat_pow_mod(b, bb, shape), shape))
+            act.append(mat_mod(mat_mul(scalar_matrix(pow(m, a, q), r),
+                                       _mat_pow_mod(b, bb, shape)), d))
     return GModule(prod, shape, tuple(act))
-
-
-def _scalar_matrix(m: int, r: int):
-    return tuple(tuple(m if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def _mat_mod(mat, space: FinAb):
-    d = space.invariant_factors
-    return tuple(tuple(x % d[i] for x in row) for i, row in enumerate(mat))

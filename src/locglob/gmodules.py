@@ -12,6 +12,7 @@ from .abelian import (FinAb, apply_matrix, matrix_is_automorphism,
                       matrix_is_compatible)
 from .errors import InputError, SelfCheckError
 from .groups import GroupTable, subgroup_table
+from .linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
 
 
 @dataclass(frozen=True)
@@ -39,24 +40,14 @@ class GModule:
                 raise InputError("action matrix %d is not compatible with the moduli" % g)
             if not matrix_is_automorphism(mat, self.space):
                 raise InputError("action matrix %d is not an automorphism" % g)
-        ident = self._matrix_mod(act[0])
-        if ident != self._matrix_mod(_identity(self.space.rank)):
+        d = self.space.invariant_factors
+        if mat_mod(act[0], d) != mat_mod(identity_matrix(self.space.rank), d):
             raise InputError("identity element must act trivially")
         for g in range(m):
             for h in range(m):
                 gh = self.group.mul(g, h)
-                lhs = self._compose(act[g], act[h])
-                if self._matrix_mod(lhs) != self._matrix_mod(act[gh]):
+                if mat_mod(mat_mul(act[g], act[h]), d) != mat_mod(act[gh], d):
                     raise InputError("action is not a homomorphism at (%d, %d)" % (g, h))
-
-    def _matrix_mod(self, mat):
-        d = self.space.invariant_factors
-        return tuple(tuple(x % d[i] for x in row) for i, row in enumerate(mat))
-
-    def _compose(self, a, b):
-        r = self.space.rank
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r))
-                           for j in range(r)) for i in range(r))
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)
@@ -66,10 +57,6 @@ class GModule:
         sub, local = subgroup_table(self.group, elements)
         act = tuple(self.action[e] for e in sorted(set(elements)))
         return GModule(sub, self.space, act), local
-
-
-def _identity(r):
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,8 @@ def double_dual_is_identity(module: GModule, chi: CyclotomicData) -> bool:
     """The evaluation map M -> (M^)^ is the identity in coordinates; check
     that the double-dual action matrices agree with the original ones."""
     dd = dual_module(dual_module(module, chi), chi)
-    return all(dd._matrix_mod(dd.action[g]) == module._matrix_mod(module.action[g])
+    d = module.space.invariant_factors
+    return all(mat_mod(dd.action[g], d) == mat_mod(module.action[g], d)
                for g in range(module.group.order))
 
 
@@ -218,16 +206,13 @@ def homothety_criterion(module: GModule):
 
 
 def trivial_action_module(group: GroupTable, space: FinAb) -> GModule:
-    ident = _identity(space.rank)
+    ident = identity_matrix(space.rank)
     return GModule(group, space, tuple(ident for _ in range(group.order)))
 
 
 def homothety_module(group: GroupTable, space: FinAb, multipliers) -> GModule:
     """Each group element acts as multiplication by an integer."""
-    r = space.rank
-    act = tuple(tuple(tuple(m if i == j else 0 for j in range(r)) for i in range(r))
-                for m in multipliers)
-    return GModule(group, space, act)
+    return GModule(group, space, tuple(scalar_matrix(m, space.rank) for m in multipliers))
 
 
 def mu_model(n: int, units) -> tuple[GModule, CyclotomicData]:

@@ -2,7 +2,14 @@
 
 Matrices are lists of lists of Python ints, row major.  Everything is exact;
 no modular inverses are taken for composite moduli.  Sizes in this project
-stay small (tens of rows), so the quadratic bookkeeping below is fine.
+stay small (tens of rows).
+
+A Smith normal form keeps the two transforms P, Q with P*A*Q = D: kernels
+read Q, solutions and lattice coordinates read P, and an image basis is the
+first rank columns of A*Q.  A lattice quotient X/Y costs two Smith normal
+forms, one of the generators of X and one of the generators of Y written in
+a basis of X.  The matrix helpers (identity, product, reduction mod the
+invariant factors) serve the whole package.
 """
 
 from __future__ import annotations
@@ -11,8 +18,12 @@ from dataclasses import dataclass
 from math import gcd
 
 
+def scalar_matrix(c: int, n: int) -> list[list[int]]:
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return scalar_matrix(1, n)
 
 
 def mat_mul(a, b):
@@ -34,29 +45,27 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+def mat_mod(mat, moduli) -> tuple:
+    """Row i reduced mod moduli[i], frozen: the entries of an endomorphism of
+    Z/d1 x ... x Z/dr that decide equality."""
+    return tuple(tuple(x % d for x in row) for row, d in zip(mat, moduli))
 
 
 class _SnfState:
-    """Mutable S with unimodular P, Q and their exact inverses, S = P*A*Q."""
+    """Mutable S with unimodular P, Q and S = P*A*Q."""
 
     def __init__(self, mat):
         self.s = [row[:] for row in mat]
         self.m = len(mat)
         self.n = len(mat[0]) if mat else 0
         self.p = identity_matrix(self.m)
-        self.pinv = identity_matrix(self.m)
         self.q = identity_matrix(self.n)
-        self.qinv = identity_matrix(self.n)
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.s[i], self.s[j] = self.s[j], self.s[i]
         self.p[i], self.p[j] = self.p[j], self.p[i]
-        for row in self.pinv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(self, i, j):
         if i == j:
@@ -65,13 +74,10 @@ class _SnfState:
             row[i], row[j] = row[j], row[i]
         for row in self.q:
             row[i], row[j] = row[j], row[i]
-        self.qinv[i], self.qinv[j] = self.qinv[j], self.qinv[i]
 
     def negate_row(self, i):
         self.s[i] = [-x for x in self.s[i]]
         self.p[i] = [-x for x in self.p[i]]
-        for row in self.pinv:
-            row[i] = -row[i]
 
     def add_row(self, i, j, c):
         # row i += c * row j
@@ -79,8 +85,6 @@ class _SnfState:
             return
         self.s[i] = [x + c * y for x, y in zip(self.s[i], self.s[j])]
         self.p[i] = [x + c * y for x, y in zip(self.p[i], self.p[j])]
-        for row in self.pinv:
-            row[j] -= c * row[i]
 
     def add_col(self, i, j, c):
         # col i += c * col j
@@ -90,7 +94,6 @@ class _SnfState:
             row[i] += c * row[j]
         for row in self.q:
             row[i] += c * row[j]
-        self.qinv[j] = [x - c * y for x, y in zip(self.qinv[j], self.qinv[i])]
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,7 @@ class Snf:
     d: tuple
     p: tuple
     q: tuple
-    pinv: tuple
-    qinv: tuple
     rank: int
-
-    def diagonal(self):
-        return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
 
 
 def _freeze(mat):
@@ -113,7 +111,7 @@ def _freeze(mat):
 
 
 def smith_normal_form(mat) -> Snf:
-    """Smith normal form over the integers with full transform data."""
+    """Smith normal form over the integers with its two transforms."""
     st = _SnfState(mat)
     m, n = st.m, st.n
     t = 0
@@ -185,8 +183,7 @@ def smith_normal_form(mat) -> Snf:
     for i in range(min(m, n)):
         if st.s[i][i]:
             rank += 1
-    return Snf(_freeze(st.s), _freeze(st.p), _freeze(st.q),
-               _freeze(st.pinv), _freeze(st.qinv), rank)
+    return Snf(_freeze(st.s), _freeze(st.p), _freeze(st.q), rank)
 
 
 def _rediagonalize_pair(st, t):
@@ -229,27 +226,26 @@ def integer_kernel(mat) -> list[list[int]]:
     """Basis of { x : mat @ x == 0 } as a list of integer vectors."""
     if not mat or not mat[0]:
         n = len(mat[0]) if mat else 0
-        return [row[:] for row in identity_matrix(n)]
+        return identity_matrix(n)
     snf = smith_normal_form(mat)
     n = len(mat[0])
     return [[snf.q[i][j] for i in range(n)] for j in range(snf.rank, n)]
 
 
 def lattice_image_basis(mat) -> list[list[int]]:
-    """Basis (as column vectors) of the lattice spanned by the columns of mat."""
+    """Basis (as column vectors) of the lattice spanned by the columns of mat.
+
+    From P*A*Q = D, the first rank columns of A*Q are d_j times the columns
+    of P^-1."""
     if not mat or not mat[0]:
         return []
     snf = smith_normal_form(mat)
-    m = len(mat)
-    basis = []
-    for j in range(snf.rank):
-        d = snf.d[j][j]
-        basis.append([d * snf.pinv[i][j] for i in range(m)])
-    return basis
+    aq = mat_mul(mat, [row[:snf.rank] for row in snf.q])
+    return [[row[j] for row in aq] for j in range(snf.rank)]
 
 
-def solve_integer(snf: Snf, vec) -> list[int] | None:
-    """One integer solution x of A x = vec given the Snf of A, or None."""
+def _diagonal_solve(snf: Snf, vec) -> list[int] | None:
+    """z with D z = P vec, so that A (Q z) = vec; None when there is none."""
     y = mat_vec(snf.p, vec)
     m = len(snf.d)
     n = len(snf.d[0]) if snf.d else 0
@@ -262,7 +258,13 @@ def solve_integer(snf: Snf, vec) -> list[int] | None:
             z[i] = y[i] // di
         elif y[i]:
             return None
-    return mat_vec(snf.q, z)
+    return z
+
+
+def solve_integer(snf: Snf, vec) -> list[int] | None:
+    """One integer solution x of A x = vec given the Snf of A, or None."""
+    z = _diagonal_solve(snf, vec)
+    return None if z is None else mat_vec(snf.q, z)
 
 
 def columns_matrix(vectors, n) -> list[list[int]]:
@@ -274,39 +276,44 @@ def columns_matrix(vectors, n) -> list[list[int]]:
 class LatticeQuotient:
     """Structure of X / Y for full-rank lattices Y <= X <= Z^n.
 
-    invariant_factors lists the nontrivial cyclic factors in divisibility
-    order.  coordinates() maps a vector of X to its class; representatives
-    are preimages of the standard generators.
+    basis is the n x n matrix B = (A*Q)[:, :n] whose columns are a basis of
+    X, from the Snf P*A*Q = D of the generator matrix A of X; B u = x has
+    the unique solution u_i = (P x)_i / d_i.  W holds the u of the
+    generators of Y, and its Snf P_W*W*Q_W = D_W gives the class of x as
+    P_W u reduced mod the diagonal.  invariant_factors lists the nontrivial
+    cyclic factors in divisibility order; representatives[k] is the vector
+    B * (column of P_W^-1) of X mapping to the k-th standard generator.
     """
 
-    n: int
-    basis_snf: Snf          # Snf of a basis matrix B of X
-    w_snf: Snf              # Snf of W where B @ W spans Y
-    factors_all: tuple      # all diagonal entries of snf(W)
+    x_snf: Snf
+    w_p: tuple
+    factors_all: tuple      # all diagonal entries of D_W
     invariant_factors: tuple
+    basis: tuple
+    representatives: tuple
+
+    def _basis_coordinates(self, vec) -> list[int] | None:
+        z = _diagonal_solve(self.x_snf, vec)
+        return None if z is None else z[:len(self.basis)]
+
+    def contains(self, vec) -> bool:
+        """Whether vec lies in the numerator lattice X."""
+        return self._basis_coordinates(vec) is not None
 
     def coordinates(self, vec) -> tuple:
         """Class of vec in the nontrivial factors; raises if vec not in X."""
-        u = solve_integer(self.basis_snf, vec)
+        u = self._basis_coordinates(vec)
         if u is None:
             raise ValueError("vector does not lie in the ambient lattice")
-        v = mat_vec(self.w_snf.p, u)
-        out = []
-        for i, s in enumerate(self.factors_all):
-            if s > 1:
-                out.append(v[i] % s)
-        return tuple(out)
+        v = mat_vec(self.w_p, u)
+        return tuple(v[i] % s for i, s in enumerate(self.factors_all) if s > 1)
 
     def is_trivial(self, vec) -> bool:
         return all(c == 0 for c in self.coordinates(vec))
 
     def representative(self, k: int) -> list[int]:
         """Vector of X mapping to the k-th standard generator of the quotient."""
-        idx = [i for i, s in enumerate(self.factors_all) if s > 1][k]
-        u = [self.w_snf.pinv[i][idx] for i in range(self.n)]
-        # multiply by the basis matrix B = pinv * d * qinv of X
-        b = mat_mul(mat_mul(self.basis_snf.pinv, self.basis_snf.d), self.basis_snf.qinv)
-        return mat_vec(b, u)
+        return list(self.representatives[k])
 
     def order(self) -> int:
         out = 1
@@ -320,24 +327,30 @@ def lattice_quotient(x_gens, y_gens, n) -> LatticeQuotient:
 
     Requires Y <= X with X of full rank n and the quotient finite.
     """
-    basis = lattice_image_basis(columns_matrix(x_gens, n))
-    if len(basis) != n:
+    amat = columns_matrix(x_gens, n)
+    xsnf = smith_normal_form(amat)
+    if xsnf.rank != n:
         raise ValueError("ambient lattice is not of full rank")
-    bmat = columns_matrix(basis, n)
-    bsnf = smith_normal_form(bmat)
     w_cols = []
     for y in y_gens:
-        u = solve_integer(bsnf, y)
-        if u is None:
+        z = _diagonal_solve(xsnf, y)
+        if z is None:
             raise ValueError("denominator lattice is not contained in the numerator")
-        w_cols.append(u)
+        w_cols.append(z[:n])
     wmat = columns_matrix(w_cols, n)
     wsnf = smith_normal_form(wmat)
     if wsnf.rank != n:
         raise ValueError("quotient is infinite")
     factors = tuple(wsnf.d[i][i] for i in range(n))
-    inv = tuple(s for s in factors if s > 1)
-    return LatticeQuotient(n, bsnf, wsnf, factors, inv)
+    basis = mat_mul(amat, [row[:n] for row in xsnf.q])
+    # W*Q_W = P_W^-1 * D_W, so column i of P_W^-1 is (W*Q_W)[:, i] / s_i
+    wq = mat_mul(wmat, [row[:n] for row in wsnf.q])
+    reps = []
+    for i, s in enumerate(factors):
+        if s > 1:
+            reps.append(tuple(mat_vec(basis, [row[i] // s for row in wq])))
+    return LatticeQuotient(xsnf, wsnf.p, factors, tuple(s for s in factors if s > 1),
+                           _freeze(basis), tuple(reps))
 
 
 def kernel_mod_lattice(rows, row_moduli, n) -> list[list[int]]:
@@ -347,7 +360,7 @@ def kernel_mod_lattice(rows, row_moduli, n) -> list[list[int]]:
     """
     live = [(r, m) for r, m in zip(rows, row_moduli) if m != 1]
     if not live:
-        return [row[:] for row in identity_matrix(n)]
+        return identity_matrix(n)
     k = len(live)
     aug = []
     for i, (r, m) in enumerate(live):

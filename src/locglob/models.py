@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .abelian import subgroup_from_generators, subgroup_intersection
+from .arith import is_prime, legendre_symbol
 from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1,
-                         joint_restriction_kernel, restrict_class)
+                         joint_restriction_kernel, restrict_class,
+                         restricted_module, subgroup_to_h1subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
 from .groups import cyclic_subgroups
@@ -22,6 +25,9 @@ from .oracles import rational_nth_root
 from .padics import Place, is_nth_power, square_class_approximate
 
 GW_SWEEP_BOUND = 1000
+# finite_support_bound checks every label subset up to this many, a fixed
+# sample beyond it
+SUPPORT_SAMPLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -66,12 +72,6 @@ class PlaceModel:
     def labels(self) -> frozenset:
         return frozenset(label for label, _ in self.designated)
 
-    def subgroup_at(self, label: str) -> tuple:
-        try:
-            return dict(self.designated)[label]
-        except KeyError:
-            raise InputError("unknown place label %r" % label) from None
-
 
 @dataclass(frozen=True)
 class ShaGroup:
@@ -109,24 +109,17 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
             sets.append(elems)
     members = joint_restriction_kernel(ambient, sets)
     if v_generators is not None:
-        from .abelian import subgroup_from_generators, subgroup_intersection
-        from .cohomology import subgroup_to_h1subgroup
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
         inter = subgroup_intersection(members.coordinate_subgroup, v_sub)
         members = subgroup_to_h1subgroup(ambient, inter)
     support = set()
     for label, elems in model.designated:
-        sub_h1 = h1(_restricted(model.module, elems))
+        sub_h1 = h1(restricted_module(model.module, elems))
         for rep in members.representatives:
             if not sub_h1.is_coboundary(restrict_class(rep, elems)):
                 support.add(label)
                 break
     return ShaGroup(ambient, members, T, frozenset(support))
-
-
-def _restricted(module: GModule, elems) -> GModule:
-    from .cohomology import _restricted_module
-    return _restricted_module(module, elems)[0]
 
 
 def _subgroups_equal(a: H1Subgroup, b: H1Subgroup) -> bool:
@@ -210,19 +203,19 @@ def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
     hits = []
     for _, c in sha.members.all_classes():
         for label, elems in targets:
-            sub_h1 = h1(_restricted(model.module, elems))
+            sub_h1 = h1(restricted_module(model.module, elems))
             if not sub_h1.is_coboundary(restrict_class(c, elems)):
                 hits.append(c)
                 break
     return _lex_min_cocycle(hits)
 
 
-def finite_support_bound(model: PlaceModel, sample_limit: int = 64) -> frozenset:
+def finite_support_bound(model: PlaceModel) -> frozenset:
     """S = labels with non-cyclic designated subgroup.
 
     Verifies, over all label subsets T (sampled deterministically when there
-    are too many), that Sha(T) <= Sha(S) and that Sha(T) equals Sha(empty)
-    whenever T and S are disjoint; when the model satisfies the Hasse
+    are more than SUPPORT_SAMPLE_LIMIT), that Sha(T) <= Sha(S) and that
+    Sha(T) equals Sha(empty) whenever T and S are disjoint; when the model satisfies the Hasse
     principle the latter forces Sha(T) = 0.
     """
     grp = model.module.group
@@ -232,7 +225,7 @@ def finite_support_bound(model: PlaceModel, sample_limit: int = 64) -> frozenset
             s_labels.add(label)
     S = frozenset(s_labels)
     labels = sorted(model.labels)
-    subsets = _label_subsets(labels, sample_limit)
+    subsets = _label_subsets(labels, SUPPORT_SAMPLE_LIMIT)
     sha_s = sha_of_model(model, S)
     sha_empty = sha_of_model(model, frozenset())
     for T in subsets:
@@ -295,7 +288,6 @@ def gw_decision(n: int, T, nondecomposed=None,
     if n < 2:
         raise InputError("n must be >= 2")
     T = frozenset(int(x) for x in T)
-    from .arith import is_prime
     for p in T:
         if not is_prime(p):
             raise InputError("T must consist of primes, got %d" % p)
@@ -315,7 +307,6 @@ def gw_decision(n: int, T, nondecomposed=None,
         return GwDecision(2, None, r, 0)
     witness = Fraction(16) ** (n // 8)
     checked = 0
-    from .arith import is_prime
     for p in range(2, sweep_bound + 1):
         if p in T or not is_prime(p):
             continue
@@ -388,7 +379,6 @@ def _local_square_class_generators(place: Place):
     p = place.prime
     if p == 2:
         return [Fraction(3), Fraction(5), Fraction(2)]
-    from .arith import legendre_symbol
     u = 2
     while legendre_symbol(u, p) != -1:
         u += 1

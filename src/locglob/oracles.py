@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities by enumeration or search, staying
 independent of the linear-algebra and residue-formula paths it is used to
-check.  The map enumeration is vectorized with numpy so that the always-on
-cross-check in h1 stays cheap.
+check.  The map enumeration is vectorized with numpy, yet the always-on
+cross-check in h1 still costs 40-500 times the exact path it guards (and up
+to 56 MiB) on modules with |M|^|G| near its 2^20 limit.
 """
 
 from __future__ import annotations

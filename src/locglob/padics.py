@@ -122,11 +122,6 @@ class PadicNumber:
             return self.precision
         return self.valuation + self.precision
 
-    def exact_valuation(self) -> int:
-        if self.is_zero:
-            raise PrecisionError("valuation of an (approximate) zero")
-        return self.valuation
-
     # -- arithmetic
 
     def _check_prime(self, other):

@@ -55,24 +55,40 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _int(value, field: str, bound: int | None = None) -> int:
+    """value as an int, refusing bools and fractional, infinite or NaN
+    floats; an index below bound if one is given."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError("%s must be an integer, got %r" % (field, value))
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise InputError("%s must be an integer, got %r" % (field, value)) from None
+    if bound is not None and not 0 <= out < bound:
+        raise InputError("%s must be an index below %d, got %d" % (field, bound, out))
+    return out
+
+
+def _ints(value, field: str, size: int | None = None, bound: int | None = None) -> tuple:
+    """value as a list of ints read by _int, of the given size if one is given."""
+    if not isinstance(value, list):
+        raise InputError("%s must be a list of integers" % field)
+    if size is not None and len(value) != size:
+        raise InputError("%s must hold %d integers, got %d" % (field, size, len(value)))
+    return tuple(_int(x, field + " entry", bound) for x in value)
+
+
 def parse_group(doc: dict) -> GroupTable:
-    order = _require(doc, "order")
-    flat = _require(doc, "table")
-    if not isinstance(order, int) or order < 1:
+    order = _int(_require(doc, "order"), "order")
+    if order < 1:
         raise InputError("order must be a positive integer")
-    if not isinstance(flat, list) or len(flat) != order * order:
-        raise InputError("table must be a row-major list of order^2 indices")
-    table = tuple(tuple(int(flat[i * order + j]) for j in range(order))
-                  for i in range(order))
-    return GroupTable(order, table)
+    flat = _ints(_require(doc, "table"), "table", size=order * order)
+    return GroupTable(order, tuple(flat[i * order:(i + 1) * order] for i in range(order)))
 
 
 def parse_module(doc: dict) -> GModule:
     group = parse_group(doc)
-    inv = _require(doc, "invariant_factors")
-    if not isinstance(inv, list):
-        raise InputError("invariant_factors must be a list")
-    space = FinAb(tuple(int(x) for x in inv))
+    space = FinAb(_ints(_require(doc, "invariant_factors"), "invariant_factors"))
     raw = _require(doc, "action")
     if not isinstance(raw, dict):
         raise InputError("action must map element indices to matrices")
@@ -82,11 +98,8 @@ def parse_module(doc: dict) -> GModule:
         key = str(g)
         if key not in raw:
             raise InputError("action is missing element %d" % g)
-        flat = raw[key]
-        if not isinstance(flat, list) or len(flat) != r * r:
-            raise InputError("action matrix for element %d has wrong size" % g)
-        action.append(tuple(tuple(int(flat[i * r + j]) for j in range(r))
-                            for i in range(r)))
+        flat = _ints(raw[key], "action matrix for element %d" % g, size=r * r)
+        action.append(tuple(flat[i * r:(i + 1) * r] for i in range(r)))
     return GModule(group, space, tuple(action))
 
 
@@ -96,14 +109,14 @@ def parse_chi(doc: dict, module: GModule) -> CyclotomicData | None:
     raw = doc["chi"]
     if not isinstance(raw, dict):
         raise InputError("chi must map element indices to units")
-    modulus = doc.get("chi_modulus", module.space.exponent)
+    modulus = _int(doc.get("chi_modulus", module.space.exponent), "chi_modulus")
     vals = []
     for g in range(module.group.order):
         key = str(g)
         if key not in raw:
             raise InputError("chi is missing element %d" % g)
-        vals.append(int(raw[key]))
-    chi = CyclotomicData(int(modulus), tuple(vals))
+        vals.append(_int(raw[key], "chi value for element %d" % g))
+    chi = CyclotomicData(modulus, tuple(vals))
     chi.validate(module.group)
     return chi
 
@@ -116,7 +129,9 @@ def parse_model(doc: dict) -> PlaceModel:
     arch = doc.get("archimedean", [])
     if not isinstance(arch, list):
         raise InputError("archimedean must be a list of labels")
-    des = {str(k): tuple(int(x) for x in v) for k, v in designated.items()}
+    order = module.group.order
+    des = {str(k): _ints(v, "designated subgroup at %r" % str(k), bound=order)
+           for k, v in designated.items()}
     return PlaceModel(module, des, frozenset(str(x) for x in arch))
 
 

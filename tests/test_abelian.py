@@ -56,6 +56,22 @@ def test_subgroup_structure():
     assert sub.contains(gen)
 
 
+@given(st.sampled_from([(), (2,), (6,), (2, 2), (2, 4), (3, 6), (2, 2, 2), (4, 8)]),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_subgroup_contains_matches_elements(shape, data):
+    space = FinAb(shape)
+    element = st.tuples(*(st.integers(-2 * d, 2 * d) for d in shape))
+    sub = subgroup_from_generators(space, data.draw(st.lists(element, max_size=3)))
+    members = set(sub.elements())
+    assert len(members) == sub.order
+    for e in space.elements():
+        assert sub.contains(e) == (e in members)
+    # unreduced lifts of ambient elements are read mod the invariant factors
+    vec = data.draw(element)
+    assert sub.contains(vec) == (space.reduce(vec) in members)
+
+
 def test_subgroup_intersection():
     a3 = FinAb((4, 4))
     a = subgroup_from_generators(a3, [(1, 0)])

@@ -3,9 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locglob.linalg import (identity_matrix, integer_kernel, kernel_mod_lattice,
-                            lattice_image_basis, lattice_quotient, mat_mul,
-                            mat_vec, smith_normal_form, solve_integer)
+from locglob.linalg import (columns_matrix, identity_matrix, integer_kernel,
+                            kernel_mod_lattice, lattice_image_basis,
+                            lattice_quotient, mat_mul, mat_vec,
+                            smith_normal_form, solve_integer)
 
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -13,15 +14,44 @@ matrices = st.integers(1, 5).flatmap(
                            min_size=m, max_size=m)))
 
 
+def _determinant(mat):
+    """Exact integer determinant by Bareiss fraction-free elimination."""
+    a = [list(r) for r in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def test_determinant_helper():
+    assert _determinant([[2, 1], [1, 1]]) == 1
+    assert _determinant([[0, 1], [1, 0]]) == -1
+    assert _determinant([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+    assert _determinant([[1, 2], [2, 4]]) == 0
+
+
 @given(matrices)
 @settings(max_examples=150, deadline=None)
 def test_snf_decomposition(a):
     s = smith_normal_form(a)
     m, n = len(a), len(a[0])
-    paq = mat_mul(mat_mul([list(r) for r in s.p], a), [list(r) for r in s.q])
+    assert len(s.p) == m and all(len(r) == m for r in s.p)
+    assert len(s.q) == n and all(len(r) == n for r in s.q)
+    paq = mat_mul(mat_mul(s.p, a), s.q)
     assert tuple(tuple(r) for r in paq) == s.d
-    assert mat_mul([list(r) for r in s.p], [list(r) for r in s.pinv]) == identity_matrix(m)
-    assert mat_mul([list(r) for r in s.qinv], [list(r) for r in s.q]) == identity_matrix(n)
+    # unimodular: exact determinant +-1, so P and Q are invertible over Z
+    assert _determinant(s.p) in (1, -1)
+    assert _determinant(s.q) in (1, -1)
     diag = [s.d[i][i] for i in range(min(m, n))]
     for x, y in zip(diag, diag[1:]):
         if x:
@@ -29,6 +59,7 @@ def test_snf_decomposition(a):
         else:
             assert y == 0
     assert all(x >= 0 for x in diag)
+    assert s.rank == sum(1 for x in diag if x)
     for i in range(m):
         for j in range(n):
             if i != j:
@@ -46,7 +77,6 @@ def test_kernel_spans_all_solutions():
     a = [[2, 4, 0], [0, 0, 3]]
     kern = integer_kernel(a)
     # (2, -1, 0) is a solution and must be an integer combination of the basis
-    from locglob.linalg import columns_matrix
     snf = smith_normal_form(columns_matrix(kern, 3))
     assert solve_integer(snf, [2, -1, 0]) is not None
 
@@ -81,6 +111,45 @@ def test_lattice_quotient_mixed():
     assert q.order() == 6
 
 
+@st.composite
+def lattice_pairs(draw):
+    """(x_gens, y_gens, n) with Y <= X <= Z^n, both of full rank: X holds
+    c_i e_i, Y holds multiples of those and random combinations of X."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    extra = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    scales = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    x_gens = extra + [[c if i == j else 0 for i in range(n)] for j, c in enumerate(scales)]
+    mults = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    y_gens = [[m * x for x in v] for m, v in zip(mults, x_gens[-n:])]
+    for coeffs in draw(st.lists(st.lists(entry, min_size=len(x_gens),
+                                         max_size=len(x_gens)), max_size=2)):
+        y_gens.append([sum(c * v[i] for c, v in zip(coeffs, x_gens)) for i in range(n)])
+    return x_gens, y_gens, n
+
+
+@given(lattice_pairs())
+@settings(max_examples=150, deadline=None)
+def test_lattice_quotient_representatives_are_unit_vectors(pair):
+    x_gens, y_gens, n = pair
+    q = lattice_quotient(x_gens, y_gens, n)
+    k = len(q.invariant_factors)
+    for j in range(k):
+        rep = q.representative(j)
+        assert q.contains(rep)
+        assert q.coordinates(rep) == tuple(1 if i == j else 0 for i in range(k))
+    for y in y_gens:
+        assert q.coordinates(y) == (0,) * k
+    # |X/Y| = [Z^n : Y] / [Z^n : X], each index the product of its SNF diagonal
+    index = {}
+    for name, gens in (("x", x_gens), ("y", y_gens)):
+        d = smith_normal_form(columns_matrix(gens, n)).d
+        index[name] = 1
+        for i in range(n):
+            index[name] *= d[i][i]
+    assert q.order() * index["x"] == index["y"]
+
+
 def test_kernel_mod_lattice():
     # x + y = 0 mod 4 inside Z^2
     gens = kernel_mod_lattice([[1, 1]], [4], 2)
@@ -90,6 +159,5 @@ def test_kernel_mod_lattice():
         vec = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2)]
         assert (vec[0] + vec[1]) % 4 == 0
     # and it contains (1, 3)
-    from locglob.linalg import columns_matrix
     snf = smith_normal_form(columns_matrix(gens, 2))
     assert solve_integer(snf, [1, 3]) is not None

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -27,7 +28,6 @@ def mu8_file(tmp_path):
 
 
 def run_cli(*args, env_extra=None):
-    import os
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -214,9 +214,39 @@ def test_malformed_documents_never_crash(tmp_path):
         path.write_text(json.dumps(doc))
         out = run_cli("hasse", "--input", str(path))
         assert out.returncode in (0, 1, 2), (doc, out.stderr)
+        assert "Traceback" not in out.stderr, (doc, out.stderr)
         if out.returncode == 2:
             assert out.stdout == ""
-            assert "Traceback" not in out.stderr, (doc, out.stderr)
+
+
+_MU8_TABLE_WITH_LIST = MU8_DOC["table"][:5] + [[1]] + MU8_DOC["table"][6:]
+
+
+@pytest.mark.parametrize("changes", [
+    {"table": _MU8_TABLE_WITH_LIST},
+    {"action": dict(MU8_DOC["action"], **{"1": [None]})},
+    {"invariant_factors": ["abc"]},
+    {"designated": dict(MU8_DOC["designated"], inf=5)},
+    {"designated": dict(MU8_DOC["designated"], inf=[0, 99])},
+    # a bool passes isinstance(x, int); this one would be a valid order 1
+    {"order": True, "table": [0], "invariant_factors": [2], "action": {"0": [1]},
+     "designated": {"2": [0]}, "archimedean": []},
+    # int() would truncate 8.5 to 8 and raise OverflowError on Infinity
+    {"invariant_factors": [8.5]},
+    {"action": dict(MU8_DOC["action"], **{"1": [float("inf")]})},
+], ids=["table_entry_list", "action_entry_null", "invariant_factor_text",
+        "designated_scalar", "designated_out_of_range", "order_bool",
+        "invariant_factor_fraction", "action_entry_infinity"])
+def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
+    doc = dict(json.loads(json.dumps(MU8_DOC)), **changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        parse_model(doc)
+    out = run_cli("hasse", "--input", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
 def test_report_byte_determinism(mu8_file):
@@ -236,6 +266,25 @@ def test_precision_env_override():
     bad = run_cli("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728",
                   "--k", "2", "--place", "3", env_extra={"LOCGLOB_PRECISION": "zz"})
     assert bad.returncode == 2
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["h1"], "mu8_h1.json"),
+    (["h1star"], "mu8_h1star.json"),
+    (["hasse", "--t", "2", "--t", "inf"], "mu8_hasse_t2_tinf.json"),
+], ids=["h1", "h1star", "hasse"])
+def test_mu8_reports_are_pinned(monkeypatch, capsys, args, expected):
+    """The JSON reports on the sample input, byte for byte, so that a change
+    of representatives or witnesses shows."""
+    from locglob.cli import main
+    monkeypatch.chdir(REPO)
+    code = main([args[0], "--input", "sample_inputs/mu8.json", "--format", "json"] + args[1:])
+    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == (1 if args[0] == "hasse" else 0)
 
 
 # --- reproduce ---------------------------------------------------------------
