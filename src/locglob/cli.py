@@ -4,7 +4,8 @@ Every decision procedure gets a subcommand; reports go to standard output
 (JSON or key-sorted text), diagnostics to standard error.  Exit status 0
 means all internal checks passed, 1 a mathematical finding of failure
 (non-power, non-divisible point, rootless quadratic family, failed
-principle, reproduction mismatch), 2 invalid input.  Reports are byte
+principle, reproduction mismatch), 2 invalid input, 3 an internal failure
+(a self-check disagreed or p-adic precision ran out).  Reports are byte
 deterministic for fixed inputs and flags; timings are printed only with
 --timings so determinism survives."""
 
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
         return 2
     except (PrecisionError, SelfCheckError) as exc:
         sys.stderr.write("internal failure: %s\n" % exc)
-        return 2
+        return 3
 
 
 def _module_structure(h):

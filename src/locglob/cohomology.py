@@ -96,6 +96,8 @@ class H1Group:
     generators: tuple = field(repr=False)          # generating set of G used
     expressions: tuple = field(repr=False)         # value of f(g) from generator values
     quotient: LatticeQuotient | None = field(repr=False)
+    # element tuple of Z -> restriction(Z); shared through _H1_CACHE
+    _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -132,6 +134,32 @@ class H1Group:
         """(coords, cocycle) for every element of H1; small groups only."""
         for coords in self.structure.elements():
             yield coords, self.cocycle_from_coordinates(coords)
+
+    def restriction(self, elements) -> tuple:
+        """The restriction map H1(G, M) -> H1(Z, M) to the subgroup Z with
+        the given element set, as (rows, moduli): row i . x mod moduli[i] is
+        coordinate i of the image of the class with coordinates x.
+        Computed once per subgroup; H1(Z, M) and its built-in check run even
+        when H1(G, M) is trivial."""
+        elems = tuple(sorted(set(elements)))
+        cached = self._restrictions.get(elems)
+        if cached is None:
+            hz = h1(self.module.restrict(elems)[0])
+            cols = [hz.coordinates_of(CocycleClass._unchecked(
+                        hz.module, tuple(rep.values[e] for e in elems)))
+                    for rep in self.representatives]
+            moduli = hz.structure.invariant_factors
+            cached = tuple(tuple(col[i] for col in cols)
+                           for i in range(len(moduli))), moduli
+            self._restrictions[elems] = cached
+        return cached
+
+    def vanishes_on(self, elements, classes) -> bool:
+        """Whether every listed class (a coordinate vector) restricts to a
+        coboundary on the subgroup with the given element set."""
+        rows, moduli = self.restriction(elements)
+        return all(sum(a * v for a, v in zip(row, x)) % t == 0
+                   for x in classes for row, t in zip(rows, moduli))
 
 
 def _expand_from_generator_values(module: GModule, gens, exprs, x):
@@ -279,22 +307,9 @@ def _canonical_representative(c: CocycleClass) -> CocycleClass:
 
 def restrict_class(c: CocycleClass, elements) -> CocycleClass:
     """Restriction of a cocycle to a subgroup (given by its element set)."""
-    sub_mod = restricted_module(c.module, elements)
+    sub_mod = c.module.restrict(elements)[0]
     elems = tuple(sorted(set(elements)))
     return CocycleClass._unchecked(sub_mod, tuple(c.values[e] for e in elems))
-
-
-def restricted_module(module: GModule, elements) -> GModule:
-    """The module over the subgroup with the given element set (reindexed)."""
-    key = (module, tuple(sorted(set(elements))))
-    cached = _RESTRICT_CACHE.get(key)
-    if cached is None:
-        cached = module.restrict(elements)[0]
-        _RESTRICT_CACHE[key] = cached
-    return cached
-
-
-_RESTRICT_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -314,43 +329,36 @@ class H1Subgroup:
     def is_trivial(self) -> bool:
         return self.structure.invariant_factors == ()
 
-    def contains(self, c: CocycleClass) -> bool:
-        return self.coordinate_subgroup.contains(self.ambient.coordinates_of(c))
-
     def all_classes(self):
-        """Every member as (subgroup coords, cocycle); small groups only."""
+        """Every member as (coordinates in the ambient H1, cocycle); small
+        groups only."""
+        space = self.ambient.structure
         for coords in self.structure.elements():
+            x = space.zero()
             c = zero_cocycle(self.ambient.module)
-            for k, rep in zip(coords, self.representatives):
+            for k, g, rep in zip(coords, self.coordinate_generators, self.representatives):
+                x = space.add(x, space.scale(k, g))
                 c = c.add(rep.scale(k))
-            yield coords, c
+            yield x, c
+
+
+def restriction_kernel(h: H1Group, element_sets) -> Subgroup:
+    """Coordinates of the classes whose restriction to each listed subgroup
+    is a coboundary."""
+    rows = []
+    moduli = []
+    if not h.is_trivial():      # no H1(Z, M) is computed for a trivial H1
+        for elems in element_sets:
+            r, m = h.restriction(elems)
+            rows.extend(r)
+            moduli.extend(m)
+    gens = kernel_mod_lattice(rows, moduli, len(h.structure.invariant_factors))
+    return subgroup_from_generators(h.structure, gens)
 
 
 def joint_restriction_kernel(h: H1Group, element_sets) -> H1Subgroup:
     """Classes whose restriction to each listed subgroup is a coboundary."""
-    a = len(h.structure.invariant_factors)
-    if a == 0:
-        return _trivial_subgroup(h)
-    rows = []
-    moduli = []
-    for elems in element_sets:
-        hz = h1(restricted_module(h.module, elems))
-        tz = hz.structure.invariant_factors
-        if not tz:
-            continue
-        cols = [hz.coordinates_of(restrict_class(rep, elems))
-                for rep in h.representatives]
-        for i, t in enumerate(tz):
-            rows.append([cols[j][i] for j in range(a)])
-            moduli.append(t)
-    gens = kernel_mod_lattice(rows, moduli, a)
-    sub = subgroup_from_generators(h.structure, gens)
-    return subgroup_to_h1subgroup(h, sub)
-
-
-def _trivial_subgroup(h: H1Group) -> H1Subgroup:
-    sub = subgroup_from_generators(h.structure, [])
-    return H1Subgroup(h, FinAb(()), (), (), sub)
+    return subgroup_to_h1subgroup(h, restriction_kernel(h, element_sets))
 
 
 def subgroup_to_h1subgroup(h: H1Group, sub: Subgroup) -> H1Subgroup:

@@ -4,7 +4,6 @@ characters, duals, and the central-homothety criterion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -202,7 +201,7 @@ def homothety_criterion(module: GModule):
 
 
 # ---------------------------------------------------------------------------
-# constructors and enumeration helpers
+# constructors
 
 
 def trivial_action_module(group: GroupTable, space: FinAb) -> GModule:
@@ -231,30 +230,3 @@ def mu8_klein_model() -> tuple[GModule, CyclotomicData]:
     """Z/8 acted on by {1,3,5,7} mod 8; the minimal field of the 8th roots
     of unity over the rationals."""
     return mu_model(8, (1, 3, 5, 7))
-
-
-def enumerate_automorphisms(space: FinAb) -> list[tuple]:
-    """All automorphisms of a small FinAb as matrices; cached per shape."""
-    key = space.invariant_factors
-    if key in _AUT_CACHE:
-        return _AUT_CACHE[key]
-    d = space.invariant_factors
-    r = space.rank
-    choices = []
-    for i in range(r):
-        for j in range(r):
-            step = d[i] // gcd(d[i], d[j])
-            choices.append(range(0, d[i], step))
-    elems = list(space.elements())
-    out = []
-    for flat in itertools.product(*choices):
-        mat = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-        # entries are compatible by construction; bijectivity by image count
-        image = {apply_matrix(mat, e, space) for e in elems}
-        if len(image) == len(elems):
-            out.append(mat)
-    _AUT_CACHE[key] = out
-    return out
-
-
-_AUT_CACHE: dict = {}

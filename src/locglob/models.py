@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import subgroup_from_generators, subgroup_intersection
+from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
 from .arith import is_prime, legendre_symbol
 from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1,
-                         joint_restriction_kernel, restrict_class,
-                         restricted_module, subgroup_to_h1subgroup)
+                         joint_restriction_kernel, restriction_kernel,
+                         subgroup_to_h1subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
 from .groups import cyclic_subgroups
@@ -103,37 +103,27 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     if unknown:
         raise InputError("unknown labels in T: %s" % sorted(unknown))
     ambient = h1(model.module)
-    sets = [z.elements for z in cyclic_subgroups(model.module.group) if z.order > 1]
-    for label, elems in model.designated:
-        if label not in T:
-            sets.append(elems)
-    members = joint_restriction_kernel(ambient, sets)
+    members = joint_restriction_kernel(ambient, _sets_away_from(model, T))
     if v_generators is not None:
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
         inter = subgroup_intersection(members.coordinate_subgroup, v_sub)
         members = subgroup_to_h1subgroup(ambient, inter)
-    support = set()
-    for label, elems in model.designated:
-        sub_h1 = h1(restricted_module(model.module, elems))
-        for rep in members.representatives:
-            if not sub_h1.is_coboundary(restrict_class(rep, elems)):
-                support.add(label)
-                break
-    return ShaGroup(ambient, members, T, frozenset(support))
+    support = frozenset(label for label, elems in model.designated
+                        if not ambient.vanishes_on(elems, members.coordinate_generators))
+    return ShaGroup(ambient, members, T, support)
 
 
-def _subgroups_equal(a: H1Subgroup, b: H1Subgroup) -> bool:
-    if a.order != b.order:
-        return False
-    return all(b.coordinate_subgroup.contains(g) for g in a.coordinate_generators)
+def _sets_away_from(model: PlaceModel, T) -> list:
+    """Element sets of the decomposition groups of the places outside T:
+    every nontrivial cyclic subgroup (generic places) and the designated
+    subgroups whose label is not in T."""
+    sets = [z.elements for z in cyclic_subgroups(model.module.group) if z.order > 1]
+    sets += [elems for label, elems in model.designated if label not in T]
+    return sets
 
 
-def _lex_min_cocycle(classes) -> CocycleClass | None:
-    best = None
-    for c in classes:
-        if best is None or c.flat() < best.flat():
-            best = c
-    return best
+def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
+    return a.order == b.order and all(b.contains(g) for g in a.generators)
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,8 @@ def verdict(model: PlaceModel, queries) -> Verdict:
         witnesses.append(("hasse", (), _nonzero_witness(sha_empty)))
     if not strong:
         witnesses.append(("strong_hasse", (), _nonzero_witness(sha_all)))
-    nonsingular = _subgroups_equal(sha_all.members, sha_empty.members)
+    nonsingular = _subgroups_equal(sha_all.members.coordinate_subgroup,
+                                   sha_empty.members.coordinate_subgroup)
     if strong != (hasse and nonsingular):
         raise SelfCheckError("verdict invariant violated")
     singular_results = []
@@ -186,9 +177,8 @@ def verdict(model: PlaceModel, queries) -> Verdict:
 
 
 def _nonzero_witness(sha: ShaGroup) -> CocycleClass:
-    classes = [c for coords, c in sha.members.all_classes()
-               if any(coords)]
-    return _lex_min_cocycle(classes)
+    return min((c for coords, c in sha.members.all_classes() if any(coords)),
+               key=CocycleClass.flat)
 
 
 def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
@@ -200,14 +190,9 @@ def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
                if label in sha.excluded]
     if not targets:
         return None
-    hits = []
-    for _, c in sha.members.all_classes():
-        for label, elems in targets:
-            sub_h1 = h1(restricted_module(model.module, elems))
-            if not sub_h1.is_coboundary(restrict_class(c, elems)):
-                hits.append(c)
-                break
-    return _lex_min_cocycle(hits)
+    hits = (c for coords, c in sha.members.all_classes()
+            if not all(sha.ambient.vanishes_on(elems, [coords]) for _, elems in targets))
+    return min(hits, key=CocycleClass.flat, default=None)
 
 
 def finite_support_bound(model: PlaceModel) -> frozenset:
@@ -226,18 +211,17 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
     S = frozenset(s_labels)
     labels = sorted(model.labels)
     subsets = _label_subsets(labels, SUPPORT_SAMPLE_LIMIT)
-    sha_s = sha_of_model(model, S)
-    sha_empty = sha_of_model(model, frozenset())
+    ambient = h1(model.module)
+    sha_s = restriction_kernel(ambient, _sets_away_from(model, S))
+    sha_empty = restriction_kernel(ambient, _sets_away_from(model, frozenset()))
     for T in subsets:
-        sha_t = sha_of_model(model, T)
-        for gen in sha_t.members.coordinate_generators:
-            if not sha_s.members.coordinate_subgroup.contains(gen):
+        sha_t = restriction_kernel(ambient, _sets_away_from(model, T))
+        for gen in sha_t.generators:
+            if not sha_s.contains(gen):
                 raise SelfCheckError("Sha(T) is not contained in Sha(S)")
         if not (T & S):
-            if not _subgroups_equal(sha_t.members, sha_empty.members):
+            if not _subgroups_equal(sha_t, sha_empty):
                 raise SelfCheckError("Sha(T) grew without meeting S")
-            if sha_empty.is_trivial() and not sha_t.is_trivial():
-                raise SelfCheckError("Sha(T) nonzero with T disjoint from S")
     return S
 
 

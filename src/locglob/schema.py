@@ -20,6 +20,9 @@ coordinates, `chi` maps element indices to units mod `chi_modulus`
 (defaulting to the module exponent).  Curves are triples of rationals,
 points "inf" or a rational pair, rationals "num/den" strings, places "inf"
 or a decimal prime.
+
+No CLI subcommand reads `chi` or `chi_modulus`; `hasse` and the others
+ignore them unchecked.  Only `parse_chi` reads and validates them.
 """
 
 from __future__ import annotations

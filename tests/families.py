@@ -7,14 +7,16 @@ modules admitting a fixed-point-free central homothety.
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import gcd
 
-from .abelian import FinAb
-from .gmodules import GModule, enumerate_automorphisms
-from .groups import (GroupTable, cyclic_group, direct_product,
-                     klein_four_group, symmetric_group_3, trivial_group)
-from .linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
-from .models import PlaceModel
+from locglob.abelian import FinAb, apply_matrix
+from locglob.gmodules import GModule
+from locglob.groups import (GroupTable, cyclic_group, direct_product,
+                            klein_four_group, symmetric_group_3, trivial_group)
+from locglob.linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
+from locglob.models import PlaceModel
 
 
 def groups_up_to_order_6():
@@ -70,6 +72,31 @@ def _mat_pow_mod(a, k, space: FinAb):
     return out
 
 
+def enumerate_automorphisms(space: FinAb) -> list[tuple]:
+    """All automorphisms of a small FinAb as matrices; cached per shape."""
+    key = space.invariant_factors
+    if key in _AUT_CACHE:
+        return _AUT_CACHE[key]
+    d = space.invariant_factors
+    r = space.rank
+    choices = []
+    for i in range(r):
+        for j in range(r):
+            step = d[i] // gcd(d[i], d[j])
+            choices.append(range(0, d[i], step))
+    elems = list(space.elements())
+    out = []
+    for flat in itertools.product(*choices):
+        mat = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
+        # entries are compatible by construction; bijectivity by image count
+        image = {apply_matrix(mat, e, space) for e in elems}
+        if len(image) == len(elems):
+            out.append(mat)
+    _AUT_CACHE[key] = out
+    return out
+
+
+_AUT_CACHE: dict = {}
 _PERM_CACHE: dict = {}
 _CLASS_REP_CACHE: dict = {}
 
@@ -168,7 +195,6 @@ def all_actions(group: GroupTable, space: FinAb, dedup_first: bool = True):
                           if _perm_power(p, c, pident) == pident]
         per_gen.append(candidates)
 
-    import itertools
     for images in itertools.product(*per_gen):
         act = _extend_action(group, space, gens, images)
         if act is not None:

@@ -63,7 +63,7 @@ def test_h1_brute_force_agreement_random():
     rng = random.Random(77)
     groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
               klein_four_group(), symmetric_group_3()]
-    from locglob.families import all_actions
+    from families import all_actions
     shapes = [(2,), (4,), (2, 2), (3,), (6,)]
     checked = 0
     for grp in groups:
@@ -93,7 +93,7 @@ def test_representatives_are_independent_cocycles():
 def test_representative_independence_across_modules():
     # every nonzero combination of representatives is a noncoboundary, and
     # the membership solver inverts cocycle_from_coordinates
-    from locglob.families import all_actions
+    from families import all_actions
     sampled = []
     for grp in (klein_four_group(), symmetric_group_3(), cyclic_group(4)):
         for shape in ((2, 2), (8,), (2, 4)):
@@ -114,7 +114,7 @@ def test_representative_independence_across_modules():
 def test_cyclic_formula_on_random_matrix_actions():
     # ker(norm)/im(sigma - 1) agreement for cyclic groups acting by
     # arbitrary automorphisms, not only homotheties
-    from locglob.families import all_actions
+    from families import all_actions
     rng = random.Random(6)
     for n in (2, 3, 4, 6):
         grp = cyclic_group(n)
@@ -215,7 +215,7 @@ def test_dual_module_examples():
 
 def test_double_dual_random():
     rng = random.Random(5)
-    from locglob.families import all_actions
+    from families import all_actions
     for grp in (cyclic_group(2), cyclic_group(4), klein_four_group()):
         for shape in ((4,), (2, 4), (8,), (2, 2)):
             space = FinAb(shape)
@@ -258,7 +258,7 @@ def test_homothety_examples():
 def test_homothety_noncentral_is_skipped():
     # S3 acting on Z/3: the sign-like action; only central homotheties count
     s3 = symmetric_group_3()
-    from locglob.families import all_actions
+    from families import all_actions
     for act in all_actions(s3, FinAb((3,)), dedup_first=False):
         mod = GModule(s3, FinAb((3,)), act)
         found = homothety_criterion(mod)
@@ -269,7 +269,7 @@ def test_homothety_noncentral_is_skipped():
 
 def test_h1_star_vanishes_with_homothety():
     rng = random.Random(123)
-    from locglob.families import random_homothety_module
+    from families import random_homothety_module
     for _ in range(20):
         mod = random_homothety_module(rng)
         assert homothety_criterion(mod) is not None

@@ -7,14 +7,16 @@ import pytest
 from locglob.abelian import FinAb
 from locglob.cohomology import h1_star
 from locglob.errors import InputError
-from locglob.families import random_place_model
-from locglob.gmodules import (mu8_klein_model, trivial_action_module,
+from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
 from locglob.models import (PlaceModel, finite_support_bound, gw_decision,
                             sha_of_model, verdict, weak_approx_verdict)
 from locglob.oracles import rational_nth_root
 from locglob.padics import Place, is_nth_power
+
+from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
+                      random_place_model)
 
 
 def mu8_q_model():
@@ -69,6 +71,46 @@ def test_sha_members_satisfy_their_invariant():
                     sub_mod, _ = model.module.restrict(elems)
                     assert h1(sub_mod).is_coboundary(restrict_class(rep, elems))
             assert sha.support_set <= frozenset(T)
+
+
+def test_restriction_rows_match_cocycle_restriction():
+    # over every group of order <= 6 and module of order <= 8: the row test
+    # of H1Group.restriction agrees with restricting cocycles, class by
+    # class and subgroup by subgroup, and support_set is the set of labels
+    # where some member of Sha(T) restricts to a non-coboundary
+    from locglob.cohomology import h1, restrict_class
+    rng = random.Random(29)
+    outcomes = set()
+    supports = set()
+    for _, grp in groups_up_to_order_6():
+        subgroups = sorted({grp.generated_subgroup((a, b))
+                            for a in range(grp.order) for b in range(grp.order)} - {(0,)})
+        for space in abelian_shapes_up_to(8):
+            for act in all_actions(grp, space):
+                module = GModule(grp, space, act)
+                h = h1(module)
+                trivial_at = {elems: {coords for coords, c in h.all_classes()
+                                      if h1(module.restrict(elems)[0]).is_coboundary(
+                                          restrict_class(c, elems))}
+                              for elems in subgroups}
+                for elems in subgroups:
+                    for coords, _ in h.all_classes():
+                        trivial = h.vanishes_on(elems, [coords])
+                        assert trivial == (coords in trivial_at[elems])
+                        outcomes.add(trivial)
+                model = PlaceModel(module, {"z%d" % i: elems
+                                            for i, elems in enumerate(subgroups)}, frozenset())
+                T = frozenset(label for label in model.labels if rng.random() < 0.5)
+                sha = sha_of_model(model, T)
+                members = []
+                for coords, c in sha.members.all_classes():
+                    assert h.coordinates_of(c) == coords
+                    members.append(coords)
+                assert sha.support_set == frozenset(
+                    label for label, elems in model.designated
+                    if any(x not in trivial_at[elems] for x in members))
+                supports.add(bool(sha.support_set))
+    assert outcomes == supports == {True, False}
 
 
 def test_sha_restricted_ambient():

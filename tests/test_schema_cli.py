@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from locglob.errors import InputError
+from locglob.errors import InputError, PrecisionError, SelfCheckError
 from locglob.schema import (load_document, parse_chi, parse_curve, parse_model,
                             parse_module, parse_point, parse_quadratics)
 
@@ -247,6 +247,19 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+@pytest.mark.parametrize("error", [SelfCheckError, PrecisionError])
+def test_internal_failure_exits_3(monkeypatch, capsys, mu8_file, error):
+    import locglob.cli as cli
+
+    def broken(args, t0):
+        raise error("engine disagrees with itself")
+    monkeypatch.setitem(cli._HANDLERS, "h1", broken)
+    assert cli.main(["h1", "--input", mu8_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal failure: engine disagrees with itself\n"
 
 
 def test_report_byte_determinism(mu8_file):
