@@ -20,14 +20,13 @@ import time
 from .cohomology import h1, h1_star
 from .elliptic import divisible_by_2k, halve_point, quad_local_roots
 from .errors import InputError, PrecisionError, SelfCheckError
-from .models import finite_support_bound, gw_decision, verdict
-from .padics import Place, hilbert_symbol, is_nth_power, nth_root, parse_rational
+from .models import GW_SWEEP_BOUND, finite_support_bound, gw_decision, verdict
+from .padics import (DEFAULT_PRECISION, Place, hilbert_symbol, is_nth_power,
+                     nth_root, parse_rational)
 from .reproduce import golden_bytes, load_golden, oracle_golden, run_reproduce
-from .schema import (format_rational, load_document, parse_curve,
-                     parse_model, parse_module, parse_place, parse_point,
-                     parse_quadratics)
+from .schema import (format_rational, load_document, parse_curve, parse_model,
+                     parse_module, parse_point, parse_quadratics)
 
-DEFAULT_PRECISION = 64
 PRECISION_ENV = "LOCGLOB_PRECISION"
 
 
@@ -71,15 +70,16 @@ def _add_shared(sub):
 
 
 def _precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    env = os.environ.get(PRECISION_ENV)
-    if env:
+    prec = args.precision
+    if prec is None:
+        env = os.environ.get(PRECISION_ENV)
         try:
-            return int(env)
+            prec = int(env) if env else DEFAULT_PRECISION
         except ValueError:
             raise InputError("bad %s value %r" % (PRECISION_ENV, env)) from None
-    return DEFAULT_PRECISION
+    if prec < 1:
+        raise InputError("precision must be >= 1, got %d" % prec)
+    return prec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(s)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--places", default="", help="comma-separated primes in T")
-    s.add_argument("--sweep", type=int, default=1000,
+    s.add_argument("--sweep", type=int, default=GW_SWEEP_BOUND,
                    help="verify the witness locally below this bound")
 
     s = subs.add_parser("power", help="is a an n-th power in Q_v")
@@ -212,7 +212,11 @@ def _cmd_hasse(args, t0):
 
 
 def _cmd_gw(args, t0):
-    places = {int(x) for x in args.places.split(",") if x.strip()}
+    try:
+        places = {int(x) for x in args.places.split(",") if x.strip()}
+    except ValueError:
+        raise InputError("--places must be comma-separated primes, got %r"
+                         % args.places) from None
     dec = gw_decision(args.n, places, sweep_bound=args.sweep)
     out = {
         "kernel_order": dec.kernel_order,
@@ -226,7 +230,7 @@ def _cmd_gw(args, t0):
 
 def _cmd_power(args, t0):
     a = parse_rational(args.a)
-    place = parse_place(args.p)
+    place = Place.parse(args.p)
     result = is_nth_power(a, args.n, place)
     out = {"is_power": result}
     if args.root and result:
@@ -241,7 +245,7 @@ def _cmd_power(args, t0):
 def _cmd_hilbert(args, t0):
     a = parse_rational(args.a)
     b = parse_rational(args.b)
-    place = parse_place(args.p)
+    place = Place.parse(args.p)
     sym = hilbert_symbol(a, b, place)
     return _report(args, "hilbert",
                    {"a": format_rational(a), "b": format_rational(b), "place": str(place)},
@@ -271,7 +275,7 @@ def _cmd_ec_div(args, t0):
                        0 if divisible_everywhere else 1, time.monotonic() - t0)
     if args.place is None:
         raise InputError("ec-div needs --place or --sweep")
-    place = None if args.place.strip() == "global" else parse_place(args.place)
+    place = None if args.place.strip() == "global" else Place.parse(args.place)
     result = divisible_by_2k(curve, point, args.k, place, prec)
     out = {"divisible": result, "k": args.k}
     if args.halves:
@@ -286,7 +290,7 @@ def _cmd_ec_div(args, t0):
 
 def _cmd_quadroots(args, t0):
     quads = parse_quadratics(args.quadratics)
-    place = parse_place(args.place)
+    place = Place.parse(args.place)
     result = quad_local_roots(quads, place)
     return _report(args, "quadroots",
                    {"quadratics": args.quadratics, "place": str(place)},

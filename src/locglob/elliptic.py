@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import InputError, PrecisionError
-from .padics import DEFAULT_PRECISION, PadicNumber, Place, is_nth_power
+from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
+                     rational_nth_root)
 
 _MAX_PRECISION = 4096
 _REAL_TOL = 1e-9
@@ -184,18 +184,6 @@ def scalar_mul(curve: Curve, k: int, p: CurvePoint) -> CurvePoint:
 # square roots per field
 
 
-def _rational_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 class _FieldOps:
     """Square tests and roots over the coordinate field of a computation."""
 
@@ -213,7 +201,7 @@ class _FieldOps:
     def sqrt(self, c):
         """A square root or None; PrecisionError when undecidable."""
         if self.place is None:
-            return _rational_sqrt(Fraction(c))
+            return rational_nth_root(c, 2)
         if self.place.is_real:
             if isinstance(c, Fraction) or isinstance(c, int):
                 if c < 0:
@@ -235,32 +223,35 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
     """All Q over the given field with 2Q = P (immediately verified by
     doubling).  Halving the origin returns the 2-torsion fiber.
 
-    At a finite place, precision exhaustion retries at doubled precision;
-    persistent ambiguity raises PrecisionError rather than guessing."""
-    if p.infinity:
-        fiber = curve.two_torsion()
-        ops = _FieldOps(place, precision)
-        return [q if q.infinity else CurvePoint(ops.embed(q.x), ops.embed(q.y), False)
-                for q in fiber]
+    A rational point at a finite place is embedded at the working precision,
+    and precision exhaustion retries at doubled precision; persistent
+    ambiguity raises PrecisionError rather than guessing."""
     retriable = (place is not None and not place.is_real
                  and isinstance(p.x, (int, Fraction)))
+
+    def attempt(n):
+        ops = _FieldOps(place, n)
+        if p.infinity:
+            return [q if q.infinity else CurvePoint(ops.embed(q.x), ops.embed(q.y), False)
+                    for q in curve.two_torsion()]
+        q = CurvePoint(ops.embed(p.x), ops.embed(p.y), False) if retriable else p
+        return _halve_affine(curve, q, ops)
+    return _at_rising_precision(attempt, precision, retriable)
+
+
+def _at_rising_precision(compute, precision: int, retriable: bool = True):
+    """compute(n) at n = precision, retried at doubled n while it raises
+    PrecisionError (when retriable) and n stays within _MAX_PRECISION."""
+    if precision < 1:
+        raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
     n = precision
     while True:
         try:
-            return _halve_once(curve, p, place, n)
+            return compute(n)
         except PrecisionError:
-            if not retriable:
-                raise
             n *= 2
-            if n > _MAX_PRECISION:
+            if not retriable or n > _MAX_PRECISION:
                 raise
-
-
-def _halve_once(curve, p, place, precision):
-    if place is not None and not place.is_real and isinstance(p.x, (int, Fraction)):
-        ops = _FieldOps(place, precision)
-        p = CurvePoint(ops.embed(p.x), ops.embed(p.y), False)
-    return _halve_affine(curve, p, _FieldOps(place, precision))
 
 
 def _halve_affine(curve: Curve, p: CurvePoint, ops: _FieldOps) -> list[CurvePoint]:
@@ -336,14 +327,7 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
         return True
     if place is not None and place.is_real:
         return _real_identity_component(curve, p)
-    n = precision
-    while True:
-        try:
-            return _bfs_divisible(curve, p, k, place, n)
-        except PrecisionError:
-            n *= 2
-            if n > _MAX_PRECISION:
-                raise
+    return _at_rising_precision(lambda n: _bfs_divisible(curve, p, k, place, n), precision)
 
 
 def _bfs_divisible(curve, p, k, place, precision) -> bool:

@@ -10,19 +10,18 @@ conditions, labeled places their designated subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
-from .arith import is_prime, legendre_symbol
+from .arith import int_valuation, is_prime, legendre_symbol
 from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1,
-                         joint_restriction_kernel, restriction_kernel,
-                         subgroup_to_h1subgroup)
+                         restriction_kernel, subgroup_to_h1subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
 from .groups import cyclic_subgroups
-from .oracles import rational_nth_root
-from .padics import Place, is_nth_power, square_class_approximate
+from .padics import (Place, is_nth_power, rational_nth_root,
+                     square_class_approximate)
 
 GW_SWEEP_BOUND = 1000
 # finite_support_bound checks every label subset up to this many, a fixed
@@ -42,6 +41,9 @@ class PlaceModel:
     module: GModule
     designated: tuple      # sorted ((label, elements), ...)
     archimedean: frozenset
+    # None -> element sets of the nontrivial cyclic subgroups; label set T ->
+    # coordinate subgroup of Sha(T); filled by _sha_coordinates
+    _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.designated, dict):
@@ -103,23 +105,29 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     if unknown:
         raise InputError("unknown labels in T: %s" % sorted(unknown))
     ambient = h1(model.module)
-    members = joint_restriction_kernel(ambient, _sets_away_from(model, T))
+    coords = _sha_coordinates(model, T)
     if v_generators is not None:
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
-        inter = subgroup_intersection(members.coordinate_subgroup, v_sub)
-        members = subgroup_to_h1subgroup(ambient, inter)
+        coords = subgroup_intersection(coords, v_sub)
+    members = subgroup_to_h1subgroup(ambient, coords)
     support = frozenset(label for label, elems in model.designated
                         if not ambient.vanishes_on(elems, members.coordinate_generators))
     return ShaGroup(ambient, members, T, support)
 
 
-def _sets_away_from(model: PlaceModel, T) -> list:
-    """Element sets of the decomposition groups of the places outside T:
-    every nontrivial cyclic subgroup (generic places) and the designated
-    subgroups whose label is not in T."""
-    sets = [z.elements for z in cyclic_subgroups(model.module.group) if z.order > 1]
-    sets += [elems for label, elems in model.designated if label not in T]
-    return sets
+def _sha_coordinates(model: PlaceModel, T: frozenset) -> Subgroup:
+    """Coordinates of the classes that restrict to coboundaries on every
+    nontrivial cyclic subgroup (generic places) and on every designated
+    subgroup whose label is not in T; computed once per model and T."""
+    kernels = model._kernels
+    if T not in kernels:
+        if None not in kernels:
+            kernels[None] = [z.elements for z in cyclic_subgroups(model.module.group)
+                             if z.order > 1]
+        sets = kernels[None] + [elems for label, elems in model.designated
+                                if label not in T]
+        kernels[T] = restriction_kernel(h1(model.module), sets)
+    return kernels[T]
 
 
 def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -152,8 +160,11 @@ def verdict(model: PlaceModel, queries) -> Verdict:
     """hasse <=> Sha(empty) = 0; strong_hasse <=> Sha(all labels) = 0 (the
     cyclic-restriction reduction); T-singular <=> some member of Sha(T)
     restricts nontrivially at a place of T."""
-    sha_empty = sha_of_model(model, frozenset())
-    sha_all = sha_of_model(model, model.labels)
+    keys = [tuple(sorted(str(x) for x in T)) for T in queries]
+    shas = {T: sha_of_model(model, T) for T in
+            dict.fromkeys([frozenset(), model.labels] + [frozenset(k) for k in keys])}
+    sha_empty = shas[frozenset()]
+    sha_all = shas[model.labels]
     hasse = sha_empty.is_trivial()
     strong = sha_all.is_trivial()
     witnesses = []
@@ -166,10 +177,8 @@ def verdict(model: PlaceModel, queries) -> Verdict:
     if strong != (hasse and nonsingular):
         raise SelfCheckError("verdict invariant violated")
     singular_results = []
-    for T in queries:
-        key = tuple(sorted(str(x) for x in T))
-        sha_t = sha_of_model(model, frozenset(key))
-        wit = _singular_witness(model, sha_t)
+    for key in keys:
+        wit = _singular_witness(model, shas[frozenset(key)])
         singular_results.append((key, wit is not None))
         if wit is not None:
             witnesses.append(("t_singular", key, wit))
@@ -211,11 +220,10 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
     S = frozenset(s_labels)
     labels = sorted(model.labels)
     subsets = _label_subsets(labels, SUPPORT_SAMPLE_LIMIT)
-    ambient = h1(model.module)
-    sha_s = restriction_kernel(ambient, _sets_away_from(model, S))
-    sha_empty = restriction_kernel(ambient, _sets_away_from(model, frozenset()))
+    sha_s = _sha_coordinates(model, S)
+    sha_empty = _sha_coordinates(model, frozenset())
     for T in subsets:
-        sha_t = restriction_kernel(ambient, _sets_away_from(model, T))
+        sha_t = _sha_coordinates(model, T)
         for gen in sha_t.generators:
             if not sha_s.contains(gen):
                 raise SelfCheckError("Sha(T) is not contained in Sha(S)")
@@ -275,11 +283,7 @@ def gw_decision(n: int, T, nondecomposed=None,
     for p in T:
         if not is_prime(p):
             raise InputError("T must consist of primes, got %d" % p)
-    r = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        r += 1
+    r = int_valuation(n, 2)
     s_set = frozenset(int(x) for x in nondecomposed) if nondecomposed is not None \
         else frozenset({2})
     nontrivial = r >= 3 and s_set <= T

@@ -2,19 +2,20 @@
 
 Everything here recomputes quantities by enumeration or search, staying
 independent of the linear-algebra and residue-formula paths it is used to
-check.  The map enumeration is vectorized with numpy, yet the always-on
-cross-check in h1 still costs 40-500 times the exact path it guards (and up
-to 56 MiB) on modules with |M|^|G| near its 2^20 limit.
+check, in `h1`, in `reproduce --oracle` and in the tests.  Nothing here
+decides an answer.  The map enumeration is vectorized with numpy, yet the
+always-on cross-check in h1 still costs 40-500 times the exact path it
+guards (and up to 56 MiB) on modules with |M|^|G| near its 2^20 limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
+from .arith import int_valuation, rational_unit_mod, rational_valuation
 from .errors import InputError
 from .gmodules import GModule
 
@@ -144,49 +145,6 @@ def cyclic_h1_profile(module: GModule):
 
 
 # ---------------------------------------------------------------------------
-# exact rational roots
-
-
-def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
-    """Exact n-th root in Q, or None."""
-    if n < 1:
-        raise InputError("root degree must be positive")
-    q = Fraction(q)
-    if q == 0:
-        return Fraction(0)
-    neg = q < 0
-    if neg and n % 2 == 0:
-        return None
-    num, den = abs(q.numerator), q.denominator
-    rn = _int_nth_root(num, n)
-    rd = _int_nth_root(den, n)
-    if rn is None or rd is None:
-        return None
-    root = Fraction(rn, rd)
-    return -root if neg else root
-
-
-def _int_nth_root(x: int, n: int) -> int | None:
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
-    if n == 2:
-        r = isqrt(x)
-        return r if r * r == x else None
-    lo, hi = 0, 1
-    while hi ** n < x:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** n < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** n == x else None
-
-
-# ---------------------------------------------------------------------------
 # Hilbert symbol by exhaustive search
 
 
@@ -247,13 +205,28 @@ def hilbert_symbol_search(a, b, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quadratic residues, the slow way
+# residue sweeps
 
 
 def is_square_mod_prime_brute(a: int, p: int) -> bool:
     """Residue test by sweeping x^2 over Z/p.  Test oracle only."""
     a %= p
     return any((x * x - a) % p == 0 for x in range(p))
+
+
+def is_nth_power_search(a, n: int, p: int) -> bool:
+    """Whether a is an n-th power in Q_p, by sweeping x^n over the units mod
+    p^(2t+1), t = val_p(n).  At a unit x the derivative of x^n - u has
+    valuation exactly t, so a root mod p^(2t+1) lifts to Z_p (Hensel).
+    Test oracle only; linear in p^(2t+1)."""
+    a = Fraction(a)
+    if a == 0:
+        raise InputError("zero is excluded from power tests")
+    if rational_valuation(a, p) % n:
+        return False
+    mod = p ** (2 * int_valuation(n, p) + 1)
+    u = rational_unit_mod(a, p, mod)
+    return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Places of Q, exact p-adic arithmetic at finite precision, n-th power
-tests by Hensel lifting, Hilbert symbols, the product-formula check, and
+tests by the unit-group criterion, n-th roots by Hensel lifting, exact
+rational roots, Hilbert symbols, the product-formula check, and
 constructive approximation of square classes.
 
 Rationals are kept exact (Fraction); truncation to a PadicNumber happens
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (factorize, int_valuation, is_prime, legendre_symbol,
                     rational_unit_mod, rational_valuation, sqrt_mod_prime)
@@ -317,60 +318,34 @@ def _sqrt_unit_2adic(u: int, n: int) -> int:
 # n-th power decisions (exact for rational inputs)
 
 
-_SEARCH_MODULUS_LIMIT = 2 ** 20
-
-
 def is_nth_power(a, n: int, place: Place) -> bool:
     """Whether a lies in (Q_v^x)^n; exact.
 
-    Finite v: n must divide the valuation and the unit part must have an
-    n-th root.  The unit decision reduces to the residue test mod p when
-    p does not divide n, and otherwise to a search mod p^(2 val_p(n) + 1),
-    the Hensel sufficiency modulus for x^n - u; when that modulus is too
-    large to sweep, the equivalent unit-group criterion decides instead
-    (u^(p-1) = 1 mod p^(t+1) for odd p, u = 1 mod 2^(t+2) at p = 2).
+    Finite v, n = p^t m with p not dividing m: n must divide the valuation
+    and the unit part u must lie in (Z_p^x)^n.  For odd p, Z_p^x =
+    mu_(p-1) x (1 + p Z_p) makes that a residue test mod p for the
+    gcd(n, p-1)-th powers plus u^(p-1) = 1 mod p^(t+1), since
+    (1 + p Z_p)^(p^t) = 1 + p^(t+1) Z_p.  At p = 2, Z_2^x = {+-1} x
+    (1 + 4 Z_2) makes it u = 1 mod 2^(t+2) for t >= 1 (Serre, A Course in
+    Arithmetic, II.3).
     """
     a = Fraction(a)
     if a == 0:
         raise InputError("zero is excluded from power tests")
     if n < 1:
         raise InputError("power degree must be >= 1")
-    if n == 1:
-        return True
     if place.is_real:
         return a > 0 or n % 2 == 1
     p = place.prime
-    v = rational_valuation(a, p)
-    if v % n:
+    if rational_valuation(a, p) % n:
         return False
-    t = int_valuation(n, p) if n % p == 0 else 0
-    if t == 0:
-        g = gcd(n, p - 1)
-        u = rational_unit_mod(a, p, p)
-        return pow(u, (p - 1) // g, p) == 1
-    mod = p ** (2 * t + 1)
-    if mod <= _SEARCH_MODULUS_LIMIT:
-        u = rational_unit_mod(a, p, mod)
-        return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
-    return _unit_power_criterion(a, n, p, t)
-
-
-def _unit_power_criterion(a, n: int, p: int, t: int) -> bool:
-    """(Z_p^x)^n membership through the unit-group structure: the principal
-    units form a Z_p-module where p^t-th powers sit at depth t further, and
-    the prime-to-p part is the cyclic residue test."""
-    n_odd = n // p ** t
+    t = int_valuation(n, p)
     if p == 2:
-        # {+-1} x (1 + 4 Z_2): odd powers are everything, 2^t-th powers are
-        # exactly 1 + 2^(t+2) Z_2
-        u = rational_unit_mod(a, 2, 2 ** (t + 2))
-        return u == 1
-    g = gcd(n_odd, p - 1)
-    u1 = rational_unit_mod(a, p, p)
-    if pow(u1, (p - 1) // g, p) != 1:
+        return t == 0 or rational_unit_mod(a, 2, 2 ** (t + 2)) == 1
+    if pow(rational_unit_mod(a, p, p), (p - 1) // gcd(n, p - 1), p) != 1:
         return False
-    u = rational_unit_mod(a, p, p ** (t + 1))
-    return pow(u, p - 1, p ** (t + 1)) == 1
+    mod = p ** (t + 1)
+    return t == 0 or pow(rational_unit_mod(a, p, mod), p - 1, mod) == 1
 
 
 def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
@@ -378,7 +353,7 @@ def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
     precision (finite v, verified by re-powering) or a float (real place);
     None when the power test fails."""
     a = Fraction(a)
-    if a == 0 or n < 1:
+    if a == 0 or n < 1 or precision < 1:
         raise InputError("invalid root request")
     if not is_nth_power(a, n, place):
         return None
@@ -391,7 +366,7 @@ def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
         return root
     p = place.prime
     v = rational_valuation(a, p)
-    t = int_valuation(n, p) if n % p == 0 else 0
+    t = int_valuation(n, p)
     work = precision + 2 * t + 2
     mod = p ** work
     u = rational_unit_mod(a, p, mod)
@@ -402,6 +377,9 @@ def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
     if not (check - target).is_zero:
         raise SelfCheckError("re-powered root does not match the input")
     return root
+
+
+_ROOT_SEED_LIMIT = 2 ** 20     # largest modulus p^(2t+1) swept for a root seed
 
 
 def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
@@ -420,7 +398,7 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
         j = 1
     else:
         seed_mod = p ** (2 * t + 1)
-        if seed_mod > _SEARCH_MODULUS_LIMIT:
+        if seed_mod > _ROOT_SEED_LIMIT:
             raise InputError("root witness construction needs a sweep mod p^%d; "
                              "use is_nth_power for the decision alone" % (2 * t + 1))
         x = next(x for x in range(1, seed_mod)
@@ -439,6 +417,49 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
     if pow(x, n, mod) != u % mod:
         raise SelfCheckError("Hensel lifting failed to converge")
     return x
+
+
+# ---------------------------------------------------------------------------
+# exact rational roots
+
+
+def rational_nth_root(q, n: int) -> Fraction | None:
+    """Exact n-th root in Q, or None."""
+    if n < 1:
+        raise InputError("root degree must be positive")
+    q = Fraction(q)
+    if q == 0:
+        return Fraction(0)
+    neg = q < 0
+    if neg and n % 2 == 0:
+        return None
+    num, den = abs(q.numerator), q.denominator
+    rn = _int_nth_root(num, n)
+    rd = _int_nth_root(den, n)
+    if rn is None or rd is None:
+        return None
+    root = Fraction(rn, rd)
+    return -root if neg else root
+
+
+def _int_nth_root(x: int, n: int) -> int | None:
+    if x == 0:
+        return 0
+    if n == 1:
+        return x
+    if n == 2:
+        r = isqrt(x)
+        return r if r * r == x else None
+    lo, hi = 0, 1
+    while hi ** n < x:
+        hi <<= 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** n < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo ** n == x else None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import InputError
 from .gmodules import CyclotomicData, GModule
 from .groups import GroupTable
 from .models import PlaceModel
-from .padics import Place, parse_rational
+from .padics import parse_rational
 
 
 def load_document(path: str) -> dict:
@@ -136,10 +136,6 @@ def parse_model(doc: dict) -> PlaceModel:
     des = {str(k): _ints(v, "designated subgroup at %r" % str(k), bound=order)
            for k, v in designated.items()}
     return PlaceModel(module, des, frozenset(str(x) for x in arch))
-
-
-def parse_place(text: str) -> Place:
-    return Place.parse(text)
 
 
 def parse_curve(text: str) -> Curve:

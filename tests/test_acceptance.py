@@ -20,9 +20,9 @@ from locglob.elliptic import Curve, divisible_by_2k, quad_local_roots
 from locglob.gmodules import homothety_criterion, mu8_klein_model
 from locglob.models import (PlaceModel, finite_support_bound, gw_decision,
                             sha_of_model, verdict)
-from locglob.oracles import brute_force_h1_star, rational_nth_root
+from locglob.oracles import brute_force_h1_star
 from locglob.padics import (Place, is_nth_power, product_formula_check,
-                            square_class_approximate)
+                            rational_nth_root, square_class_approximate)
 
 from families import (lemma_consistency_family, random_homothety_module,
                       random_place_model)

@@ -194,6 +194,14 @@ def test_halving_completeness_local():
     assert total >= 30
 
 
+def test_precision_below_one_is_an_input_error():
+    for prec in (0, -4):
+        with pytest.raises(InputError):
+            divisible_by_2k(DZ, DZ_P, 2, Place.finite(3), prec)
+        with pytest.raises(InputError):
+            halve_point(DZ, DZ_P, Place.finite(3), prec)
+
+
 def test_quad_local_roots():
     assert not quad_local_roots(TRIPLE, Place.finite(2))
     assert quad_local_roots(TRIPLE, Place.finite(3))

@@ -12,8 +12,7 @@ from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
 from locglob.groups import cyclic_group, klein_four_group
 from locglob.models import (PlaceModel, finite_support_bound, gw_decision,
                             sha_of_model, verdict, weak_approx_verdict)
-from locglob.oracles import rational_nth_root
-from locglob.padics import Place, is_nth_power
+from locglob.padics import Place, is_nth_power, rational_nth_root
 
 from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
                       random_place_model)
@@ -111,6 +110,25 @@ def test_restriction_rows_match_cocycle_restriction():
                     if any(x not in trivial_at[elems] for x in members))
                 supports.add(bool(sha.support_set))
     assert outcomes == supports == {True, False}
+
+
+def test_model_kernels_do_not_depend_on_call_order():
+    # verdict, finite_support_bound and sha_of_model share one instance's
+    # Sha(T) kernels; fresh instances called in the reverse order agree
+    rng = random.Random(41)
+    for _ in range(20):
+        model = random_place_model(rng)
+        labels = sorted(model.labels)
+        subsets = [frozenset(T) for r in range(len(labels) + 1)
+                   for T in combinations(labels, r)]
+
+        def fresh():
+            return PlaceModel(model.module, model.designated, model.archimedean)
+        shared = (verdict(model, subsets), finite_support_bound(model),
+                  [sha_of_model(model, T) for T in subsets])
+        shas = [sha_of_model(fresh(), T) for T in reversed(subsets)][::-1]
+        bound = finite_support_bound(fresh())
+        assert shared == (verdict(fresh(), subsets), bound, shas)
 
 
 def test_sha_restricted_ambient():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from locglob.arith import is_prime, nth_root_mod_prime
 from locglob.errors import InputError
-from locglob.oracles import hilbert_symbol_search, is_square_mod_prime_brute
+from locglob.oracles import (hilbert_symbol_search, is_nth_power_search,
+                             is_square_mod_prime_brute)
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
                             nth_root, product_formula_check,
                             square_class_approximate)
@@ -106,22 +107,25 @@ def test_negative_and_odd_powers_at_real_place():
 
 
 def test_structure_criterion_matches_hensel_search():
-    # where the sweep modulus is feasible, the unit-group criterion used for
-    # huge n must agree with the documented mod p^(2t+1) search
-    from locglob.padics import _unit_power_criterion
+    # the unit-group criterion of is_nth_power must agree with the residue
+    # sweep mod p^(2t+1), the Hensel sufficiency modulus for x^n - u, on
+    # units, non-units and negative numbers, with and without denominators
     rng = random.Random(12)
     checked = 0
-    for p, t in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+    outcomes = set()
+    for p, t in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1),
+                 (7, 0), (7, 1)]:
         mod = p ** (2 * t + 1)
         for _ in range(40):
             n = p ** t * rng.choice([x for x in (1, 3, 5, 7, 9, 11) if x % p])
             u = rng.randrange(1, mod)
-            if u % p == 0:
-                continue
-            search = any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
-            assert search == _unit_power_criterion(Fraction(u), n, p, t)
+            a = rng.choice((1, -1)) * u * Fraction(p) ** (n * rng.randrange(-1, 2))
+            search = is_nth_power_search(a, n, p)
+            assert search == is_nth_power(a, n, Place.finite(p)), (a, n, p)
+            outcomes.add(search)
             checked += 1
     assert checked > 150
+    assert outcomes == {True, False}
 
 
 def test_huge_power_degree_terminates():
@@ -142,6 +146,9 @@ def test_nth_root_witnesses():
     assert nth_root(16, 8, Place.finite(2), 16) is None
     real_root = nth_root(Fraction(27, 8), 3, Place.real())
     assert abs(real_root - 1.5) < 1e-12
+    for prec in (0, -4):
+        with pytest.raises(InputError):
+            nth_root(16, 8, Place.finite(7), prec)
 
 
 @given(st.sampled_from([p for p in SMALL_PRIMES if p > 2]),

@@ -249,6 +249,31 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
+_EC_DIV = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728",
+           "--k", "2", "--place", "3")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("gw", "--n", "8", "--places", "abc"), None),
+    (("gw", "--n", "8", "--places", "2.5"), None),
+    (_EC_DIV + ("--precision", "0"), None),
+    (_EC_DIV + ("--precision=-4",), None),
+    (_EC_DIV, "0"),
+    (_EC_DIV, "-3"),
+    (("power", "--a", "16", "--n", "8", "--p", "7", "--root", "--precision", "0"), None),
+], ids=["places_text", "places_fraction", "precision_0", "precision_negative",
+        "env_precision_0", "env_precision_negative", "power_root_precision_0"])
+def test_bad_flag_exits_2_with_one_line(monkeypatch, capsys, argv, env):
+    import locglob.cli as cli
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LOCGLOB_PRECISION", env)
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("error", [SelfCheckError, PrecisionError])
 def test_internal_failure_exits_3(monkeypatch, capsys, mu8_file, error):
     import locglob.cli as cli
