@@ -28,6 +28,7 @@ from .schema import (format_rational, load_document, parse_curve, parse_model,
                      parse_module, parse_point, parse_quadratics)
 
 PRECISION_ENV = "LOCGLOB_PRECISION"
+EC_SWEEP_LIMIT = 10 ** 4        # largest `ec-div --sweep` bound
 
 
 def _report(args, command, inputs, results, checks_passed, checks_failed, elapsed):
@@ -257,6 +258,9 @@ def _cmd_ec_div(args, t0):
     point = parse_point(args.point, curve)
     prec = _precision(args)
     if args.sweep is not None:
+        if args.sweep > EC_SWEEP_LIMIT:
+            raise InputError("--sweep must be at most %d, got %d"
+                             % (EC_SWEEP_LIMIT, args.sweep))
         from .arith import is_prime
         places = [Place.finite(p) for p in range(2, args.sweep + 1) if is_prime(p)]
         places.append(Place.real())

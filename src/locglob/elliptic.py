@@ -1,12 +1,12 @@
 """Weierstrass curves with full rational 2-torsion over Q, Q_p, and R:
 chord-tangent arithmetic, point halving by square roots, and 2-power
-divisibility by breadth-first iterated halving.
+divisibility by depth-first iterated halving.
 
 A point is 2-divisible iff x(P) - e_i is a square for each root e_i; the
 candidate halves are assembled from the square roots and every candidate is
 verified by doubling, exactly over Q and to working precision locally.
-Local verdicts too close to the precision horizon trigger a retry at twice
-the precision.
+Each precision attempt embeds the curve once; local verdicts too close to
+the precision horizon retry the whole computation at twice the precision.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
                      rational_nth_root)
 
 _MAX_PRECISION = 4096
+MAX_K = 600                 # deepest 2-power divisibility decided
 _REAL_TOL = 1e-9
 
 
@@ -148,21 +149,21 @@ def group_law(curve: Curve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
             return curve.infinity()
         if not _eq(p.y, q.y):
             raise PrecisionError("points share x but neither add nor cancel cleanly")
-        return _double(curve, p)
+        return _double(_Field(curve), p)
     lam = (q.y - p.y) / (q.x - p.x)
-    return _chord(curve, p, q, lam)
+    return _chord(_Field(curve), p, q, lam)
 
 
-def _double(curve: Curve, p: CurvePoint) -> CurvePoint:
+def _double(f: "_Field", p: CurvePoint) -> CurvePoint:
     if p.infinity or _is_zero(p.y):
-        return curve.infinity()
-    num = 3 * p.x * p.x + 2 * curve.a2 * p.x + curve.a4
-    lam = num / (2 * p.y)
-    return _chord(curve, p, p, lam)
+        return CurvePoint(None, None, True)
+    num = f.three * p.x * p.x + f.two_a2 * p.x + f.a4
+    lam = num / (f.two * p.y)
+    return _chord(f, p, p, lam)
 
 
-def _chord(curve: Curve, p: CurvePoint, q: CurvePoint, lam) -> CurvePoint:
-    x3 = lam * lam - curve.a2 - p.x - q.x
+def _chord(f: "_Field", p: CurvePoint, q: CurvePoint, lam) -> CurvePoint:
+    x3 = lam * lam - f.a2 - p.x - q.x
     y3 = lam * (p.x - x3) - p.y
     return CurvePoint(x3, y3, False)
 
@@ -170,52 +171,58 @@ def _chord(curve: Curve, p: CurvePoint, q: CurvePoint, lam) -> CurvePoint:
 def scalar_mul(curve: Curve, k: int, p: CurvePoint) -> CurvePoint:
     if k < 0:
         return scalar_mul(curve, -k, negate(p))
+    f = _Field(curve)
     out = curve.infinity()
     add = p
     while k:
         if k & 1:
             out = group_law(curve, out, add)
-        add = _double(curve, add) if k > 1 else add
+        add = _double(f, add) if k > 1 else add
         k >>= 1
     return out
 
 
 # ---------------------------------------------------------------------------
-# square roots per field
+# the coordinate field of a computation
 
 
-class _FieldOps:
-    """Square tests and roots over the coordinate field of a computation."""
+class _Field:
+    """Q (place None), R, or Q_p to `precision` digits, with the curve's
+    roots and the group-law constants embedded once.  Over Q and R they stay
+    exact (so x(P) - e_i is exact for a rational P at the real place), and
+    `group_law` and `scalar_mul` use them for points over any field."""
 
-    def __init__(self, place: Place | None, precision: int):
+    def __init__(self, curve: Curve, place: Place | None = None,
+                 precision: int = DEFAULT_PRECISION):
         self.place = place
         self.precision = precision
+        self.roots = tuple(map(self.embed, curve.roots))
+        self.three, self.two, self.a2, self.two_a2, self.a4 = map(
+            self.embed, (3, 2, curve.a2, 2 * curve.a2, curve.a4))
 
     def embed(self, c):
-        if self.place is None or not isinstance(c, (int, Fraction)):
+        if self.place is None or self.place.is_real:
             return c
-        if self.place.is_real:
-            return float(c)
-        return PadicNumber.from_rational(Fraction(c), self.place.prime, self.precision)
+        return PadicNumber.from_rational(c, self.place.prime, self.precision)
+
+    def point(self, p: CurvePoint) -> CurvePoint:
+        """P in this field's coordinates; P itself unless it is rational."""
+        if p.infinity or not isinstance(p.x, (int, Fraction)):
+            return p
+        return CurvePoint(self.embed(p.x), self.embed(p.y), False)
 
     def sqrt(self, c):
-        """A square root or None; PrecisionError when undecidable."""
+        """A square root or None; PrecisionError when undecidable.  The real
+        sign test is exact for a rational c and tolerant for a float."""
         if self.place is None:
             return rational_nth_root(c, 2)
         if self.place.is_real:
-            if isinstance(c, Fraction) or isinstance(c, int):
-                if c < 0:
-                    return None
-                return float(Fraction(c)) ** 0.5
-            if c < -_REAL_TOL:
+            if c < (0 if isinstance(c, (int, Fraction)) else -_REAL_TOL):
                 return None
-            return max(c, 0.0) ** 0.5
-        c = self.embed(c)
+            return max(float(c), 0.0) ** 0.5
         if c.is_zero:
             return c
-        if not c.is_square():
-            return None
-        return c.sqrt()
+        return c.sqrt() if c.is_square() else None
 
 
 def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
@@ -230,12 +237,10 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
                  and isinstance(p.x, (int, Fraction)))
 
     def attempt(n):
-        ops = _FieldOps(place, n)
+        f = _Field(curve, place, n)
         if p.infinity:
-            return [q if q.infinity else CurvePoint(ops.embed(q.x), ops.embed(q.y), False)
-                    for q in curve.two_torsion()]
-        q = CurvePoint(ops.embed(p.x), ops.embed(p.y), False) if retriable else p
-        return _halve_affine(curve, q, ops)
+            return [f.point(t) for t in curve.two_torsion()]
+        return _halve_affine(f, f.point(p))
     return _at_rising_precision(attempt, precision, retriable)
 
 
@@ -254,37 +259,34 @@ def _at_rising_precision(compute, precision: int, retriable: bool = True):
                 raise
 
 
-def _halve_affine(curve: Curve, p: CurvePoint, ops: _FieldOps) -> list[CurvePoint]:
-    diffs = [p.x - ops.embed(e) if not isinstance(p.x, (int, Fraction))
-             else Fraction(p.x) - e for e in curve.roots]
+def _halve_affine(f: _Field, p: CurvePoint) -> list[CurvePoint]:
+    r1, r2, r3 = f.roots
     alphas = []
-    for d in diffs:
-        r = ops.sqrt(d)
+    for e in f.roots:
+        r = f.sqrt(p.x - e)
         if r is None:
             return []
         alphas.append(r)
     a1, a2, a3 = alphas
     if not _is_zero(p.y):
         prod = a1 * a2 * a3
-        target = p.y if isinstance(p.x, (int, Fraction)) else ops.embed(p.y)
-        if _eq(prod, -target):
+        if _eq(prod, -p.y):
             a1 = -a1
-        elif not _eq(prod, target):
+        elif not _eq(prod, p.y):
             raise PrecisionError("square roots do not recombine to y(P)")
     out = []
     seen = set()
-    for s2, s3 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        b1, b2, b3 = a1, s2 * a2, s3 * a3
-        xq = p.x + b2 * b3 + b1 * b3 + b1 * b2
-        rhs = curve.rhs(xq) if isinstance(xq, (int, Fraction)) \
-            else (xq - ops.embed(curve.e1)) * (xq - ops.embed(curve.e2)) * (xq - ops.embed(curve.e3))
+    n2, n3 = -a2, -a3
+    for b2, b3 in ((a2, a3), (a2, n3), (n2, a3), (n2, n3)):
+        xq = p.x + b2 * b3 + a1 * b3 + a1 * b2
+        rhs = (xq - r1) * (xq - r2) * (xq - r3)
         if _is_zero(rhs):
             continue   # a 2-torsion candidate can only double to the origin
-        yq = ops.sqrt(rhs)
+        yq = f.sqrt(rhs)
         if yq is None:
             continue
         for cand in (CurvePoint(xq, yq, False), CurvePoint(xq, -yq, False)):
-            if points_equal(_double(curve, cand), p):
+            if points_equal(_double(f, cand), p):
                 k = cand.key()
                 if k not in seen:
                     seen.add(k)
@@ -296,45 +298,42 @@ def _halve_affine(curve: Curve, p: CurvePoint, ops: _FieldOps) -> list[CurvePoin
 # divisibility
 
 
-def _real_identity_component(curve: Curve, p: CurvePoint) -> bool:
-    """Whether a real point lies on the unbounded component; exact for
-    rational coordinates."""
-    if p.infinity:
-        return True
-    top = max(curve.roots)
-    if isinstance(p.x, (int, Fraction)):
-        return Fraction(p.x) >= top
-    return p.x >= float(top) - _REAL_TOL
-
-
 def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
                     place: Place | None = None,
                     precision: int = DEFAULT_PRECISION) -> bool:
-    """Whether P lies in 2^k E over the stated field.
+    """Whether P lies in 2^k E over the stated field, for 1 <= k <= MAX_K.
 
-    Finite places and Q: breadth-first iterated halving (a point is
-    2^k-divisible iff some half is 2^(k-1)-divisible), with automatic
-    retries at doubled precision.  The real place: for k >= 1 the image of
-    multiplication by 2^k is exactly the identity component, decided by
-    exact sign arithmetic; the component-group convention gives the same
-    verdict for every k >= 1.
+    Finite places and Q: depth-first iterated halving (a point is
+    2^k-divisible iff some half is 2^(k-1)-divisible) over one field that
+    embeds the curve once per precision attempt; a PrecisionError anywhere
+    retries the whole descent at doubled precision.  The real place: for
+    k >= 1 the image of multiplication by 2^k is exactly the identity
+    (unbounded) component, decided by exact sign arithmetic; the
+    component-group convention gives the same verdict for every k >= 1.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    if not 1 <= k <= MAX_K:
+        raise InputError("k must be between 1 and %d, got %d" % (MAX_K, k))
     if not curve.contains(p):
         raise InputError("point is not on the curve")
     if p.infinity:
         return True
     if place is not None and place.is_real:
-        return _real_identity_component(curve, p)
-    return _at_rising_precision(lambda n: _bfs_divisible(curve, p, k, place, n), precision)
+        top = max(curve.roots)
+        if isinstance(p.x, (int, Fraction)):
+            return Fraction(p.x) >= top
+        return p.x >= float(top) - _REAL_TOL
+
+    def attempt(n):
+        f = _Field(curve, place, n)
+        return _descends(f, f.point(p), k)
+    return _at_rising_precision(attempt, precision)
 
 
-def _bfs_divisible(curve, p, k, place, precision) -> bool:
+def _descends(f: _Field, p: CurvePoint, k: int) -> bool:
     if k == 0:
         return True
-    for q in halve_point(curve, p, place, precision):
-        if _bfs_divisible(curve, q, k - 1, place, precision):
+    for q in _halve_affine(f, p):
+        if _descends(f, q, k - 1):
             return True
     return False
 

@@ -24,6 +24,7 @@ from .padics import (Place, is_nth_power, rational_nth_root,
                      square_class_approximate)
 
 GW_SWEEP_BOUND = 1000
+GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
 # finite_support_bound checks every label subset up to this many, a fixed
 # sample beyond it
 SUPPORT_SAMPLE_LIMIT = 64
@@ -275,10 +276,13 @@ def gw_decision(n: int, T, nondecomposed=None,
     (exact root test), and an (n/2)-th power in Q.
 
     `nondecomposed` overrides the non-decomposed set {2} to emulate other
-    base fields abstractly.
+    base fields abstractly.  A sweep bound above GW_SWEEP_LIMIT is refused.
     """
     if n < 2:
         raise InputError("n must be >= 2")
+    if sweep_bound > GW_SWEEP_LIMIT:
+        raise InputError("sweep bound must be at most %d, got %d"
+                         % (GW_SWEEP_LIMIT, sweep_bound))
     T = frozenset(int(x) for x in T)
     for p in T:
         if not is_prime(p):

@@ -350,19 +350,28 @@ def is_nth_power(a, n: int, place: Place) -> bool:
 
 def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
     """A witness root when is_nth_power holds: a PadicNumber at the stated
-    precision (finite v, verified by re-powering) or a float (real place);
-    None when the power test fails."""
+    precision (finite v) or a float (real place, where a and the re-powered
+    root must be nonzero floats), verified by re-powering; None when the
+    power test fails."""
     a = Fraction(a)
     if a == 0 or n < 1 or precision < 1:
         raise InputError("invalid root request")
     if not is_nth_power(a, n, place):
         return None
     if place.is_real:
-        mag = abs(a) ** Fraction(1, n)
-        root = float(mag) if a > 0 or n % 2 == 1 else 0.0
-        if a < 0:
-            root = -root
-        assert abs(root ** n - float(a)) <= 1e-9 * abs(float(a))
+        try:
+            fa = float(a)
+            root = float(abs(a) ** Fraction(1, n))
+            if a < 0:
+                root = -root
+            off = abs(root ** n - fa)
+        except OverflowError:
+            fa = 0.0
+        if fa == 0:
+            raise InputError("a real root is a float: a and root^n must be "
+                             "finite and nonzero as floats")
+        if not off <= 1e-9 * abs(fa):
+            raise SelfCheckError("re-powered real root does not match the input")
         return root
     p = place.prime
     v = rational_valuation(a, p)

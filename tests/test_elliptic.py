@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from locglob.arith import is_prime
-from locglob.elliptic import (Curve, divisible_by_2k, group_law,
+from locglob.elliptic import (MAX_K, Curve, divisible_by_2k, group_law,
                               halve_point, negate, points_equal,
                               propagation_check, quad_local_roots, scalar_mul)
 from locglob.errors import InputError
@@ -17,6 +17,7 @@ TRIPLE = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(5)),
           (Fraction(0), Fraction(-5)))
 
 ODD_PRIMES_100 = [p for p in range(3, 100) if is_prime(p)]
+PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
 
 
 def _random_rational_points(curve, rng, count):
@@ -163,7 +164,7 @@ def test_halving_completeness_local():
     # halving 2Q must recover Q: random local points, several curves and
     # primes, so missed sign patterns would surface as divisibility
     # false negatives
-    from locglob.elliptic import CurvePoint, _double
+    from locglob.elliptic import CurvePoint
     from locglob.padics import PadicNumber
     rng = random.Random(31337)
     curves = [DZ, Curve(Fraction(0), Fraction(1), Fraction(-1)),
@@ -185,7 +186,7 @@ def test_halving_completeness_local():
                 pts.append(CurvePoint(PadicNumber.from_rational(x, p, 64),
                                       rhs.sqrt(), False))
             for q in pts:
-                twice = _double(curve, q)
+                twice = group_law(curve, q, q)
                 if twice.infinity:
                     continue
                 halves = halve_point(curve, twice, place)
@@ -200,6 +201,35 @@ def test_precision_below_one_is_an_input_error():
             divisible_by_2k(DZ, DZ_P, 2, Place.finite(3), prec)
         with pytest.raises(InputError):
             halve_point(DZ, DZ_P, Place.finite(3), prec)
+
+
+def test_low_starting_precision_rises_to_the_same_verdict():
+    # one precision loop per decision: a start far below the horizon must
+    # retry the whole descent until it reaches the verdict at 64 digits
+    mismatches = []
+    for p in PRIMES_200:
+        place = Place.finite(p)
+        for k in (1, 2, 3):
+            want = divisible_by_2k(DZ, DZ_P, k, place, 64)
+            for prec in (1, 2, 5, 9):
+                if divisible_by_2k(DZ, DZ_P, k, place, prec) != want:
+                    mismatches.append((p, k, prec))
+    assert mismatches == []
+    for p in PRIMES_200:
+        place = Place.finite(p)
+        low = halve_point(DZ, DZ_P, place, 2)
+        high = halve_point(DZ, DZ_P, place, 64)
+        assert len(low) == len(high), p
+        assert all(any(points_equal(h, q) for q in high) for h in low), p
+
+
+def test_divisibility_depth_is_bounded():
+    with pytest.raises(InputError):
+        divisible_by_2k(DZ, DZ_P, MAX_K + 1, Place.finite(3))
+    with pytest.raises(InputError):
+        divisible_by_2k(DZ, DZ_P, 0, Place.finite(3))
+    # the deepest allowed descent runs within the default recursion limit
+    assert divisible_by_2k(DZ, DZ_P, MAX_K, Place.finite(3))
 
 
 def test_quad_local_roots():

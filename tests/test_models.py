@@ -10,8 +10,9 @@ from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
-from locglob.models import (PlaceModel, finite_support_bound, gw_decision,
-                            sha_of_model, verdict, weak_approx_verdict)
+from locglob.models import (GW_SWEEP_LIMIT, PlaceModel, finite_support_bound,
+                            gw_decision, sha_of_model, verdict,
+                            weak_approx_verdict)
 from locglob.padics import Place, is_nth_power, rational_nth_root
 
 from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
@@ -239,6 +240,9 @@ def test_gw_decision_table():
     assert gw_decision(24, {2, 3}).witness == 4096
     with pytest.raises(InputError):
         gw_decision(1, set())
+    for n in (8, 4):
+        with pytest.raises(InputError):
+            gw_decision(n, {2}, sweep_bound=GW_SWEEP_LIMIT + 1)
 
 
 def test_gw_witness_properties():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locglob.arith import is_prime, nth_root_mod_prime
-from locglob.errors import InputError
+from locglob.errors import InputError, SelfCheckError
 from locglob.oracles import (hilbert_symbol_search, is_nth_power_search,
                              is_square_mod_prime_brute)
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
@@ -149,6 +149,19 @@ def test_nth_root_witnesses():
     for prec in (0, -4):
         with pytest.raises(InputError):
             nth_root(16, 8, Place.finite(7), prec)
+    # a real root is a float: a must round to a finite nonzero float
+    for a in (10 ** 400, Fraction(1, 10 ** 400), -10 ** 401):
+        with pytest.raises(InputError):
+            nth_root(a, 3, Place.real())
+
+
+def test_real_root_self_check_raises(monkeypatch):
+    # a power test that wrongly accepts -4 as a square must be caught by the
+    # re-powering check, which raises (an assert would vanish under -O)
+    import locglob.padics as padics
+    monkeypatch.setattr(padics, "is_nth_power", lambda a, n, place: True)
+    with pytest.raises(SelfCheckError):
+        nth_root(-4, 2, Place.real())
 
 
 @given(st.sampled_from([p for p in SMALL_PRIMES if p > 2]),

@@ -249,8 +249,8 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
-_EC_DIV = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728",
-           "--k", "2", "--place", "3")
+_DZ = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728")
+_EC_DIV = _DZ + ("--k", "2", "--place", "3")
 
 
 @pytest.mark.parametrize("argv,env", [
@@ -261,8 +261,18 @@ _EC_DIV = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728",
     (_EC_DIV, "0"),
     (_EC_DIV, "-3"),
     (("power", "--a", "16", "--n", "8", "--p", "7", "--root", "--precision", "0"), None),
+    (_DZ + ("--k", "1000", "--place", "3"), None),
+    (_DZ + ("--k", "601", "--place", "global"), None),
+    (_DZ + ("--k", "2", "--sweep", "50000000"), None),
+    (("gw", "--n", "8", "--places", "2", "--sweep", "5000000000"), None),
+    (("gw", "--n", "4", "--places", "3", "--sweep", "1000001"), None),
+    (("power", "--a", "1" + "0" * 400, "--n", "2", "--p", "inf", "--root"), None),
+    (("power", "--a", "1/1" + "0" * 400, "--n", "2", "--p", "inf", "--root"), None),
 ], ids=["places_text", "places_fraction", "precision_0", "precision_negative",
-        "env_precision_0", "env_precision_negative", "power_root_precision_0"])
+        "env_precision_0", "env_precision_negative", "power_root_precision_0",
+        "ec_div_k_1000", "ec_div_k_over_limit", "ec_div_sweep_over_limit",
+        "gw_sweep_5e9", "gw_sweep_over_limit", "power_real_root_overflow",
+        "power_real_root_underflow"])
 def test_bad_flag_exits_2_with_one_line(monkeypatch, capsys, argv, env):
     import locglob.cli as cli
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
@@ -323,6 +333,18 @@ def test_mu8_reports_are_pinned(monkeypatch, capsys, args, expected):
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == (1 if args[0] == "hasse" else 0)
+
+
+@pytest.mark.parametrize("place", ["2", "3", "5", "inf", "global"])
+def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
+    """The text report with the halves of the Dvornicich-Zannier point, byte
+    for byte, so that a change in the digits or precision of a half shows."""
+    from locglob.cli import main
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    code = main(list(_DZ) + ["--k", "1", "--halves", "--place", place])
+    with open(os.path.join(REPO, "tests", "data", "ec_div_dz_k1_halves_%s.txt" % place)) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 0
 
 
 # --- reproduce ---------------------------------------------------------------
