@@ -3,7 +3,7 @@
 A 1-cocycle is determined by its values on a generating set; the cocycle
 identity becomes a linear system over Z with per-row moduli, solved by
 Smith normal form.  Small instances are cross-checked against brute-force
-enumeration of all maps G -> M.
+enumeration of the generator assignments.
 """
 
 from __future__ import annotations
@@ -208,9 +208,10 @@ _H1_CACHE: dict = {}
 def h1(module: GModule) -> H1Group:
     """H1(G, M) = Z1/B1 by Smith normal form on the lifted cocycle system.
 
-    For |M| ** |G| <= 2**20 (and |G| > 1) the invariant factors are
-    cross-checked against brute-force enumeration of all maps G -> M; a
-    mismatch raises SelfCheckError.
+    When the enumeration work |M| ** k * |G| of the k generator assignments
+    is at most BRUTE_FORCE_LIMIT (and |G| > 1), the invariant factors are
+    cross-checked against brute-force enumeration of the generator
+    assignments; a mismatch raises SelfCheckError.
     """
     cached = _H1_CACHE.get(module)
     if cached is not None:
@@ -273,7 +274,7 @@ def h1(module: GModule) -> H1Group:
 
     out = H1Group(module, structure, tuple(reps), gens, exprs, quo)
 
-    if grp.order > 1 and space.order ** grp.order <= BRUTE_FORCE_LIMIT:
+    if grp.order > 1 and space.order ** k * grp.order <= BRUTE_FORCE_LIMIT:
         from .oracles import brute_force_h1
         oracle = brute_force_h1(module)
         if oracle.order != structure.order:

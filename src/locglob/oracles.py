@@ -2,21 +2,18 @@
 
 Everything here recomputes quantities by enumeration or search, staying
 independent of the linear-algebra and residue-formula paths it is used to
-check, in `h1`, in `reproduce --oracle` and in the tests.  Nothing here
-decides an answer.  The map enumeration is vectorized with numpy, yet the
-always-on cross-check in h1 still costs 40-500 times the exact path it
-guards (and up to 56 MiB) on modules with |M|^|G| near its 2^20 limit.
+check, in `h1` and in `reproduce --oracle`.  Nothing here decides an
+answer.  Oracles that only the tests read live in `tests/search_oracles.py`.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import int_valuation, rational_unit_mod, rational_valuation
-from .errors import InputError
+from .errors import InputError, SelfCheckError
 from .gmodules import GModule
 
 
@@ -24,79 +21,89 @@ from .gmodules import GModule
 class BruteH1:
     order: int
     torsion_counts: dict      # k -> number of classes killed by k
-    cocycles: tuple | None    # value-index tuples, only kept when small
+    cocycles: tuple | None    # value-index tuples, only kept when asked
 
 
-def _space_tables(module: GModule):
+def _action_table(module: GModule, g: int) -> list:
+    """g.x for every x of M, in `space.elements()` order, extended
+    additively from the images of the basis vectors."""
     space = module.space
-    elems = list(space.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    add = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = index[space.add(a, b)]
-    act = []
-    for g in range(module.group.order):
-        act.append(np.array([index[module.act(g, e)] for e in elems], dtype=np.int64))
-    return elems, index, add, act
+    out = [space.zero()]
+    for j, d in enumerate(space.invariant_factors):
+        col = module.act(g, tuple(int(i == j) for i in range(space.rank)))
+        steps = [space.scale(t, col) for t in range(d)]
+        out = [space.add(v, w) for v in out for w in steps]
+    return out
 
 
 def brute_force_h1(module: GModule, keep_cocycles: bool = False) -> BruteH1:
-    """Enumerate all maps G -> M, filter by the cocycle identity, and divide
-    out coboundaries.  Returns the order and the k-torsion profile of Z1/B1.
+    """Enumerate the assignments of values to the generating set of G,
+    extend each along a breadth-first spanning tree by f(gs) = f(g) + g.f(s),
+    keep those satisfying that identity for every g and generator s (these
+    are exactly the cocycles), and divide out coboundaries.  Returns the
+    order and the k-torsion profile of Z1/B1, for k dividing the exponent
+    of M.  Work: |M|^k * |G| for k generators; tables linear in |M|.
     """
     grp = module.group
     space = module.space
     m = grp.order
-    elems, index, add, act = _space_tables(module)
-    n = len(elems)
-    total = n ** m
+    gens = grp.generating_set()
+    elems = list(space.elements())
+    act = [elems] + [_action_table(module, g) for g in range(1, m)]
+    add = space.add
 
-    idx = np.arange(total, dtype=np.int64)
-    slots = []
-    for j in range(m):
-        slots.append((idx // (n ** j)) % n)
+    # tree edges (g, generator position, gs) in breadth-first order; every
+    # other (g, s) pair is a cocycle condition to check
+    tree, checks = [], []
+    reached = [0]
+    seen = {0}
+    for g in reached:
+        for si, s in enumerate(gens):
+            gs = grp.mul(g, s)
+            if gs in seen:
+                checks.append((g, si, gs))
+            else:
+                seen.add(gs)
+                reached.append(gs)
+                tree.append((g, si, gs))
+    if len(reached) != m:
+        raise SelfCheckError("generating set does not reach the whole group")
 
-    # maps must vanish at the identity: slot 0 equals the zero element
-    zero_i = index[space.zero()]
-    keep = slots[0] == zero_i
-    slots = [s[keep] for s in slots]
+    # a cocycle is determined by its generator values z; count the cocycles
+    # by their order modulo B1, the least o with o*z a coboundary
+    cobs = {tuple(space.sub(act[s][i], e) for s in gens) for i, e in enumerate(elems)}
+    orders = Counter()
+    full = []
+    for x in itertools.product(range(len(elems)), repeat=len(gens)):
+        f = [space.zero()] * m
+        for g, si, gs in tree:
+            f[gs] = add(f[g], act[g][x[si]])
+        if all(f[gs] == add(f[g], act[g][x[si]]) for g, si, gs in checks):
+            z = tuple(elems[i] for i in x)
+            o, w = 1, z
+            while w not in cobs:
+                w = tuple(add(a, b) for a, b in zip(w, z))
+                o += 1
+            orders[o] += 1
+            if keep_cocycles:
+                full.append(f)
 
-    for g in range(m):
-        for h in range(m):
-            gh = grp.table[g][h]
-            lhs = add[slots[g], act[g][slots[h]]]
-            keep = lhs == slots[gh]
-            if not keep.all():
-                slots = [s[keep] for s in slots]
-
-    z1 = sorted(zip(*[s.tolist() for s in slots])) if m > 0 else []
-
-    cobs = set()
-    for e in elems:
-        cobs.add(tuple(index[space.sub(module.act(g, e), e)] for g in range(m)))
-    b1 = len(cobs)
-    if len(z1) % b1:
-        raise AssertionError("coboundaries do not tile the cocycles")
-    order = len(z1) // b1
-
-    # torsion profile of the quotient: a class [f] is killed by k iff k*f
-    # is a coboundary
+    z1, b1 = sum(orders.values()), len(cobs)
+    if z1 % b1:
+        raise SelfCheckError("coboundaries do not tile the cocycles")
     counts = {}
     expo = space.exponent
-    divisors = [k for k in range(1, expo + 1) if expo % k == 0]
-    vec_of = {i: e for e, i in index.items()}
-    for k in divisors:
-        cnt = 0
-        for z in z1:
-            kz = tuple(index[space.scale(k, vec_of[v])] for v in z)
-            if kz in cobs:
-                cnt += 1
+    for k in (k for k in range(1, expo + 1) if expo % k == 0):
+        cnt = sum(c for o, c in orders.items() if k % o == 0)
         if cnt % b1:
-            raise AssertionError("torsion count is not a multiple of |B1|")
+            raise SelfCheckError("torsion count is not a multiple of |B1|")
         counts[k] = cnt // b1
-    return BruteH1(order, counts, tuple(z1) if keep_cocycles else None)
+
+    cocycles = None
+    if keep_cocycles:
+        index = {e: i for i, e in enumerate(elems)}
+        cocycles = tuple(sorted(tuple(index[v] for v in f) for f in full))
+    return BruteH1(z1 // b1, counts, cocycles)
 
 
 def brute_force_is_coboundary(module: GModule, values) -> bool:
@@ -108,40 +115,6 @@ def brute_force_is_coboundary(module: GModule, values) -> bool:
                for g in range(module.group.order)):
             return True
     return False
-
-
-def cyclic_h1_profile(module: GModule):
-    """ker(norm)/im(sigma - 1) for cyclic G, by enumeration over M.
-
-    Returns (order, torsion counts) in the same shape as brute_force_h1.
-    """
-    grp = module.group
-    space = module.space
-    gen = None
-    for g in range(grp.order):
-        if grp.element_order(g) == grp.order:
-            gen = g
-            break
-    if gen is None:
-        raise InputError("group is not cyclic")
-    kernel = []
-    for e in space.elements():
-        acc = space.zero()
-        x = e
-        for _ in range(grp.order):
-            acc = space.add(acc, x)
-            x = module.act(gen, x)
-        if acc == space.zero():
-            kernel.append(e)
-    image = {space.sub(module.act(gen, e), e) for e in space.elements()}
-    b = len(image)
-    order = len(kernel) // b
-    counts = {}
-    expo = space.exponent
-    for k in [k for k in range(1, expo + 1) if expo % k == 0]:
-        cnt = sum(1 for e in kernel if space.scale(k, e) in image)
-        counts[k] = cnt // b
-    return order, counts
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +147,7 @@ def hilbert_symbol_search(a, b, p: int) -> int:
     Reduces a, b to squarefree integers, then looks for a primitive solution
     mod p^3 (odd p) or mod 2^5.  At these moduli every primitive solution
     satisfies the Hensel lifting bound, so existence is equivalent to
-    solvability over Q_p.  Intended as a test oracle; quadratic in p^3.
+    solvability over Q_p.  Quadratic in p^3.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -184,49 +157,20 @@ def hilbert_symbol_search(a, b, p: int) -> int:
     b0 = _squarefree_part(b.numerator * b.denominator)
     k = 5 if p == 2 else 3
     mod = p ** k
-
-    roots = np.full(mod, -1, dtype=np.int64)
-    z = np.arange(mod, dtype=np.int64)
-    roots[(z * z) % mod] = z
-
-    x = np.arange(mod, dtype=np.int64)
-    ax2 = (a0 % mod) * x * x % mod
-    by2 = (b0 % mod) * x * x % mod
-    rhs = (ax2[:, None] + by2[None, :]) % mod
-    have_root = roots[rhs] >= 0
+    squares = {z * z % mod for z in range(mod)}
+    # the values a x^2 (and b y^2) mod p^k, over units x and over all x;
     # primitivity: a solution with x and y both divisible by p forces
     # val(rhs) >= 2, hence z divisible by p too, so it is enough to ask
     # that x or y be a unit
-    unit = (x % p) != 0
-    primitive = unit[:, None] | unit[None, :]
-    if bool((have_root & primitive).any()):
+    ax_unit = {a0 * x * x % mod for x in range(mod) if x % p}
+    by_unit = {b0 * y * y % mod for y in range(mod) if y % p}
+    ax_all = ax_unit | {a0 * x * x % mod for x in range(0, mod, p)}
+    by_all = by_unit | {b0 * y * y % mod for y in range(0, mod, p)}
+    if any((u + v) % mod in squares
+           for xs, ys in ((ax_unit, by_all), (ax_all, by_unit))
+           for u in xs for v in ys):
         return 1
     return -1
-
-
-# ---------------------------------------------------------------------------
-# residue sweeps
-
-
-def is_square_mod_prime_brute(a: int, p: int) -> bool:
-    """Residue test by sweeping x^2 over Z/p.  Test oracle only."""
-    a %= p
-    return any((x * x - a) % p == 0 for x in range(p))
-
-
-def is_nth_power_search(a, n: int, p: int) -> bool:
-    """Whether a is an n-th power in Q_p, by sweeping x^n over the units mod
-    p^(2t+1), t = val_p(n).  At a unit x the derivative of x^n - u has
-    valuation exactly t, so a root mod p^(2t+1) lifts to Z_p (Hensel).
-    Test oracle only; linear in p^(2t+1)."""
-    a = Fraction(a)
-    if a == 0:
-        raise InputError("zero is excluded from power tests")
-    if rational_valuation(a, p) % n:
-        return False
-    mod = p ** (2 * int_valuation(n, p) + 1)
-    u = rational_unit_mod(a, p, mod)
-    return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
 
 
 # ---------------------------------------------------------------------------

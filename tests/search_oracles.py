@@ -1,0 +1,69 @@
+"""Search oracles that only the tests read.
+
+Each recomputes by enumeration a quantity that the program decides by a
+formula: H1 of a cyclic group as ker(norm)/im(sigma - 1), squares mod p,
+and n-th powers in Q_p by a residue sweep at the Hensel modulus.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
+from locglob.errors import InputError
+from locglob.gmodules import GModule
+
+
+def cyclic_h1_profile(module: GModule):
+    """ker(norm)/im(sigma - 1) for cyclic G, by enumeration over M.
+
+    Returns (order, torsion counts) in the same shape as brute_force_h1.
+    """
+    grp = module.group
+    space = module.space
+    gen = None
+    for g in range(grp.order):
+        if grp.element_order(g) == grp.order:
+            gen = g
+            break
+    if gen is None:
+        raise InputError("group is not cyclic")
+    kernel = []
+    for e in space.elements():
+        acc = space.zero()
+        x = e
+        for _ in range(grp.order):
+            acc = space.add(acc, x)
+            x = module.act(gen, x)
+        if acc == space.zero():
+            kernel.append(e)
+    image = {space.sub(module.act(gen, e), e) for e in space.elements()}
+    b = len(image)
+    order = len(kernel) // b
+    counts = {}
+    expo = space.exponent
+    for k in [k for k in range(1, expo + 1) if expo % k == 0]:
+        cnt = sum(1 for e in kernel if space.scale(k, e) in image)
+        counts[k] = cnt // b
+    return order, counts
+
+
+def is_square_mod_prime_brute(a: int, p: int) -> bool:
+    """Residue test by sweeping x^2 over Z/p."""
+    a %= p
+    return any((x * x - a) % p == 0 for x in range(p))
+
+
+def is_nth_power_search(a, n: int, p: int) -> bool:
+    """Whether a is an n-th power in Q_p, by sweeping x^n over the units mod
+    p^(2t+1), t = val_p(n).  At a unit x the derivative of x^n - u has
+    valuation exactly t, so a root mod p^(2t+1) lifts to Z_p (Hensel).
+    Linear in p^(2t+1)."""
+    a = Fraction(a)
+    if a == 0:
+        raise InputError("zero is excluded from power tests")
+    if rational_valuation(a, p) % n:
+        return False
+    mod = p ** (2 * int_valuation(n, p) + 1)
+    u = rational_unit_mod(a, p, mod)
+    return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)

@@ -1,12 +1,14 @@
+import itertools
 import random
 from math import gcd
 
 import pytest
 
 from locglob.abelian import FinAb
+from locglob import cohomology, oracles
 from locglob.cohomology import (CocycleClass, coboundary, h1, h1_star,
                                 restrict_class, zero_cocycle)
-from locglob.errors import InputError
+from locglob.errors import InputError, SelfCheckError
 from locglob.gmodules import (GModule, dual_module, double_dual_is_identity,
                               double_dual_isomorphism, dual_pairing_value,
                               homothety_criterion, homothety_module,
@@ -14,7 +16,8 @@ from locglob.gmodules import (GModule, dual_module, double_dual_is_identity,
                               trivial_character, CyclotomicData)
 from locglob.groups import (cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3, trivial_group)
-from locglob.oracles import brute_force_h1, brute_force_is_coboundary, cyclic_h1_profile
+from locglob.oracles import brute_force_h1, brute_force_is_coboundary
+from search_oracles import cyclic_h1_profile
 
 
 def test_h1_trivial_group():
@@ -23,8 +26,8 @@ def test_h1_trivial_group():
 
 
 def test_h1_z2_trivial_on_z2():
-    # oracle: brute force over the 4 maps G -> M (done independently below,
-    # and always inside h1 for inputs this small)
+    # oracle: brute force over the 2 values of a cocycle on the generator
+    # (done independently below, and always inside h1 for inputs this small)
     mod = trivial_action_module(cyclic_group(2), FinAb((2,)))
     H = h1(mod)
     assert H.structure.invariant_factors == (2,)
@@ -78,6 +81,56 @@ def test_h1_brute_force_agreement_random():
                 assert H.order == brute.order
                 checked += 1
     assert checked >= 30
+
+
+def _all_maps_cocycles(mod):
+    """Value-index tuples of the maps G -> M with f(1) = 0 that satisfy
+    f(gh) = f(g) + g.f(h) for every pair, by enumeration of all maps."""
+    grp, space = mod.group, mod.space
+    elems = list(space.elements())      # lexicographic: index 0 is zero
+    out = set()
+    for rest in itertools.product(range(len(elems)), repeat=grp.order - 1):
+        f = (0,) + rest
+        vals = [elems[i] for i in f]
+        if all(vals[grp.mul(g, h)] == space.add(vals[g], mod.act(g, vals[h]))
+               for g in range(grp.order) for h in range(grp.order)):
+            out.add(f)
+    return out
+
+
+def test_generator_enumeration_finds_every_cocycle():
+    # brute_force_h1 enumerates values on the generators only; every map
+    # G -> M must agree with it on the set of cocycles
+    from families import all_actions
+    rng = random.Random(31)
+    checked = 0
+    for grp in (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                klein_four_group(), symmetric_group_3(), cyclic_group(6)):
+        for shape in ((2,), (3,), (4,), (2, 2), (8,), (2, 4), (3, 3)):
+            space = FinAb(shape)
+            if space.order ** (grp.order - 1) > 4096:
+                continue
+            actions = list(all_actions(grp, space, dedup_first=False))
+            rng.shuffle(actions)
+            for act in actions[:3]:
+                mod = GModule(grp, space, act)
+                cocycles = brute_force_h1(mod, keep_cocycles=True).cocycles
+                assert len(set(cocycles)) == len(cocycles)
+                assert set(cocycles) == _all_maps_cocycles(mod)
+                checked += 1
+    assert checked >= 60
+
+
+def test_h1_checks_modules_with_few_generators(monkeypatch):
+    # |M|^|G| = 16^6 = 2^24 is beyond the all-maps bound, but the work of
+    # the generator enumeration, 16^2 * 6, is small, so h1 must run the
+    # check and report a disagreement
+    mod = trivial_action_module(symmetric_group_3(), FinAb((16,)))
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    monkeypatch.setattr(oracles, "brute_force_h1",
+                        lambda module: oracles.BruteH1(3, {}, None))
+    with pytest.raises(SelfCheckError):
+        h1(mod)
 
 
 def test_representatives_are_independent_cocycles():

@@ -137,7 +137,7 @@ def test_halving_two_torsion():
     t = DZ.point(Fraction(10), Fraction(0))
     assert halve_point(DZ, t) == []                       # 5 is not a rational square
     assert halve_point(DZ, t, Place.finite(5)) == []      # odd valuation
-    from locglob.oracles import is_square_mod_prime_brute
+    from search_oracles import is_square_mod_prime_brute
     assert is_square_mod_prime_brute(5, 41)
     local = halve_point(DZ, t, Place.finite(41))
     assert len(local) == 4

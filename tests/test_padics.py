@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from locglob.arith import is_prime, nth_root_mod_prime
 from locglob.errors import InputError, SelfCheckError
-from locglob.oracles import (hilbert_symbol_search, is_nth_power_search,
-                             is_square_mod_prime_brute)
+from locglob.oracles import hilbert_symbol_search
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
                             nth_root, product_formula_check,
                             square_class_approximate)
+from search_oracles import is_nth_power_search, is_square_mod_prime_brute
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
