@@ -2,15 +2,19 @@
 chord-tangent arithmetic, point halving by square roots, and 2-power
 divisibility by depth-first iterated halving.
 
-A point is 2-divisible iff x(P) - e_i is a square for each root e_i; the
-candidate halves are assembled from the square roots and every candidate is
-verified by doubling, exactly over Q and to working precision locally.
-Each precision attempt embeds the curve once; local verdicts too close to
-the precision horizon retry the whole computation at twice the precision.
+A point is 2-divisible iff x(P) - e_i is a square for each root e_i
+(Silverman, AEC, X.1.4); the candidate halves are assembled from the
+square roots and each is verified by doubling, exactly over Q and to
+working precision locally.  The descent takes the halves one at a time and
+stops at the first half that descends, so every half a verdict uses is
+verified and a False verdict visits every candidate.  Each precision
+attempt embeds the curve once; local verdicts too close to the precision
+horizon retry the whole computation at twice the precision.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,8 +231,10 @@ class _Field:
 
 def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
                 precision: int = DEFAULT_PRECISION) -> list[CurvePoint]:
-    """All Q over the given field with 2Q = P (immediately verified by
-    doubling).  Halving the origin returns the 2-torsion fiber.
+    """Every Q over the given field with 2Q = P, each verified by doubling
+    (the whole list, where the descent of divisible_by_2k stops at the
+    first half that descends).  Halving the origin returns the 2-torsion
+    fiber.
 
     A rational point at a finite place is embedded at the working precision,
     and precision exhaustion retries at doubled precision; persistent
@@ -240,7 +246,7 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
         f = _Field(curve, place, n)
         if p.infinity:
             return [f.point(t) for t in curve.two_torsion()]
-        return _halve_affine(f, f.point(p))
+        return list(_halve_affine(f, f.point(p)))
     return _at_rising_precision(attempt, precision, retriable)
 
 
@@ -259,13 +265,15 @@ def _at_rising_precision(compute, precision: int, retriable: bool = True):
                 raise
 
 
-def _halve_affine(f: _Field, p: CurvePoint) -> list[CurvePoint]:
+def _halve_affine(f: _Field, p: CurvePoint) -> Iterator[CurvePoint]:
+    """The distinct halves of an affine P, each yielded as soon as doubling
+    has verified it, so a caller that needs one half stops the search."""
     r1, r2, r3 = f.roots
     alphas = []
     for e in f.roots:
         r = f.sqrt(p.x - e)
         if r is None:
-            return []
+            return
         alphas.append(r)
     a1, a2, a3 = alphas
     if not _is_zero(p.y):
@@ -274,7 +282,6 @@ def _halve_affine(f: _Field, p: CurvePoint) -> list[CurvePoint]:
             a1 = -a1
         elif not _eq(prod, p.y):
             raise PrecisionError("square roots do not recombine to y(P)")
-    out = []
     seen = set()
     n2, n3 = -a2, -a3
     for b2, b3 in ((a2, a3), (a2, n3), (n2, a3), (n2, n3)):
@@ -290,8 +297,7 @@ def _halve_affine(f: _Field, p: CurvePoint) -> list[CurvePoint]:
                 k = cand.key()
                 if k not in seen:
                     seen.add(k)
-                    out.append(cand)
-    return out
+                    yield cand
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +311,14 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
 
     Finite places and Q: depth-first iterated halving (a point is
     2^k-divisible iff some half is 2^(k-1)-divisible) over one field that
-    embeds the curve once per precision attempt; a PrecisionError anywhere
-    retries the whole descent at doubled precision.  The real place: for
-    k >= 1 the image of multiplication by 2^k is exactly the identity
-    (unbounded) component, decided by exact sign arithmetic; the
-    component-group convention gives the same verdict for every k >= 1.
+    embeds the curve once per precision attempt.  Halves are taken one at
+    a time, each verified by doubling before the descent uses it, and the
+    descent stops at the first half that descends; a False verdict visits
+    every candidate.  A PrecisionError anywhere retries the whole descent
+    at doubled precision.  The real place: for k >= 1 the image of
+    multiplication by 2^k is exactly the identity (unbounded) component,
+    decided by exact sign arithmetic; the component-group convention gives
+    the same verdict for every k >= 1.
     """
     if not 1 <= k <= MAX_K:
         raise InputError("k must be between 1 and %d, got %d" % (MAX_K, k))

@@ -110,6 +110,16 @@ class PadicNumber:
         u = rational_unit_mod(q, p, p ** precision)
         return cls(p, v, u, precision)
 
+    @classmethod
+    def _unchecked(cls, p: int, v: int, u: int, precision: int) -> "PadicNumber":
+        # internal fast path for nonzero arithmetic results: it skips
+        # __post_init__ and the frozen __setattr__, so the caller guarantees
+        # 0 < u < p^precision, u prime to p, and precision >= 1 (a zero
+        # result goes through zero(), whose precision check can raise)
+        obj = object.__new__(cls)
+        obj.__dict__.update(prime=p, valuation=v, unit=u, precision=precision)
+        return obj
+
     # -- predicates
 
     @property
@@ -125,23 +135,24 @@ class PadicNumber:
 
     # -- arithmetic
 
-    def _check_prime(self, other):
-        if self.prime != other.prime:
-            raise InputError("mixed primes in p-adic arithmetic")
-
-    def _hint(self) -> int:
-        return self.precision if (not self.is_zero and self.precision < _EXACT) \
-            else DEFAULT_PRECISION
+    def _operand(self, other) -> "PadicNumber":
+        """other at this prime: a PadicNumber as it is, a rational embedded
+        at this number's precision (DEFAULT_PRECISION for a zero)."""
+        if isinstance(other, PadicNumber):
+            if other.prime != self.prime:
+                raise InputError("mixed primes in p-adic arithmetic")
+            return other
+        hint = self.precision if (self.unit and self.precision < _EXACT) else DEFAULT_PRECISION
+        return PadicNumber.from_rational(Fraction(other), self.prime, hint)
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return PadicNumber(self.prime, self.valuation,
-                           self.prime ** self.precision - self.unit, self.precision)
+        return PadicNumber._unchecked(self.prime, self.valuation,
+                                      self.prime ** self.precision - self.unit, self.precision)
 
     def __add__(self, other):
-        other = _coerce(other, self.prime, self._hint())
-        self._check_prime(other)
+        other = self._operand(other)
         p = self.prime
         if self.is_zero and other.is_zero:
             return PadicNumber.zero(p, min(self.precision, other.precision))
@@ -161,20 +172,19 @@ class PadicNumber:
         shift = int_valuation(s, p)
         if shift >= k:
             return PadicNumber.zero(p, v + k)
-        return PadicNumber(p, v + shift, s // p ** shift, k - shift)
+        return PadicNumber._unchecked(p, v + shift, s // p ** shift, k - shift)
 
     def __radd__(self, other):
         return self + other
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.prime, self._hint()))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other, self.prime, self._hint())
-        self._check_prime(other)
+        other = self._operand(other)
         p = self.prime
         if self.is_zero or other.is_zero:
             if self.is_zero and other.is_zero:
@@ -184,15 +194,14 @@ class PadicNumber:
                 return PadicNumber.zero(p)
             return PadicNumber.zero(p, z.precision + nz.valuation)
         n = min(self.precision, other.precision)
-        return PadicNumber(p, self.valuation + other.valuation,
-                           (self.unit * other.unit) % p ** n, n)
+        return PadicNumber._unchecked(p, self.valuation + other.valuation,
+                                      (self.unit * other.unit) % p ** n, n)
 
     def __rmul__(self, other):
         return self * other
 
     def __truediv__(self, other):
-        other = _coerce(other, self.prime, self._hint())
-        self._check_prime(other)
+        other = self._operand(other)
         if other.is_zero:
             raise PrecisionError("division by an (approximate) zero")
         p = self.prime
@@ -202,11 +211,11 @@ class PadicNumber:
             return PadicNumber.zero(p, self.precision - other.valuation)
         n = min(self.precision, other.precision)
         inv = pow(other.unit % p ** n, -1, p ** n)
-        return PadicNumber(p, self.valuation - other.valuation,
-                           (self.unit * inv) % p ** n, n)
+        return PadicNumber._unchecked(p, self.valuation - other.valuation,
+                                      (self.unit * inv) % p ** n, n)
 
     def __rtruediv__(self, other):
-        return _coerce(other, self.prime, self._hint()) / self
+        return self._operand(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -234,7 +243,7 @@ class PadicNumber:
                            self.unit % self.prime ** k, k)
 
     def equals_to_precision(self, other) -> bool:
-        diff = self - _coerce(other, self.prime, self._hint())
+        diff = self - other
         return diff.is_zero
 
     def residue(self, digits: int) -> int:
@@ -282,12 +291,6 @@ class PadicNumber:
             return PadicNumber(p, self.valuation // 2, root % 2 ** (n - 1), n - 1)
         root = _sqrt_unit_odd(self.unit, p, n)
         return PadicNumber(p, self.valuation // 2, root, n)
-
-
-def _coerce(x, p: int, precision: int = DEFAULT_PRECISION) -> PadicNumber:
-    if isinstance(x, PadicNumber):
-        return x
-    return PadicNumber.from_rational(Fraction(x), p, precision)
 
 
 def _sqrt_unit_odd(u: int, p: int, n: int) -> int:

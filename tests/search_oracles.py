@@ -1,8 +1,9 @@
 """Search oracles that only the tests read.
 
 Each recomputes by enumeration a quantity that the program decides by a
-formula: H1 of a cyclic group as ker(norm)/im(sigma - 1), squares mod p,
-and n-th powers in Q_p by a residue sweep at the Hensel modulus.
+formula or a shortcut: H1 of a cyclic group as ker(norm)/im(sigma - 1),
+squares mod p, n-th powers in Q_p by a residue sweep at the Hensel
+modulus, and 2-power divisibility by the whole halving tree.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
+from locglob.elliptic import halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
 
@@ -67,3 +69,16 @@ def is_nth_power_search(a, n: int, p: int) -> bool:
     mod = p ** (2 * int_valuation(n, p) + 1)
     u = rational_unit_mod(a, p, mod)
     return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
+
+
+def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:
+    """The largest j <= k with P in 2^j E over the place, by recursion over
+    every half that halve_point lists, with no early exit: a half of the
+    origin counts as divisible to any depth.  Appends the number of halves
+    of every affine point halved to fiber_sizes."""
+    if k == 0 or point.infinity:
+        return k
+    halves = halve_point(curve, point, place)
+    fiber_sizes.append(len(halves))
+    depths = [1 + halving_depth(curve, q, k - 1, place, fiber_sizes) for q in halves]
+    return max(depths, default=0)

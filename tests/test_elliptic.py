@@ -195,6 +195,48 @@ def test_halving_completeness_local():
     assert total >= 30
 
 
+def _curve_through_a_point(rng):
+    """A random curve y^2 = (x - e1)(x - e2)(x - e3) with a rational point
+    (x0, y0): e3 is chosen so that x0 - e3 = s^2 (x0 - e1)(x0 - e2)."""
+    while True:
+        e1, e2, x0 = (Fraction(rng.randrange(-30, 31)) for _ in range(3))
+        s = Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+        e3 = x0 - s * s * (x0 - e1) * (x0 - e2)
+        if len({e1, e2, e3, x0}) == 4:
+            curve = Curve(e1, e2, e3)
+            return curve, curve.point(x0, s * (x0 - e1) * (x0 - e2))
+
+
+def test_lazy_descent_matches_the_whole_halving_tree():
+    # the descent stops at the first half that descends; the reference
+    # halves every half to the full depth
+    from search_oracles import halving_depth
+    rng = random.Random(2024)
+    cases = [(DZ, [DZ_P] + [group_law(DZ, DZ_P, t) for t in DZ.two_torsion()[1:]]
+              + [scalar_mul(DZ, 2, DZ_P), scalar_mul(DZ, 4, DZ_P)])]
+    for _ in range(3):
+        curve, q = _curve_through_a_point(rng)
+        cases.append((curve, [q] + [group_law(curve, q, t) for t in curve.two_torsion()[1:]]
+                      + [scalar_mul(curve, 2, q)]))
+    places = [Place.finite(p) for p in PRIMES_200] + [Place.real(), None]
+    fiber_sizes = []
+    mismatches = []
+    verdicts = set()
+    for curve, points in cases:
+        for pt in points:
+            assert not scalar_mul(curve, 2, pt).infinity
+            for place in places:
+                depth = halving_depth(curve, pt, 3, place, fiber_sizes)
+                for k in (1, 2, 3):
+                    got = divisible_by_2k(curve, pt, k, place)
+                    verdicts.add((k, got))
+                    if got != (depth >= k):
+                        mismatches.append((curve, pt, place, k))
+    assert mismatches == []
+    assert verdicts == {(k, v) for k in (1, 2, 3) for v in (True, False)}
+    assert set(fiber_sizes) == {0, 4}
+
+
 def test_precision_below_one_is_an_input_error():
     for prec in (0, -4):
         with pytest.raises(InputError):

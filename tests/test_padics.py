@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locglob.arith import is_prime, nth_root_mod_prime
-from locglob.errors import InputError, SelfCheckError
+from locglob.errors import InputError, PrecisionError, SelfCheckError
 from locglob.oracles import hilbert_symbol_search
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
                             nth_root, product_formula_check,
@@ -41,6 +42,42 @@ def test_field_ops_match_rationals(a, b, p):
     assert (xa * xb).equals_to_precision(PadicNumber.from_rational(a * b, p, 40))
     assert (xa - xb).equals_to_precision(PadicNumber.from_rational(a - b, p, 40))
     assert (xa / xb).equals_to_precision(PadicNumber.from_rational(a / b, p, 40))
+
+
+def _rebuilt(r):
+    """r through the checking constructor, which reduces the unit, rejects
+    a unit divisible by p and a precision below 1."""
+    return PadicNumber(r.prime, r.valuation, r.unit, r.precision)
+
+
+operands = st.one_of(st.integers(-300, 300),
+                     st.fractions(min_value=Fraction(-200), max_value=Fraction(200),
+                                  max_denominator=60))
+
+
+@given(operands, operands, st.sampled_from([2, 3, 7, 13]), st.integers(1, 30),
+       st.integers(1, 30), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_results_pass_the_checking_constructor(a, b, p, na, nb, shift):
+    # results skip __post_init__, so each must already be what the checking
+    # constructor builds; x + near = p^shift b cancels the low digits
+    x = PadicNumber.from_rational(a, p, na)
+    y = PadicNumber.from_rational(b, p, nb)
+    near = PadicNumber.from_rational(-a + p ** shift * Fraction(b), p, nb)
+    cases = [lambda: -x, lambda: -y]
+    for u, v in ((x, y), (x, near), (x, b), (a, y), (x, p ** shift)):
+        cases += [lambda u=u, v=v: u + v, lambda u=u, v=v: u - v,
+                  lambda u=u, v=v: u * v, lambda u=u, v=v: u / v]
+    for case in cases:
+        try:
+            r = case()
+        except PrecisionError:
+            continue          # complete cancellation or an approximate zero divisor
+        assert r == _rebuilt(r)
+    other = PadicNumber.from_rational(b or 1, 5, nb)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(InputError):
+            op(x, other)
 
 
 def test_cancellation_tracks_precision():

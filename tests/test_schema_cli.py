@@ -347,6 +347,22 @@ def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
     assert code == 0
 
 
+@pytest.mark.parametrize("k,bound,expected", [
+    ("2", "997", "ec_div_dz_sweep_997.json"),
+    ("3", "199", "ec_div_dz_k3_sweep_199.json"),
+], ids=["k2_997", "k3_199"])
+def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected):
+    """The JSON sweep reports of the Dvornicich-Zannier point, byte for
+    byte.  At k = 3 four places answer no, some of them after the descent
+    has explored part of the halving tree."""
+    from locglob.cli import main
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    code = main(list(_DZ) + ["--k", k, "--sweep", bound, "--format", "json"])
+    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 1
+
+
 # --- reproduce ---------------------------------------------------------------
 
 def test_reproduce_green_and_deterministic():
