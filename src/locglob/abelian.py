@@ -1,5 +1,6 @@
-"""Finite abelian groups in invariant-factor form, subgroups, characters,
-and the annihilator duality used for orthogonal complements of chains.
+"""Finite abelian groups in invariant-factor form, subgroups, bilinear
+pairings, and the annihilator duality used for orthogonal complements of
+chains.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, SelfCheckError
 from .linalg import (LatticeQuotient, identity_matrix, integer_kernel,
                      kernel_mod_lattice, lattice_quotient, mat_vec)
 
@@ -190,7 +191,7 @@ def subgroup_from_generators(ambient: FinAb, generators) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# characters and annihilators
+# pairings and annihilators
 
 
 @dataclass(frozen=True)
@@ -246,35 +247,16 @@ def standard_pairing(space: FinAb) -> Pairing:
     return Pairing(space, mat)
 
 
-def character_group(space: FinAb) -> FinAb:
-    """Hom(A, Q/Z) has the same invariant factors as A."""
-    return FinAb(space.invariant_factors)
-
-
-def character_value(space: FinAb, char, elem) -> int:
-    """Value in Z/exponent of the character with coordinates char.
-
-    The character c sends e_i to (n/d_i) c_i / n in Q/Z; returned as the
-    numerator mod n.
-    """
-    n = space.exponent
-    return sum((n // d) * c * x
-               for d, c, x in zip(space.invariant_factors, char, elem)) % n
-
-
-def annihilator(space: FinAb, subgroup_gens) -> Subgroup:
-    """Characters of A vanishing on every generator, as a subgroup of A^."""
-    chars = character_group(space)
-    n = space.exponent
+def annihilator(pairing: Pairing, gens) -> Subgroup:
+    """{x : <x, g> = 0 for every g in gens}, a subgroup of the pairing's space."""
+    space = pairing.space
     r = space.rank
-    gens = [space.reduce(g) for g in subgroup_gens]
-    rows = []
-    for g in gens:
-        rows.append([(n // d) * x for d, x in zip(space.invariant_factors, g)])
+    rows = [[sum(pairing.matrix[i][j] * g[j] for j in range(r)) for i in range(r)]
+            for g in map(space.reduce, gens)]
     if not rows:
-        return subgroup_from_generators(chars, identity_matrix(r))
-    out = kernel_mod_lattice(rows, [n] * len(rows), r)
-    return subgroup_from_generators(chars, out)
+        return subgroup_from_generators(space, identity_matrix(r))
+    return subgroup_from_generators(
+        space, kernel_mod_lattice(rows, [space.exponent] * len(rows), r))
 
 
 @dataclass(frozen=True)
@@ -315,27 +297,13 @@ def orthogonal_complement_chain(a3: FinAb, a1_gens, a2_gens,
         if not a2.contains(g):
             raise InputError("A1 is not contained in A2")
 
-    # transport annihilators through the pairing: x is in Aperp iff
-    # <x, a> == 0 for all generators a of A
-    def perp(sub: Subgroup) -> Subgroup:
-        n = a3.exponent
-        r = a3.rank
-        rows = []
-        for g in sub.generators:
-            rows.append([sum(pairing.matrix[i][j] * g[j] for j in range(r))
-                         for i in range(r)])
-        if not rows:
-            return subgroup_from_generators(a3, identity_matrix(r))
-        gens = kernel_mod_lattice(rows, [n] * len(rows), r)
-        return subgroup_from_generators(a3, gens)
-
-    a1_perp = perp(a1)
-    a2_perp = perp(a2)
+    a1_perp = annihilator(pairing, a1.generators)
+    a2_perp = annihilator(pairing, a2.generators)
 
     quotient_order = a2.order // a1.order
     perp_quotient_order = a1_perp.order // a2_perp.order
     if quotient_order != perp_quotient_order:
-        raise AssertionError("duality order mismatch: |A2/A1| != |A1perp/A2perp|")
+        raise SelfCheckError("duality order mismatch: |A2/A1| != |A1perp/A2perp|")
 
     # elementwise witness: classes of A1perp mod A2perp, with their induced
     # character on A2 (values on the generators of A2)
@@ -351,7 +319,7 @@ def orthogonal_complement_chain(a3: FinAb, a1_gens, a2_gens,
         seen[key] = vals
         table.append((key, vals))
     if len(seen) != perp_quotient_order:
-        raise AssertionError("class enumeration does not match the computed order")
+        raise SelfCheckError("class enumeration does not match the computed order")
     if len(set(v for _, v in table)) != len(table):
-        raise AssertionError("two perp classes induce the same character on A2/A1")
+        raise SelfCheckError("two perp classes induce the same character on A2/A1")
     return ChainDuality(a1_perp, a2_perp, quotient_order, tuple(table))

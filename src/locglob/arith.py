@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, SelfCheckError
 
 # the first twelve prime bases decide primality below 3.3e24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -198,7 +198,7 @@ def _pohlig_hellman_prime_power(b: int, gen: int, l: int, s: int, p: int) -> int
             x = (x * gamma) % p
             d += 1
             if d >= l:
-                raise InputError("element is outside the cyclic subgroup")
+                raise SelfCheckError("element is outside the cyclic subgroup")
         e += d * l ** i
     return e
 
@@ -273,7 +273,7 @@ def nth_root_mod_prime(u: int, n: int, p: int) -> int | None:
         gi = l ** e
         zi = _prime_power_root(u, l, e, p)
         if zi is None:
-            raise InputError("residue test passed but no prime-power root found")
+            raise SelfCheckError("residue test passed but no prime-power root found")
         parts.append(zi)
         hs.append(g // gi)
     cs = _bezout_combination(hs)            # gcd of the h_i is 1
@@ -285,5 +285,5 @@ def nth_root_mod_prime(u: int, n: int, p: int) -> int | None:
     c = pow((n // g) % m, -1, m) if m > 1 else 1
     x = pow(y, c, p)
     if pow(x, n, p) != u:
-        raise InputError("internal nth root construction failed")
+        raise SelfCheckError("internal nth root construction failed")
     return x

@@ -94,7 +94,6 @@ class H1Group:
     structure: FinAb
     representatives: tuple
     generators: tuple = field(repr=False)          # generating set of G used
-    expressions: tuple = field(repr=False)         # value of f(g) from generator values
     quotient: LatticeQuotient | None = field(repr=False)
     # element tuple of Z -> restriction(Z); shared through _H1_CACHE
     _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
@@ -224,8 +223,7 @@ def h1(module: GModule) -> H1Group:
     n_unknowns = k * r
 
     if n_unknowns == 0:
-        out = H1Group(module, FinAb(()), (), gens,
-                      _expression_matrices(module, gens), None)
+        out = H1Group(module, FinAb(()), (), gens, None)
         _H1_CACHE[module] = out
         return out
 
@@ -272,7 +270,7 @@ def h1(module: GModule) -> H1Group:
         vals = _expand_from_generator_values(module, gens, exprs, x)
         reps.append(_canonical_representative(CocycleClass(module, vals)))
 
-    out = H1Group(module, structure, tuple(reps), gens, exprs, quo)
+    out = H1Group(module, structure, tuple(reps), gens, quo)
 
     if grp.order > 1 and space.order ** k * grp.order <= BRUTE_FORCE_LIMIT:
         from .oracles import brute_force_h1

@@ -130,18 +130,6 @@ def dual_pairing_value(module: GModule, chi: CyclotomicData, dual_elem, elem) ->
     return sum((n // dj) * b * a for dj, b, a in zip(d, dual_elem, elem)) % n
 
 
-def double_dual_is_identity(module: GModule, chi: CyclotomicData) -> bool:
-    """The evaluation map M -> (M^)^ is the identity in coordinates; check
-    that the double-dual action matrices agree with the original ones."""
-    return _same_action(module, dual_module(dual_module(module, chi), chi))
-
-
-def _same_action(module: GModule, other: GModule) -> bool:
-    d = module.space.invariant_factors
-    return all(mat_mod(other.action[g], d) == mat_mod(module.action[g], d)
-               for g in range(module.group.order))
-
-
 def double_dual_isomorphism(module: GModule, chi: CyclotomicData):
     """The natural isomorphism M -> (M^)^ (evaluation), as a callable.
 
@@ -149,7 +137,9 @@ def double_dual_isomorphism(module: GModule, chi: CyclotomicData):
     at the matrix level always, and elementwise over every module and group
     element when |M| <= 512.  Returns the map."""
     dd = dual_module(dual_module(module, chi), chi)
-    if not _same_action(module, dd):
+    d = module.space.invariant_factors
+    if any(mat_mod(dd.action[g], d) != mat_mod(module.action[g], d)
+           for g in range(module.group.order)):
         raise SelfCheckError("double dual does not match the module")
     if module.space.order <= 512:
         for g in range(module.group.order):

@@ -60,14 +60,6 @@ class GroupTable:
         return all(self.table[g][h] == self.table[h][g]
                    for g in range(self.order) for h in range(self.order))
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        out = 0
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
-
     def generated_subgroup(self, gens) -> tuple:
         seen = {0}
         frontier = [0]

@@ -4,18 +4,19 @@ Matrices are lists of lists of Python ints, row major.  Everything is exact;
 no modular inverses are taken for composite moduli.  Sizes in this project
 stay small (tens of rows).
 
-A Smith normal form keeps the two transforms P, Q with P*A*Q = D: kernels
-read Q, solutions and lattice coordinates read P, and an image basis is the
-first rank columns of A*Q.  A lattice quotient X/Y costs two Smith normal
-forms, one of the generators of X and one of the generators of Y written in
-a basis of X.  The matrix helpers (identity, product, reduction mod the
-invariant factors) serve the whole package.
+A Smith normal form is one elimination pass that advances past a pivot
+only once it divides its whole trailing block, so the diagonal comes out
+as a divisibility chain (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4).  It keeps that diagonal and the two transforms P, Q with
+P*A*Q = D: kernels read Q, lattice coordinates read P.  A lattice quotient
+X/Y costs two Smith normal forms, one of the generators of X and one of the
+generators of Y written in a basis of X.  The matrix helpers (identity,
+product, reduction mod the invariant factors) serve the whole package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 def scalar_matrix(c: int, n: int) -> list[list[int]]:
@@ -98,7 +99,9 @@ class _SnfState:
 
 @dataclass(frozen=True)
 class Snf:
-    """d = p * a * q with p, q unimodular and d diagonal, d[i] | d[i+1] >= 0."""
+    """p * a * q is the m x n matrix with d on its diagonal and zeros
+    elsewhere; p, q are unimodular, d has min(m, n) entries with
+    0 <= d[i] | d[i+1], and rank counts its nonzero entries."""
 
     d: tuple
     p: tuple
@@ -168,58 +171,8 @@ def smith_normal_form(mat) -> Snf:
             if st.s[t][t] < 0:
                 st.negate_row(t)
             t += 1
-    # enforce the divisibility chain along the diagonal
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = st.s[i][i], st.s[i + 1][i + 1]
-            if a and b and b % a:
-                # fold the next diagonal entry into position i and rediagonalize
-                st.add_col(i, i + 1, 1)
-                _rediagonalize_pair(st, i)
-                changed = True
-    rank = 0
-    for i in range(min(m, n)):
-        if st.s[i][i]:
-            rank += 1
-    return Snf(_freeze(st.s), _freeze(st.p), _freeze(st.q), rank)
-
-
-def _rediagonalize_pair(st, t):
-    # clean the 2x2 block at (t, t) after a column fold; entries live only in
-    # rows/cols t and t+1
-    while True:
-        a = st.s[t][t]
-        b = st.s[t + 1][t]
-        if b == 0:
-            break
-        if a == 0 or (abs(b) < abs(a)):
-            st.swap_rows(t, t + 1)
-            continue
-        st.add_row(t + 1, t, -(b // a))
-    while True:
-        a = st.s[t][t]
-        b = st.s[t][t + 1]
-        if b == 0:
-            break
-        if a == 0 or (abs(b) < abs(a)):
-            st.swap_cols(t, t + 1)
-            continue
-        st.add_col(t + 1, t, -(b // a))
-    if st.s[t + 1][t]:
-        _rediagonalize_pair(st, t)
-        return
-    if st.s[t][t] < 0:
-        st.negate_row(t)
-    if st.s[t + 1][t + 1] < 0:
-        st.negate_row(t + 1)
-    a, b = st.s[t][t], st.s[t + 1][t + 1]
-    if a and b and b % a:
-        g = gcd(a, b)
-        if g != a:
-            st.add_col(t, t + 1, 1)
-            _rediagonalize_pair(st, t)
+    d = tuple(st.s[i][i] for i in range(min(m, n)))
+    return Snf(d, _freeze(st.p), _freeze(st.q), sum(1 for x in d if x))
 
 
 def integer_kernel(mat) -> list[list[int]]:
@@ -232,26 +185,12 @@ def integer_kernel(mat) -> list[list[int]]:
     return [[snf.q[i][j] for i in range(n)] for j in range(snf.rank, n)]
 
 
-def lattice_image_basis(mat) -> list[list[int]]:
-    """Basis (as column vectors) of the lattice spanned by the columns of mat.
-
-    From P*A*Q = D, the first rank columns of A*Q are d_j times the columns
-    of P^-1."""
-    if not mat or not mat[0]:
-        return []
-    snf = smith_normal_form(mat)
-    aq = mat_mul(mat, [row[:snf.rank] for row in snf.q])
-    return [[row[j] for row in aq] for j in range(snf.rank)]
-
-
 def _diagonal_solve(snf: Snf, vec) -> list[int] | None:
     """z with D z = P vec, so that A (Q z) = vec; None when there is none."""
     y = mat_vec(snf.p, vec)
-    m = len(snf.d)
-    n = len(snf.d[0]) if snf.d else 0
-    z = [0] * n
-    for i in range(m):
-        di = snf.d[i][i] if i < n else 0
+    z = [0] * len(snf.q)
+    for i in range(len(y)):
+        di = snf.d[i] if i < len(snf.d) else 0
         if di:
             if y[i] % di:
                 return None
@@ -259,12 +198,6 @@ def _diagonal_solve(snf: Snf, vec) -> list[int] | None:
         elif y[i]:
             return None
     return z
-
-
-def solve_integer(snf: Snf, vec) -> list[int] | None:
-    """One integer solution x of A x = vec given the Snf of A, or None."""
-    z = _diagonal_solve(snf, vec)
-    return None if z is None else mat_vec(snf.q, z)
 
 
 def columns_matrix(vectors, n) -> list[list[int]]:
@@ -308,18 +241,9 @@ class LatticeQuotient:
         v = mat_vec(self.w_p, u)
         return tuple(v[i] % s for i, s in enumerate(self.factors_all) if s > 1)
 
-    def is_trivial(self, vec) -> bool:
-        return all(c == 0 for c in self.coordinates(vec))
-
     def representative(self, k: int) -> list[int]:
         """Vector of X mapping to the k-th standard generator of the quotient."""
         return list(self.representatives[k])
-
-    def order(self) -> int:
-        out = 1
-        for s in self.invariant_factors:
-            out *= s
-        return out
 
 
 def lattice_quotient(x_gens, y_gens, n) -> LatticeQuotient:
@@ -341,7 +265,7 @@ def lattice_quotient(x_gens, y_gens, n) -> LatticeQuotient:
     wsnf = smith_normal_form(wmat)
     if wsnf.rank != n:
         raise ValueError("quotient is infinite")
-    factors = tuple(wsnf.d[i][i] for i in range(n))
+    factors = wsnf.d
     basis = mat_mul(amat, [row[:n] for row in xsnf.q])
     # W*Q_W = P_W^-1 * D_W, so column i of P_W^-1 is (W*Q_W)[:, i] / s_i
     wq = mat_mul(wmat, [row[:n] for row in wsnf.q])

@@ -264,8 +264,7 @@ class GwDecision:
     checked_places: int
 
 
-def gw_decision(n: int, T, nondecomposed=None,
-                sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
+def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
     """Order of the kernel of Q*/Q*^n -> prod_{v not in T} Q_v*/Q_v*^n.
 
     Over Q the cyclotomic field of 2^r-th roots of unity is noncyclic
@@ -273,10 +272,8 @@ def gw_decision(n: int, T, nondecomposed=None,
     kernel is nontrivial iff r >= 3 and T contains 2.  When nontrivial the
     witness 16^(n/8) is checked: an n-th power at every place outside T up
     to the sweep bound and at the real place, not an n-th power in Q
-    (exact root test), and an (n/2)-th power in Q.
-
-    `nondecomposed` overrides the non-decomposed set {2} to emulate other
-    base fields abstractly.  A sweep bound above GW_SWEEP_LIMIT is refused.
+    (exact root test), and an (n/2)-th power in Q.  A sweep bound above
+    GW_SWEEP_LIMIT is refused.
     """
     if n < 2:
         raise InputError("n must be >= 2")
@@ -288,15 +285,8 @@ def gw_decision(n: int, T, nondecomposed=None,
         if not is_prime(p):
             raise InputError("T must consist of primes, got %d" % p)
     r = int_valuation(n, 2)
-    s_set = frozenset(int(x) for x in nondecomposed) if nondecomposed is not None \
-        else frozenset({2})
-    nontrivial = r >= 3 and s_set <= T
-    if not nontrivial:
+    if r < 3 or 2 not in T:
         return GwDecision(1, None, r, 0)
-    if s_set != frozenset({2}):
-        # abstract emulation of another base field: the decision rule applies
-        # but the rational witness and its local verification do not
-        return GwDecision(2, None, r, 0)
     witness = Fraction(16) ** (n // 8)
     checked = 0
     for p in range(2, sweep_bound + 1):

@@ -214,7 +214,7 @@ def invariants_from_torsion(counts: dict) -> tuple:
     for d in factors:
         check *= d
     if check != order:
-        raise AssertionError("torsion profile does not define an abelian group")
+        raise SelfCheckError("torsion profile does not define an abelian group")
     return tuple(d for d in factors if d > 1)
 
 
@@ -245,7 +245,7 @@ def brute_force_h1_star(module: GModule):
             star.append(z)
     b1 = len(cobs)
     if len(star) % b1:
-        raise AssertionError("star cocycles do not tile into classes")
+        raise SelfCheckError("star cocycles do not tile into classes")
     order = len(star) // b1
     witness = None
     if order > 1:

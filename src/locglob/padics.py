@@ -246,16 +246,6 @@ class PadicNumber:
         diff = self - other
         return diff.is_zero
 
-    def residue(self, digits: int) -> int:
-        """The integer value mod p^digits; requires valuation >= 0."""
-        if self.is_zero:
-            return 0
-        if self.valuation < 0:
-            raise InputError("negative valuation has no residue")
-        if self.abs_known < digits:
-            raise PrecisionError("not enough digits for the requested residue")
-        return (self.unit * self.prime ** self.valuation) % self.prime ** digits
-
     def __str__(self):
         if self.is_zero:
             return "O(%d^%s)" % (self.prime, self.precision if self.precision < _EXACT else "oo")

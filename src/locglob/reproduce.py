@@ -19,6 +19,7 @@ from importlib import resources
 from .arith import is_prime
 from .cohomology import h1, h1_star
 from .elliptic import Curve, divisible_by_2k, halve_point, propagation_check
+from .errors import SelfCheckError
 from .gmodules import mu8_klein_model
 from .models import PlaceModel, gw_decision, sha_of_model, verdict
 from .oracles import duplication_x
@@ -183,7 +184,7 @@ def oracle_golden() -> dict:
     halves = halve_point(e, p0)
     for h in halves:
         if duplication_x(e, h.x) != DZ_POINT_X:
-            raise AssertionError("duplication oracle rejects a computed half")
+            raise SelfCheckError("duplication oracle rejects a computed half")
 
     golden = {
         "mu8_h1_invariants": list(inv),

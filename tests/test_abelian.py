@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locglob.abelian import (FinAb, Pairing, annihilator,
-                             character_value, matrix_is_automorphism,
+                             matrix_is_automorphism,
                              orthogonal_complement_chain, standard_pairing,
                              subgroup_from_generators, subgroup_intersection)
 from locglob.errors import InputError
@@ -106,10 +106,11 @@ def test_degenerate_pairing_rejected():
 
 def test_annihilator_counts():
     space = FinAb((4,))
-    ann = annihilator(space, [(2,)])
+    pairing = standard_pairing(space)
+    ann = annihilator(pairing, [(2,)])
     # characters killing 2Z/4 are the even ones
     assert ann.order == 2
-    full = annihilator(space, [])
+    full = annihilator(pairing, [])
     assert full.order == 4
 
 
@@ -170,7 +171,8 @@ def test_matrix_automorphism():
 
 def test_character_value():
     space = FinAb((2, 4))
+    value = standard_pairing(space).value
     # character (1, 1): e1 -> n/2 = 2, e2 -> n/4 = 1 mod 4
-    assert character_value(space, (1, 0), (1, 0)) == 2
-    assert character_value(space, (0, 1), (0, 1)) == 1
-    assert character_value(space, (1, 1), (1, 1)) == 3
+    assert value((1, 0), (1, 0)) == 2
+    assert value((0, 1), (0, 1)) == 1
+    assert value((1, 1), (1, 1)) == 3

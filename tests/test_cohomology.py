@@ -9,7 +9,7 @@ from locglob import cohomology, oracles
 from locglob.cohomology import (CocycleClass, coboundary, h1, h1_star,
                                 restrict_class, zero_cocycle)
 from locglob.errors import InputError, SelfCheckError
-from locglob.gmodules import (GModule, dual_module, double_dual_is_identity,
+from locglob.gmodules import (GModule, dual_module,
                               double_dual_isomorphism, dual_pairing_value,
                               homothety_criterion, homothety_module,
                               mu8_klein_model, trivial_action_module,
@@ -277,7 +277,6 @@ def test_double_dual_random():
             for act in acts[:2]:
                 mod = GModule(grp, space, act)
                 chi = trivial_character(grp, space.exponent)
-                assert double_dual_is_identity(mod, chi)
                 ev = double_dual_isomorphism(mod, chi)   # elementwise for |M| <= 512
                 for m in mod.space.elements():
                     assert ev(m) == m

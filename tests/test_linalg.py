@@ -1,12 +1,12 @@
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locglob.linalg import (columns_matrix, identity_matrix, integer_kernel,
-                            kernel_mod_lattice, lattice_image_basis,
-                            lattice_quotient, mat_mul, mat_vec,
-                            smith_normal_form, solve_integer)
+                            kernel_mod_lattice, lattice_quotient, mat_mul,
+                            mat_vec, smith_normal_form)
 
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -33,6 +33,15 @@ def _determinant(mat):
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def _in_span(gens, vec):
+    """Whether vec is an integer combination of gens: with P*A*Q = D for the
+    matrix A of columns gens, A x = vec is solvable iff D z = P vec is."""
+    snf = smith_normal_form(columns_matrix(gens, len(vec)))
+    y = mat_vec(snf.p, vec)
+    d = list(snf.d) + [0] * (len(y) - len(snf.d))
+    return all(yi % di == 0 if di else yi == 0 for yi, di in zip(y, d))
+
+
 def test_determinant_helper():
     assert _determinant([[2, 1], [1, 1]]) == 1
     assert _determinant([[0, 1], [1, 0]]) == -1
@@ -47,23 +56,19 @@ def test_snf_decomposition(a):
     m, n = len(a), len(a[0])
     assert len(s.p) == m and all(len(r) == m for r in s.p)
     assert len(s.q) == n and all(len(r) == n for r in s.q)
+    assert len(s.d) == min(m, n)
     paq = mat_mul(mat_mul(s.p, a), s.q)
-    assert tuple(tuple(r) for r in paq) == s.d
+    assert paq == [[s.d[i] if i == j else 0 for j in range(n)] for i in range(m)]
     # unimodular: exact determinant +-1, so P and Q are invertible over Z
     assert _determinant(s.p) in (1, -1)
     assert _determinant(s.q) in (1, -1)
-    diag = [s.d[i][i] for i in range(min(m, n))]
-    for x, y in zip(diag, diag[1:]):
+    for x, y in zip(s.d, s.d[1:]):
         if x:
             assert y % x == 0
         else:
             assert y == 0
-    assert all(x >= 0 for x in diag)
-    assert s.rank == sum(1 for x in diag if x)
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert s.d[i][j] == 0
+    assert all(x >= 0 for x in s.d)
+    assert s.rank == sum(1 for x in s.d if x)
 
 
 @given(matrices)
@@ -77,20 +82,8 @@ def test_kernel_spans_all_solutions():
     a = [[2, 4, 0], [0, 0, 3]]
     kern = integer_kernel(a)
     # (2, -1, 0) is a solution and must be an integer combination of the basis
-    snf = smith_normal_form(columns_matrix(kern, 3))
-    assert solve_integer(snf, [2, -1, 0]) is not None
-
-
-def test_solve_integer():
-    a = [[2, 0], [0, 3]]
-    s = smith_normal_form(a)
-    assert solve_integer(s, [4, 9]) == [2, 3]
-    assert solve_integer(s, [1, 0]) is None
-
-
-def test_lattice_image_basis_full_rank():
-    basis = lattice_image_basis([[2, 1], [0, 3]])
-    assert len(basis) == 2
+    assert _in_span(kern, [2, -1, 0])
+    assert not _in_span(kern, [1, 0, 0])
 
 
 def test_lattice_quotient_z4():
@@ -99,7 +92,7 @@ def test_lattice_quotient_z4():
     assert q.invariant_factors == (4,)
     assert q.coordinates([1]) == (1,)
     assert q.coordinates([4]) == (0,)
-    assert q.is_trivial([8])
+    assert q.coordinates([8]) == (0,)
     rep = q.representative(0)
     assert q.coordinates(rep) == (1,)
 
@@ -108,7 +101,7 @@ def test_lattice_quotient_mixed():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
     q = lattice_quotient(identity_matrix(2), [[2, 0], [0, 3]], 2)
     assert q.invariant_factors == (6,)
-    assert q.order() == 6
+    assert math.prod(q.invariant_factors) == 6
 
 
 @st.composite
@@ -143,11 +136,8 @@ def test_lattice_quotient_representatives_are_unit_vectors(pair):
     # |X/Y| = [Z^n : Y] / [Z^n : X], each index the product of its SNF diagonal
     index = {}
     for name, gens in (("x", x_gens), ("y", y_gens)):
-        d = smith_normal_form(columns_matrix(gens, n)).d
-        index[name] = 1
-        for i in range(n):
-            index[name] *= d[i][i]
-    assert q.order() * index["x"] == index["y"]
+        index[name] = math.prod(smith_normal_form(columns_matrix(gens, n)).d)
+    assert math.prod(q.invariant_factors) * index["x"] == index["y"]
 
 
 def test_kernel_mod_lattice():
@@ -159,5 +149,5 @@ def test_kernel_mod_lattice():
         vec = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2)]
         assert (vec[0] + vec[1]) % 4 == 0
     # and it contains (1, 3)
-    snf = smith_normal_form(columns_matrix(gens, 2))
-    assert solve_integer(snf, [1, 3]) is not None
+    assert _in_span(gens, [1, 3])
+    assert not _in_span(gens, [1, 2])

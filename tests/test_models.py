@@ -10,9 +10,9 @@ from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
-from locglob.models import (GW_SWEEP_LIMIT, PlaceModel, finite_support_bound,
-                            gw_decision, sha_of_model, verdict,
-                            weak_approx_verdict)
+from locglob.models import (GW_SWEEP_LIMIT, SUPPORT_SAMPLE_LIMIT, PlaceModel,
+                            _label_subsets, finite_support_bound, gw_decision,
+                            sha_of_model, verdict, weak_approx_verdict)
 from locglob.padics import Place, is_nth_power, rational_nth_root
 
 from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
@@ -199,6 +199,29 @@ def test_finite_support_bound_examples():
         assert sha_of_model(m2, T).is_trivial()
 
 
+def test_finite_support_bound_samples_label_subsets(monkeypatch):
+    # mu8 over Q with seven labelled primes: 2 with the whole (non-cyclic)
+    # Klein group, the others with the cyclic group of Frobenius p mod 8.
+    # 2^7 label subsets exceed SUPPORT_SAMPLE_LIMIT, so the check runs on
+    # the empty set, all labels and the seven label prefixes.
+    module, _ = mu8_klein_model()
+    model = PlaceModel(module, {"2": (0, 1, 2, 3), "3": (0, 1), "5": (0, 2),
+                                "7": (0, 3), "11": (0, 1), "13": (0, 2),
+                                "17": (0,)}, frozenset())
+    assert 2 ** len(model.labels) > SUPPORT_SAMPLE_LIMIT
+    sampled = []
+
+    def spy(labels, limit):
+        out = _label_subsets(labels, limit)
+        sampled.extend(out)
+        return out
+    monkeypatch.setattr("locglob.models._label_subsets", spy)
+    assert finite_support_bound(model) == frozenset({"2"})
+    labels = sorted(model.labels)
+    assert sampled == ([frozenset(), frozenset(labels)]
+                       + [frozenset(labels[:i + 1]) for i in range(7)])
+
+
 def test_hasse_failure_with_cyclic_decomposition_everywhere():
     # the mu8 module with only cyclic designated subgroups: every class of
     # the cyclic-restriction kernel is locally trivial everywhere, so the
@@ -253,12 +276,6 @@ def test_gw_witness_properties():
     for p in (3, 5, 7, 97):
         assert is_nth_power(w, 16, Place.finite(p))
     assert not is_nth_power(w, 16, Place.finite(2))
-
-
-def test_gw_nondecomposed_override():
-    # emulate a base field whose non-decomposed set is {3}
-    assert gw_decision(8, {2}, nondecomposed={3}).kernel_order == 1
-    assert gw_decision(8, {3}, nondecomposed={3}).kernel_order == 2
 
 
 def test_weak_approx_mu8():

@@ -297,6 +297,29 @@ def test_internal_failure_exits_3(monkeypatch, capsys, mu8_file, error):
     assert err == "internal failure: engine disagrees with itself\n"
 
 
+def test_internal_root_failure_exits_3(monkeypatch, capsys):
+    # a broken prime-power root fails the final x^n == u check of
+    # nth_root_mod_prime: an engine failure, not an input error
+    import locglob.cli as cli
+    monkeypatch.setattr("locglob.arith._prime_power_root", lambda *args: 2)
+    assert cli.main(["power", "--a", "16", "--n", "8", "--p", "17", "--root"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal failure: internal nth root construction failed\n"
+
+
+def test_timings_adds_only_elapsed_ms(monkeypatch, capsys):
+    from locglob.cli import main
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    argv = ["power", "--a", "16", "--n", "8", "--p", "7", "--root", "--format", "json"]
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert isinstance(timed.pop("elapsed_ms"), int)
+    assert timed == plain
+
+
 def test_report_byte_determinism(mu8_file):
     a = run_cli("hasse", "--input", mu8_file, "--t", "2", "--format", "json")
     b = run_cli("hasse", "--input", mu8_file, "--t", "2", "--format", "json")
@@ -361,6 +384,16 @@ def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected):
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == 1
+
+
+def test_power_root_is_pinned(monkeypatch, capsys):
+    """The JSON report with a 7-adic 8th root of 16, byte for byte."""
+    from locglob.cli import main
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    code = main(["power", "--a", "16", "--n", "8", "--p", "7", "--root", "--format", "json"])
+    with open(os.path.join(REPO, "tests", "data", "power_16_8_7_root.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 0
 
 
 # --- reproduce ---------------------------------------------------------------
