@@ -108,19 +108,6 @@ def apply_matrix(mat, vec, space: FinAb) -> tuple:
                  for i in range(space.rank))
 
 
-def matrix_is_automorphism(mat, space: FinAb) -> bool:
-    """Bijectivity check by triviality of the kernel (exact, no determinants)."""
-    if not matrix_is_compatible(mat, space):
-        return False
-    d = space.invariant_factors
-    rows = [list(row) for row in mat]
-    gens = kernel_mod_lattice(rows, list(d), space.rank)
-    for g in gens:
-        if any(x % m for x, m in zip(g, d)):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a FinAb ambient group, with structure and a solver.

@@ -143,7 +143,7 @@ class H1Group:
         elems = tuple(sorted(set(elements)))
         cached = self._restrictions.get(elems)
         if cached is None:
-            hz = h1(self.module.restrict(elems)[0])
+            hz = h1(self.module.restrict(elems))
             cols = [hz.coordinates_of(CocycleClass._unchecked(
                         hz.module, tuple(rep.values[e] for e in elems)))
                     for rep in self.representatives]
@@ -268,7 +268,10 @@ def h1(module: GModule) -> H1Group:
     for idx in range(len(structure.invariant_factors)):
         x = quo.representative(idx)
         vals = _expand_from_generator_values(module, gens, exprs, x)
-        reps.append(_canonical_representative(CocycleClass(module, vals)))
+        try:        # the engine built vals: a failed check is internal
+            reps.append(_canonical_representative(CocycleClass(module, vals)))
+        except InputError as exc:
+            raise SelfCheckError("H1 representative: %s" % exc) from None
 
     out = H1Group(module, structure, tuple(reps), gens, quo)
 
@@ -306,7 +309,7 @@ def _canonical_representative(c: CocycleClass) -> CocycleClass:
 
 def restrict_class(c: CocycleClass, elements) -> CocycleClass:
     """Restriction of a cocycle to a subgroup (given by its element set)."""
-    sub_mod = c.module.restrict(elements)[0]
+    sub_mod = c.module.restrict(elements)
     elems = tuple(sorted(set(elements)))
     return CocycleClass._unchecked(sub_mod, tuple(c.values[e] for e in elems))
 

@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import (FinAb, apply_matrix, matrix_is_automorphism,
-                      matrix_is_compatible)
+from .abelian import FinAb, apply_matrix, matrix_is_compatible
 from .errors import InputError, SelfCheckError
 from .groups import GroupTable, subgroup_table
 from .linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
@@ -19,8 +18,8 @@ class GModule:
     """A FinAb space with a G-action by automorphisms.
 
     action[g] is an integer matrix (tuple of row tuples) acting on column
-    vectors; action[0] must be the identity and action respects the table,
-    both checked exhaustively.
+    vectors.  Construction checks compatibility, action[0] = 1 and action[g]
+    action[h] = action[gh]; then action[g] action[g^-1] = 1 makes it bijective.
     """
 
     group: GroupTable
@@ -37,8 +36,6 @@ class GModule:
         for g, mat in enumerate(act):
             if not matrix_is_compatible(mat, self.space):
                 raise InputError("action matrix %d is not compatible with the moduli" % g)
-            if not matrix_is_automorphism(mat, self.space):
-                raise InputError("action matrix %d is not an automorphism" % g)
         d = self.space.invariant_factors
         if mat_mod(act[0], d) != mat_mod(identity_matrix(self.space.rank), d):
             raise InputError("identity element must act trivially")
@@ -51,11 +48,11 @@ class GModule:
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)
 
-    def restrict(self, elements) -> tuple["GModule", dict]:
-        """Module over a subgroup (reindexed); returns (module, index map)."""
-        sub, local = subgroup_table(self.group, elements)
+    def restrict(self, elements) -> "GModule":
+        """Module over a subgroup, its elements reindexed in ascending order."""
+        sub = subgroup_table(self.group, elements)
         act = tuple(self.action[e] for e in sorted(set(elements)))
-        return GModule(sub, self.space, act), local
+        return GModule(sub, self.space, act)
 
 
 @dataclass(frozen=True)

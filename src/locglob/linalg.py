@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SelfCheckError
+
 
 def scalar_matrix(c: int, n: int) -> list[list[int]]:
     return [[c if i == j else 0 for j in range(n)] for i in range(n)]
@@ -185,19 +187,13 @@ def integer_kernel(mat) -> list[list[int]]:
     return [[snf.q[i][j] for i in range(n)] for j in range(snf.rank, n)]
 
 
-def _diagonal_solve(snf: Snf, vec) -> list[int] | None:
-    """z with D z = P vec, so that A (Q z) = vec; None when there is none."""
-    y = mat_vec(snf.p, vec)
-    z = [0] * len(snf.q)
-    for i in range(len(y)):
-        di = snf.d[i] if i < len(snf.d) else 0
-        if di:
-            if y[i] % di:
-                return None
-            z[i] = y[i] // di
-        elif y[i]:
-            return None
-    return z
+def _diagonal_solve(p, d, vec) -> list[int] | None:
+    """u with D u = P vec for a Smith normal form P*A*Q = D of full row rank,
+    so that A Q (u, 0) = vec; None when u is not integral."""
+    y = mat_vec(p, vec)
+    if any(yi % di for yi, di in zip(y, d)):
+        return None
+    return [yi // di for yi, di in zip(y, d)]
 
 
 def columns_matrix(vectors, n) -> list[list[int]]:
@@ -211,33 +207,31 @@ class LatticeQuotient:
 
     basis is the n x n matrix B = (A*Q)[:, :n] whose columns are a basis of
     X, from the Snf P*A*Q = D of the generator matrix A of X; B u = x has
-    the unique solution u_i = (P x)_i / d_i.  W holds the u of the
-    generators of Y, and its Snf P_W*W*Q_W = D_W gives the class of x as
-    P_W u reduced mod the diagonal.  invariant_factors lists the nontrivial
-    cyclic factors in divisibility order; representatives[k] is the vector
-    B * (column of P_W^-1) of X mapping to the k-th standard generator.
+    the unique solution u_i = (P x)_i / d_i, read from x_p = P and x_d = d.
+    W holds the u of the generators of Y, and its Snf P_W*W*Q_W = D_W gives
+    the class of x as P_W u reduced mod the diagonal.  invariant_factors
+    lists the nontrivial cyclic factors in divisibility order;
+    representatives[k] is the vector B * (column of P_W^-1) of X mapping to
+    the k-th standard generator.
     """
 
-    x_snf: Snf
+    x_p: tuple
+    x_d: tuple
     w_p: tuple
     factors_all: tuple      # all diagonal entries of D_W
     invariant_factors: tuple
     basis: tuple
     representatives: tuple
 
-    def _basis_coordinates(self, vec) -> list[int] | None:
-        z = _diagonal_solve(self.x_snf, vec)
-        return None if z is None else z[:len(self.basis)]
-
     def contains(self, vec) -> bool:
         """Whether vec lies in the numerator lattice X."""
-        return self._basis_coordinates(vec) is not None
+        return _diagonal_solve(self.x_p, self.x_d, vec) is not None
 
     def coordinates(self, vec) -> tuple:
         """Class of vec in the nontrivial factors; raises if vec not in X."""
-        u = self._basis_coordinates(vec)
+        u = _diagonal_solve(self.x_p, self.x_d, vec)
         if u is None:
-            raise ValueError("vector does not lie in the ambient lattice")
+            raise SelfCheckError("vector does not lie in the ambient lattice")
         v = mat_vec(self.w_p, u)
         return tuple(v[i] % s for i, s in enumerate(self.factors_all) if s > 1)
 
@@ -254,17 +248,17 @@ def lattice_quotient(x_gens, y_gens, n) -> LatticeQuotient:
     amat = columns_matrix(x_gens, n)
     xsnf = smith_normal_form(amat)
     if xsnf.rank != n:
-        raise ValueError("ambient lattice is not of full rank")
+        raise SelfCheckError("ambient lattice is not of full rank")
     w_cols = []
     for y in y_gens:
-        z = _diagonal_solve(xsnf, y)
-        if z is None:
-            raise ValueError("denominator lattice is not contained in the numerator")
-        w_cols.append(z[:n])
+        u = _diagonal_solve(xsnf.p, xsnf.d, y)
+        if u is None:
+            raise SelfCheckError("denominator lattice is not contained in the numerator")
+        w_cols.append(u)
     wmat = columns_matrix(w_cols, n)
     wsnf = smith_normal_form(wmat)
     if wsnf.rank != n:
-        raise ValueError("quotient is infinite")
+        raise SelfCheckError("quotient is infinite")
     factors = wsnf.d
     basis = mat_mul(amat, [row[:n] for row in xsnf.q])
     # W*Q_W = P_W^-1 * D_W, so column i of P_W^-1 is (W*Q_W)[:, i] / s_i
@@ -273,8 +267,8 @@ def lattice_quotient(x_gens, y_gens, n) -> LatticeQuotient:
     for i, s in enumerate(factors):
         if s > 1:
             reps.append(tuple(mat_vec(basis, [row[i] // s for row in wq])))
-    return LatticeQuotient(xsnf, wsnf.p, factors, tuple(s for s in factors if s > 1),
-                           _freeze(basis), tuple(reps))
+    return LatticeQuotient(xsnf.p, xsnf.d, wsnf.p, factors,
+                           tuple(s for s in factors if s > 1), _freeze(basis), tuple(reps))
 
 
 def kernel_mod_lattice(rows, row_moduli, n) -> list[list[int]]:

@@ -42,8 +42,8 @@ class PlaceModel:
     module: GModule
     designated: tuple      # sorted ((label, elements), ...)
     archimedean: frozenset
-    # None -> element sets of the nontrivial cyclic subgroups; label set T ->
-    # coordinate subgroup of Sha(T); filled by _sha_coordinates
+    # None -> element sets of the nontrivial cyclic subgroups (_cyclic_sets);
+    # label set T -> coordinate subgroup of Sha(T) (_sha_coordinates)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -122,13 +122,18 @@ def _sha_coordinates(model: PlaceModel, T: frozenset) -> Subgroup:
     subgroup whose label is not in T; computed once per model and T."""
     kernels = model._kernels
     if T not in kernels:
-        if None not in kernels:
-            kernels[None] = [z.elements for z in cyclic_subgroups(model.module.group)
-                             if z.order > 1]
-        sets = kernels[None] + [elems for label, elems in model.designated
-                                if label not in T]
+        sets = _cyclic_sets(model) + [elems for label, elems in model.designated
+                                      if label not in T]
         kernels[T] = restriction_kernel(h1(model.module), sets)
     return kernels[T]
+
+
+def _cyclic_sets(model: PlaceModel) -> list:
+    """Element tuples of the nontrivial cyclic subgroups, once per model."""
+    if None not in model._kernels:
+        model._kernels[None] = [z.elements for z in cyclic_subgroups(model.module.group)
+                                if z.order > 1]
+    return model._kernels[None]
 
 
 def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -159,8 +164,8 @@ class Verdict:
 
 def verdict(model: PlaceModel, queries) -> Verdict:
     """hasse <=> Sha(empty) = 0; strong_hasse <=> Sha(all labels) = 0 (the
-    cyclic-restriction reduction); T-singular <=> some member of Sha(T)
-    restricts nontrivially at a place of T."""
+    cyclic-restriction reduction); T-singular <=> the support set of Sha(T)
+    meets T, i.e. some member restricts nontrivially at a place of T."""
     keys = [tuple(sorted(str(x) for x in T)) for T in queries]
     shas = {T: sha_of_model(model, T) for T in
             dict.fromkeys([frozenset(), model.labels] + [frozenset(k) for k in keys])}
@@ -193,32 +198,29 @@ def _nonzero_witness(sha: ShaGroup) -> CocycleClass:
 
 def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
     """Lexicographically least member of Sha(T) restricting nontrivially at
-    some place of T, if any."""
-    if sha.members.is_trivial():
+    some place of T, or None.  Only places in support_set & T are tested:
+    the support holds every place where some generator, so some member, does."""
+    places = sha.support_set & sha.excluded
+    if not places:
         return None
-    targets = [(label, elems) for label, elems in model.designated
-               if label in sha.excluded]
-    if not targets:
-        return None
+    targets = [elems for label, elems in model.designated if label in places]
     hits = (c for coords, c in sha.members.all_classes()
-            if not all(sha.ambient.vanishes_on(elems, [coords]) for _, elems in targets))
+            if not all(sha.ambient.vanishes_on(elems, [coords]) for elems in targets))
     return min(hits, key=CocycleClass.flat, default=None)
 
 
 def finite_support_bound(model: PlaceModel) -> frozenset:
-    """S = labels with non-cyclic designated subgroup.
+    """S = labels with non-cyclic designated subgroup: neither trivial nor
+    among the model's cyclic subgroups (_cyclic_sets).
 
     Verifies, over all label subsets T (sampled deterministically when there
     are more than SUPPORT_SAMPLE_LIMIT), that Sha(T) <= Sha(S) and that
     Sha(T) equals Sha(empty) whenever T and S are disjoint; when the model satisfies the Hasse
     principle the latter forces Sha(T) = 0.
     """
-    grp = model.module.group
-    s_labels = set()
-    for label, elems in model.designated:
-        if not _is_cyclic_subset(grp, elems):
-            s_labels.add(label)
-    S = frozenset(s_labels)
+    cyclic = set(_cyclic_sets(model))
+    S = frozenset(label for label, elems in model.designated
+                  if len(elems) > 1 and elems not in cyclic)
     labels = sorted(model.labels)
     subsets = _label_subsets(labels, SUPPORT_SAMPLE_LIMIT)
     sha_s = _sha_coordinates(model, S)
@@ -232,11 +234,6 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
             if not _subgroups_equal(sha_t, sha_empty):
                 raise SelfCheckError("Sha(T) grew without meeting S")
     return S
-
-
-def _is_cyclic_subset(grp, elems) -> bool:
-    es = set(elems)
-    return any(set(grp.generated_subgroup((g,))) == es for g in elems)
 
 
 def _label_subsets(labels, limit):

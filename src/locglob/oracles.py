@@ -237,7 +237,7 @@ def brute_force_h1_star(module: GModule):
         ok = True
         for sub in subs:
             vals = [elems[z[g]] for g in sub.elements]
-            sub_mod, _ = module.restrict(sub.elements)
+            sub_mod = module.restrict(sub.elements)
             if not brute_force_is_coboundary(sub_mod, vals):
                 ok = False
                 break

@@ -151,13 +151,13 @@ class PadicNumber:
         return PadicNumber._unchecked(self.prime, self.valuation,
                                       self.prime ** self.precision - self.unit, self.precision)
 
-    def __add__(self, other):
-        other = self._operand(other)
+    def _sum(self, other: "PadicNumber", sign: int) -> "PadicNumber":
+        """self + sign * other; mod p^k the unit p^prec - u of -other is -u."""
         p = self.prime
         if self.is_zero and other.is_zero:
             return PadicNumber.zero(p, min(self.precision, other.precision))
         if self.is_zero:
-            return other._truncate_abs(self.precision)
+            return (other if sign > 0 else -other)._truncate_abs(self.precision)
         if other.is_zero:
             return self._truncate_abs(other.precision)
         v = min(self.valuation, other.valuation)
@@ -166,7 +166,7 @@ class PadicNumber:
             raise PrecisionError("complete cancellation of known digits")
         mod = p ** k
         s = (self.unit * p ** (self.valuation - v)
-             + other.unit * p ** (other.valuation - v)) % mod
+             + sign * other.unit * p ** (other.valuation - v)) % mod
         if s == 0:
             return PadicNumber.zero(p, v + k)
         shift = int_valuation(s, p)
@@ -174,14 +174,16 @@ class PadicNumber:
             return PadicNumber.zero(p, v + k)
         return PadicNumber._unchecked(p, v + shift, s // p ** shift, k - shift)
 
-    def __radd__(self, other):
-        return self + other
+    def __add__(self, other):
+        return self._sum(self._operand(other), 1)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._operand(other))
+        return self._sum(self._operand(other), -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._operand(other)._sum(self, -1)
 
     def __mul__(self, other):
         other = self._operand(other)

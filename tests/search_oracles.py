@@ -1,19 +1,23 @@
 """Search oracles that only the tests read.
 
-Each recomputes by enumeration a quantity that the program decides by a
-formula or a shortcut: H1 of a cyclic group as ker(norm)/im(sigma - 1),
-squares mod p, n-th powers in Q_p by a residue sweep at the Hensel
-modulus, and 2-power divisibility by the whole halving tree.
+Each recomputes by enumeration or by a direct test a quantity that the
+program decides by a formula or a shortcut: H1 of a cyclic group as
+ker(norm)/im(sigma - 1), squares mod p, n-th powers in Q_p by a residue
+sweep at the Hensel modulus, 2-power divisibility by the whole halving
+tree, and bijectivity of a matrix on a finite abelian group by the
+triviality of its kernel (GModule reads it from the homomorphism check).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from locglob.abelian import FinAb, matrix_is_compatible
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
 from locglob.elliptic import halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
+from locglob.linalg import kernel_mod_lattice
 
 
 def cyclic_h1_profile(module: GModule):
@@ -82,3 +86,13 @@ def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:
     fiber_sizes.append(len(halves))
     depths = [1 + halving_depth(curve, q, k - 1, place, fiber_sizes) for q in halves]
     return max(depths, default=0)
+
+
+def matrix_is_automorphism(mat, space: FinAb) -> bool:
+    """Whether an integer matrix is compatible with the moduli of space and
+    bijective on it, by triviality of its kernel (exact, no determinants)."""
+    if not matrix_is_compatible(mat, space):
+        return False
+    d = space.invariant_factors
+    gens = kernel_mod_lattice([list(row) for row in mat], list(d), space.rank)
+    return not any(any(x % m for x, m in zip(g, d)) for g in gens)

@@ -16,8 +16,11 @@ from locglob.gmodules import (GModule, dual_module,
                               trivial_character, CyclotomicData)
 from locglob.groups import (cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3, trivial_group)
+from locglob.linalg import identity_matrix, mat_mod, mat_mul
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
-from search_oracles import cyclic_h1_profile
+from search_oracles import cyclic_h1_profile, matrix_is_automorphism
+
+from families import all_actions
 
 
 def test_h1_trivial_group():
@@ -211,7 +214,7 @@ def test_restrict_class_examples():
     kernel_line = (0, 2)
     res = restrict_class(f, kernel_line)
     assert all(v == (0,) for v in res.values)
-    sub_mod, _ = triv.restrict(kernel_line)
+    sub_mod = triv.restrict(kernel_line)
     assert h1(sub_mod).is_coboundary(res)
 
     # the mu8 star class: trivial on every cyclic subgroup, not on the group
@@ -220,7 +223,7 @@ def test_restrict_class_examples():
     for sub in cyclic_subgroups(mod.group):
         if sub.order == 1:
             continue
-        sub_mod, _ = mod.restrict(sub.elements)
+        sub_mod = mod.restrict(sub.elements)
         res = restrict_class(rep, sub.elements)
         assert brute_force_is_coboundary(sub_mod, res.values)
         assert h1(sub_mod).is_coboundary(res)
@@ -338,3 +341,64 @@ def test_gmodule_validation():
     chi = CyclotomicData(5, (1, 2, 4))
     with pytest.raises(InputError):
         chi.validate(cyclic_group(3))                 # 2^3 = 8 != 1 mod 5
+
+
+def _valid_action(group, space, act) -> bool:
+    """Every matrix an automorphism (compatibility included), action[0] the
+    identity and action a homomorphism, each decided on its own."""
+    d = space.invariant_factors
+    return (all(matrix_is_automorphism(mat, space) for mat in act)
+            and mat_mod(act[0], d) == mat_mod(identity_matrix(space.rank), d)
+            and all(mat_mod(mat_mul(act[g], act[h]), d) == mat_mod(act[group.mul(g, h)], d)
+                    for g in range(group.order) for h in range(group.order)))
+
+
+def test_gmodule_rejects_exactly_the_invalid_actions():
+    # GModule no longer tests bijectivity: identity and homomorphism imply it,
+    # since action[g] * action[g^-1] == action[0] is the identity.  Over
+    # random matrices, valid actions, valid actions with one matrix replaced
+    # (by a random or a singular one) and the cases of
+    # test_gmodule_validation, GModule refuses exactly the inputs that fail
+    # the predicate with the bijectivity test kept
+    rng = random.Random(10)
+    groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              klein_four_group(), symmetric_group_3()]
+    spaces = [FinAb((2,)), FinAb((3,)), FinAb((4,)), FinAb((5,)), FinAb((2, 2))]
+    cases = [(cyclic_group(2), FinAb((4,)), (((1,),), ((2,),))),
+             (cyclic_group(3), FinAb((5,)), (((1,),), ((2,),), ((4,),)))]
+    for group, space in itertools.product(groups, spaces):
+        r, d = space.rank, space.invariant_factors
+        ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+
+        def random_matrix():
+            return tuple(tuple(rng.randrange(d[i]) for _ in range(r)) for i in range(r))
+        # 0, 2 and a coordinate projection, where they are not bijective
+        scalars = [tuple(tuple(c * (i == j) for j in range(r)) for i in range(r))
+                   for c in (0, 2)]
+        projection = tuple(tuple(int(i == j == 0) for j in range(r)) for i in range(r))
+        singular = [mat for mat in scalars + [projection]
+                    if not matrix_is_automorphism(mat, space)]
+        for _ in range(10):
+            cases.append((group, space, tuple(random_matrix() for _ in range(group.order))))
+            cases.append((group, space,
+                          (ident,) + tuple(random_matrix() for _ in range(group.order - 1))))
+        for act in itertools.islice(all_actions(group, space, dedup_first=False), 8):
+            cases.append((group, space, act))
+            g = rng.randrange(1, group.order)
+            for mat in [random_matrix()] + singular:
+                cases.append((group, space, act[:g] + (mat,) + act[g + 1:]))
+        for mat in singular:
+            cases.append((group, space, (ident,) + (mat,) * (group.order - 1)))
+    outcomes = {True: 0, False: 0}
+    singular_rejected = 0
+    for group, space, act in cases:
+        valid = _valid_action(group, space, act)
+        outcomes[valid] += 1
+        if valid:
+            GModule(group, space, act)
+            continue
+        with pytest.raises(InputError):
+            GModule(group, space, act)
+        singular_rejected += not all(matrix_is_automorphism(m, space) for m in act)
+    assert outcomes[True] >= 120 and outcomes[False] >= 600
+    assert singular_rejected >= 500      # a matrix that is not bijective

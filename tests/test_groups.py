@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from locglob.errors import InputError
@@ -70,8 +73,62 @@ def test_generating_set():
 
 def test_subgroup_table():
     z6 = cyclic_group(6)
-    sub, local = subgroup_table(z6, (0, 2, 4))
-    assert sub.order == 3
-    assert local == {0: 0, 2: 1, 4: 2}
+    sub = subgroup_table(z6, (0, 2, 4))
+    # elements 0, 2, 4 become 0, 1, 2; 2 + 4 = 0 and 4 + 4 = 2 in Z/6
+    assert sub == cyclic_group(3)
+    assert sub.mul(1, 2) == 0 and sub.mul(2, 2) == 1
     with pytest.raises(InputError):
         subgroup_table(z6, (0, 2, 3))
+
+
+def _table_checks(m, t) -> tuple[bool, bool]:
+    """(every check passes, the two-sided inverse check fails), with
+    two-sided inverses tested apart as well as associativity."""
+    right_inverses = all(0 in row for row in t)
+    two_sided = right_inverses and all(t[t[g].index(0)][g] == 0 for g in range(m))
+    ok = (all(t[0][g] == g == t[g][0] for g in range(m)) and two_sided
+          and all(t[t[g][h]][k] == t[g][t[h][k]]
+                  for g in range(m) for h in range(m) for k in range(m)))
+    return ok, right_inverses and not two_sided
+
+
+def test_table_accepts_exactly_the_groups():
+    # GroupTable no longer tests two-sided inverses: with a two-sided
+    # identity, right inverses and associativity, gh = e = hk gives g = k.
+    # Over every 3 x 3 table with identity 0, seeded 4 x 4 and 5 x 5 tables
+    # with identity 0 and a 0 in every row, and relabelled groups, it
+    # accepts exactly the tables that pass the checks with that test kept
+    rng = random.Random(11)
+    tables = []
+    for rest in itertools.product(range(3), repeat=4):
+        tables.append((3, ((0, 1, 2), (1,) + rest[:2], (2,) + rest[2:])))
+    for m in (4, 5):
+        for _ in range(300):
+            rows = [tuple(range(m))]
+            for g in range(1, m):
+                row = [g] + [rng.randrange(m) for _ in range(m - 1)]
+                if 0 not in row:
+                    row[rng.randrange(1, m)] = 0
+                rows.append(tuple(row))
+            tables.append((m, tuple(rows)))
+    for group in (cyclic_group(4), klein_four_group(), cyclic_group(5),
+                  cyclic_group(6), symmetric_group_3()):
+        m = group.order
+        for _ in range(5):
+            perm = [0] + rng.sample(range(1, m), m - 1)
+            t = [[0] * m for _ in range(m)]
+            for a in range(m):
+                for b in range(m):
+                    t[perm[a]][perm[b]] = perm[group.mul(a, b)]
+            tables.append((m, tuple(map(tuple, t))))
+    accepted = one_sided = 0
+    for m, t in tables:
+        ok, only_right = _table_checks(m, t)
+        accepted += ok
+        one_sided += only_right
+        if ok:
+            GroupTable(m, t)
+        else:
+            with pytest.raises(InputError):
+                GroupTable(m, t)
+    assert accepted >= 26 and one_sided >= 500

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from locglob.abelian import FinAb
-from locglob.cohomology import h1_star
+from locglob.cohomology import CocycleClass, h1_star
 from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
@@ -15,8 +15,8 @@ from locglob.models import (GW_SWEEP_LIMIT, SUPPORT_SAMPLE_LIMIT, PlaceModel,
                             sha_of_model, verdict, weak_approx_verdict)
 from locglob.padics import Place, is_nth_power, rational_nth_root
 
-from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
-                      random_place_model)
+from families import (_random_module_pool, abelian_shapes_up_to, all_actions,
+                      groups_up_to_order_6, random_place_model)
 
 
 def mu8_q_model():
@@ -68,7 +68,7 @@ def test_sha_members_satisfy_their_invariant():
                      if label not in frozenset(T)]
             for rep in sha.members.representatives:
                 for elems in sets:
-                    sub_mod, _ = model.module.restrict(elems)
+                    sub_mod = model.module.restrict(elems)
                     assert h1(sub_mod).is_coboundary(restrict_class(rep, elems))
             assert sha.support_set <= frozenset(T)
 
@@ -90,7 +90,7 @@ def test_restriction_rows_match_cocycle_restriction():
                 module = GModule(grp, space, act)
                 h = h1(module)
                 trivial_at = {elems: {coords for coords, c in h.all_classes()
-                                      if h1(module.restrict(elems)[0]).is_coboundary(
+                                      if h1(module.restrict(elems)).is_coboundary(
                                           restrict_class(c, elems))}
                               for elems in subgroups}
                 for elems in subgroups:
@@ -302,3 +302,62 @@ def test_weak_approx_mu2_constructive():
     w_inf = weak_approx_verdict(model, chi, {"inf", "3"})
     assert w_inf.surjective
     assert any(p == "inf" for p, _, _ in w_inf.witnesses)
+
+
+def _singular_witness_by_search(model, sha):
+    """Least member of Sha(T) restricting nontrivially at some place of T:
+    every member tested at every place of T, support_set not read."""
+    if sha.members.is_trivial():
+        return None
+    targets = [elems for label, elems in model.designated if label in sha.excluded]
+    hits = (c for coords, c in sha.members.all_classes()
+            if not all(sha.ambient.vanishes_on(elems, [coords]) for elems in targets))
+    return min(hits, key=CocycleClass.flat, default=None)
+
+
+def _seeded_models():
+    """mu8, random place models, and random places on the pool's modules
+    with H1_* != 0, where singular T occur."""
+    rng = random.Random(12)
+    models = [mu8_q_model()[2]] + [random_place_model(rng, require_full_place=i % 2 == 0)
+                                   for i in range(24)]
+    for module in [m for m in _random_module_pool() if h1_star(m).order > 1]:
+        grp = module.group
+        for _ in range(4):
+            designated = {"p%d" % i: grp.generated_subgroup(
+                              rng.sample(range(grp.order), rng.randrange(1, 3)))
+                          for i in range(rng.randrange(2, 5))}
+            models.append(PlaceModel(module, designated, frozenset()))
+    return models
+
+
+def test_verdict_singularity_matches_the_full_search():
+    # verdict reads T-singularity from support_set and tests only the places
+    # in support_set & T; with every label subset queried, its answers and
+    # witnesses equal those of the search over all of T
+    outcomes = []
+    for model in _seeded_models():
+        labels = sorted(model.labels)
+        queries = [frozenset(c) for k in range(len(labels) + 1)
+                   for c in combinations(labels, k)]
+        v = verdict(model, queries)
+        found = {key: wit for kind, key, wit in v.witnesses if kind == "t_singular"}
+        for T in queries:
+            want = _singular_witness_by_search(model, sha_of_model(model, T))
+            assert v.singular(T) == (want is not None)
+            assert found.get(tuple(sorted(T))) == want
+            outcomes.append(want is not None)
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 300
+
+
+def test_finite_support_bound_matches_generated_subgroups():
+    # finite_support_bound reads cyclicity from the model's cyclic subgroups;
+    # S is the set of labels whose subgroup no single element generates
+    bounds = set()
+    for model in _seeded_models():
+        grp = model.module.group
+        want = frozenset(label for label, elems in model.designated
+                         if all(grp.generated_subgroup((g,)) != elems for g in elems))
+        assert finite_support_bound(model) == want
+        bounds.add(bool(want))
+    assert bounds == {True, False}

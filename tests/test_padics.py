@@ -80,6 +80,31 @@ def test_arithmetic_results_pass_the_checking_constructor(a, b, p, na, nb, shift
             op(x, other)
 
 
+@given(operands, operands, st.sampled_from([2, 3, 7, 13]), st.integers(1, 30),
+       st.integers(1, 30), st.integers(0, 12))
+@settings(max_examples=300, deadline=None)
+def test_subtraction_equals_adding_the_negation(a, b, p, na, nb, shift):
+    # x - y and q - x are computed in the body of x + y with a sign; each
+    # result, precision included, equals adding the negation
+    x = PadicNumber.from_rational(a, p, na)
+    y = PadicNumber.from_rational(b, p, nb)
+    near = PadicNumber.from_rational(a - p ** shift * Fraction(b), p, nb)
+    pairs = [(lambda u=u, v=v: u - v, lambda u=u, v=v: u + (-v))
+             for u, v in ((x, y), (x, near), (y, x), (x, x))]
+    pairs += [(lambda u=u, q=q: u - q, lambda u=u, q=q: u + (-u._operand(q)))
+              for u in (x, y) for q in (b, p ** shift)]
+    pairs += [(lambda u=u, q=q: q - u, lambda u=u, q=q: (-u) + q)
+              for u in (x, y) for q in (a, p ** shift)]
+    for subtract, add_negation in pairs:
+        try:
+            want = add_negation()
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                subtract()
+            continue
+        assert subtract() == want
+
+
 def test_cancellation_tracks_precision():
     x = PadicNumber.from_rational(Fraction(1, 3), 5, 10)
     y = x - Fraction(1, 3)

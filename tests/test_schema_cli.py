@@ -308,6 +308,36 @@ def test_internal_root_failure_exits_3(monkeypatch, capsys):
     assert err == "internal failure: internal nth root construction failed\n"
 
 
+def test_lattice_failure_exits_3(monkeypatch, capsys, mu8_file):
+    # a lattice solve that finds no solution breaks an invariant of
+    # lattice_quotient: an engine failure, not a finding (exit 1)
+    import locglob.cli as cli
+    monkeypatch.setattr("locglob.cohomology._H1_CACHE", {})
+    monkeypatch.setattr("locglob.linalg._diagonal_solve", lambda *args: None)
+    assert cli.main(["h1", "--input", mu8_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal failure: denominator lattice is not contained in the numerator\n"
+
+
+def test_bad_h1_representative_exits_3(monkeypatch, capsys, mu8_file):
+    # h1 builds its representatives itself, so one that fails the cocycle
+    # check is an engine failure, not an input error (exit 2)
+    import locglob.cli as cli
+    import locglob.cohomology as cohomology
+    expand = cohomology._expand_from_generator_values
+
+    def perturbed(*args):
+        vals = expand(*args)
+        return (vals[0], tuple(x + 1 for x in vals[1])) + vals[2:]
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    monkeypatch.setattr(cohomology, "_expand_from_generator_values", perturbed)
+    assert cli.main(["h1", "--input", mu8_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal failure: H1 representative: cocycle identity fails at (1, 1)\n"
+
+
 def test_timings_adds_only_elapsed_ms(monkeypatch, capsys):
     from locglob.cli import main
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
