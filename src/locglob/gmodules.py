@@ -45,6 +45,18 @@ class GModule:
                 if mat_mod(mat_mul(act[g], act[h]), d) != mat_mod(act[gh], d):
                     raise InputError("action is not a homomorphism at (%d, %d)" % (g, h))
 
+    @classmethod
+    def _unchecked(cls, group, space, action):
+        # internal fast path for restrict: the matrices of a valid module,
+        # read on a subgroup, stay compatible, the identity still acts
+        # trivially, and the homomorphism property holds on the subgroup's
+        # products because it holds on the group's
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "group", group)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "action", action)
+        return obj
+
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)
 
@@ -52,7 +64,7 @@ class GModule:
         """Module over a subgroup, its elements reindexed in ascending order."""
         sub = subgroup_table(self.group, elements)
         act = tuple(self.action[e] for e in sorted(set(elements)))
-        return GModule(sub, self.space, act)
+        return GModule._unchecked(sub, self.space, act)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Finite groups as explicit multiplication tables.
 
 Index 0 is always the identity.  Tables are validated exhaustively at
-construction, which is cheap at the orders this project works with.
+construction, which is cheap at the orders this project works with; a
+subgroup's table (subgroup_table) inherits its validity from the group.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ class GroupTable:
                 for k in range(m):
                     if t[t[g][h]][k] != t[g][t[h][k]]:
                         raise InputError("table is not associative")
+
+    @classmethod
+    def _unchecked(cls, order, table):
+        # internal fast path for subgroup_table: the table of a closed subset
+        # of a valid group, identity first, is the table of a group; its
+        # entries are indices of the subset, associativity holds in the
+        # ambient group, and each inverse is a power of its element
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "order", order)
+        object.__setattr__(obj, "table", table)
+        return obj
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -127,7 +139,7 @@ def subgroup_table(group: GroupTable, elements) -> GroupTable:
         raise InputError("element set is not closed under the group operation")
     local = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(local[group.mul(a, b)] for b in elems) for a in elems)
-    return GroupTable(len(elems), table)
+    return GroupTable._unchecked(len(elems), table)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,6 @@ from .padics import (Place, is_nth_power, rational_nth_root,
 
 GW_SWEEP_BOUND = 1000
 GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
-# finite_support_bound checks every label subset up to this many, a fixed
-# sample beyond it
-SUPPORT_SAMPLE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,9 @@ class PlaceModel:
     module: GModule
     designated: tuple      # sorted ((label, elements), ...)
     archimedean: frozenset
-    # None -> element sets of the nontrivial cyclic subgroups (_cyclic_sets);
-    # label set T -> coordinate subgroup of Sha(T) (_sha_coordinates)
+    # None -> (element sets of the nontrivial cyclic subgroups, S)
+    # (_generic_sets); a subset K of S -> (coordinate subgroup, members,
+    # support set) of Sha(K), shared by every T with T & S = K (_sha_parts)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,34 +103,53 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     unknown = T - model.labels
     if unknown:
         raise InputError("unknown labels in T: %s" % sorted(unknown))
-    ambient = h1(model.module)
-    coords = _sha_coordinates(model, T)
+    coords, members, support = _sha_parts(model, T)
+    ambient = members.ambient
     if v_generators is not None:
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
-        coords = subgroup_intersection(coords, v_sub)
-    members = subgroup_to_h1subgroup(ambient, coords)
-    support = frozenset(label for label, elems in model.designated
-                        if not ambient.vanishes_on(elems, members.coordinate_generators))
+        members, support = _members_and_support(
+            model, ambient, subgroup_intersection(coords, v_sub))
     return ShaGroup(ambient, members, T, support)
 
 
-def _sha_coordinates(model: PlaceModel, T: frozenset) -> Subgroup:
-    """Coordinates of the classes that restrict to coboundaries on every
-    nontrivial cyclic subgroup (generic places) and on every designated
-    subgroup whose label is not in T; computed once per model and T."""
-    kernels = model._kernels
-    if T not in kernels:
-        sets = _cyclic_sets(model) + [elems for label, elems in model.designated
-                                      if label not in T]
-        kernels[T] = restriction_kernel(h1(model.module), sets)
-    return kernels[T]
+def _sha_parts(model: PlaceModel, T: frozenset) -> tuple:
+    """(coordinate subgroup, members, support set) of Sha(T), computed once
+    per model and K = T & S.  Sha(T) = Sha(K) (see finite_support_bound), and
+    Sha(K) is cut out by the nontrivial cyclic subgroups and the designated
+    subgroups of the labels in S - K: every other label outside K carries a
+    trivial subgroup or one of the cyclic ones."""
+    cyclic, S = _generic_sets(model)
+    key = T & S
+    parts = model._kernels.get(key)
+    if parts is None:
+        ambient = h1(model.module)
+        sets = cyclic + [elems for label, elems in model.designated
+                         if label in S and label not in key]
+        coords = restriction_kernel(ambient, sets)
+        parts = (coords,) + _members_and_support(model, ambient, coords)
+        model._kernels[key] = parts
+    return parts
 
 
-def _cyclic_sets(model: PlaceModel) -> list:
-    """Element tuples of the nontrivial cyclic subgroups, once per model."""
+def _members_and_support(model: PlaceModel, ambient: H1Group, coords: Subgroup) -> tuple:
+    """The classes with the given coordinates, and the labels where one of
+    them restricts nontrivially."""
+    members = subgroup_to_h1subgroup(ambient, coords)
+    support = frozenset(label for label, elems in model.designated
+                        if not ambient.vanishes_on(elems, members.coordinate_generators))
+    return members, support
+
+
+def _generic_sets(model: PlaceModel) -> tuple:
+    """(element tuples of the nontrivial cyclic subgroups, S) in one pass,
+    once per model; S holds the labels whose designated subgroup is neither
+    trivial nor one of those cyclic subgroups."""
     if None not in model._kernels:
-        model._kernels[None] = [z.elements for z in cyclic_subgroups(model.module.group)
-                                if z.order > 1]
+        cyclic = [z.elements for z in cyclic_subgroups(model.module.group) if z.order > 1]
+        known = set(cyclic)
+        S = frozenset(label for label, elems in model.designated
+                      if len(elems) > 1 and elems not in known)
+        model._kernels[None] = (cyclic, S)
     return model._kernels[None]
 
 
@@ -211,42 +228,26 @@ def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
 
 def finite_support_bound(model: PlaceModel) -> frozenset:
     """S = labels with non-cyclic designated subgroup: neither trivial nor
-    among the model's cyclic subgroups (_cyclic_sets).
+    among the model's cyclic subgroups (_generic_sets).
 
-    Verifies, over all label subsets T (sampled deterministically when there
-    are more than SUPPORT_SAMPLE_LIMIT), that Sha(T) <= Sha(S) and that
-    Sha(T) equals Sha(empty) whenever T and S are disjoint; when the model satisfies the Hasse
-    principle the latter forces Sha(T) = 0.
+    Sha(T) is cut out by one restriction condition per nontrivial cyclic
+    subgroup (the generic places) and one per designated subgroup whose
+    label is not in T.  Two identities follow, for all label sets T, T':
+
+    - Sha(T) = Sha(T & S).  A label outside S carries a trivial subgroup,
+      whose condition every class meets, or a nontrivial cyclic subgroup,
+      which is one of the generic ones and so imposes its condition for
+      every T.  Adding such labels to T or removing them leaves the
+      conditions as they are.
+    - Sha(T) <= Sha(T') when T <= T'.  The labels outside T' are among
+      those outside T, so Sha(T') is cut out by fewer conditions.
+
+    Hence Sha(T) <= Sha(S) for every T, and Sha(T) = Sha(empty) whenever T
+    misses S; when the model satisfies the Hasse principle, Sha(T) = 0 for
+    every such T.  Every Sha(T) of the model is one of the 2^|S| groups
+    Sha(K), K <= S.
     """
-    cyclic = set(_cyclic_sets(model))
-    S = frozenset(label for label, elems in model.designated
-                  if len(elems) > 1 and elems not in cyclic)
-    labels = sorted(model.labels)
-    subsets = _label_subsets(labels, SUPPORT_SAMPLE_LIMIT)
-    sha_s = _sha_coordinates(model, S)
-    sha_empty = _sha_coordinates(model, frozenset())
-    for T in subsets:
-        sha_t = _sha_coordinates(model, T)
-        for gen in sha_t.generators:
-            if not sha_s.contains(gen):
-                raise SelfCheckError("Sha(T) is not contained in Sha(S)")
-        if not (T & S):
-            if not _subgroups_equal(sha_t, sha_empty):
-                raise SelfCheckError("Sha(T) grew without meeting S")
-    return S
-
-
-def _label_subsets(labels, limit):
-    n = len(labels)
-    if 2 ** n <= limit:
-        out = []
-        for mask in range(2 ** n):
-            out.append(frozenset(l for i, l in enumerate(labels) if mask >> i & 1))
-        return out
-    out = [frozenset(), frozenset(labels)]
-    for i in range(min(n, limit - 2)):
-        out.append(frozenset(labels[: i + 1]))
-    return out
+    return _generic_sets(model)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -231,18 +231,11 @@ def brute_force_h1_star(module: GModule):
     cobs = set()
     for e in elems:
         cobs.add(tuple(index[space.sub(module.act(g, e), e)] for g in range(grp.order)))
-    subs = [z for z in cyclic_subgroups(grp) if z.order > 1]
-    star = []
-    for z in data.cocycles:
-        ok = True
-        for sub in subs:
-            vals = [elems[z[g]] for g in sub.elements]
-            sub_mod = module.restrict(sub.elements)
-            if not brute_force_is_coboundary(sub_mod, vals):
-                ok = False
-                break
-        if ok:
-            star.append(z)
+    subs = [(z.elements, module.restrict(z.elements))
+            for z in cyclic_subgroups(grp) if z.order > 1]
+    star = [z for z in data.cocycles
+            if all(brute_force_is_coboundary(sub_mod, [elems[z[g]] for g in sub])
+                   for sub, sub_mod in subs)]
     b1 = len(cobs)
     if len(star) % b1:
         raise SelfCheckError("star cocycles do not tile into classes")

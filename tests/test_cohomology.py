@@ -14,13 +14,13 @@ from locglob.gmodules import (GModule, dual_module,
                               homothety_criterion, homothety_module,
                               mu8_klein_model, trivial_action_module,
                               trivial_character, CyclotomicData)
-from locglob.groups import (cyclic_group, cyclic_subgroups,
+from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3, trivial_group)
 from locglob.linalg import identity_matrix, mat_mod, mat_mul
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
 from search_oracles import cyclic_h1_profile, matrix_is_automorphism
 
-from families import all_actions
+from families import all_actions, lemma_consistency_family
 
 
 def test_h1_trivial_group():
@@ -69,7 +69,7 @@ def test_h1_brute_force_agreement_random():
     rng = random.Random(77)
     groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
               klein_four_group(), symmetric_group_3()]
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     shapes = [(2,), (4,), (2, 2), (3,), (6,)]
     checked = 0
     for grp in groups:
@@ -104,7 +104,7 @@ def _all_maps_cocycles(mod):
 def test_generator_enumeration_finds_every_cocycle():
     # brute_force_h1 enumerates values on the generators only; every map
     # G -> M must agree with it on the set of cocycles
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     rng = random.Random(31)
     checked = 0
     for grp in (cyclic_group(2), cyclic_group(3), cyclic_group(4),
@@ -149,7 +149,7 @@ def test_representatives_are_independent_cocycles():
 def test_representative_independence_across_modules():
     # every nonzero combination of representatives is a noncoboundary, and
     # the membership solver inverts cocycle_from_coordinates
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     sampled = []
     for grp in (klein_four_group(), symmetric_group_3(), cyclic_group(4)):
         for shape in ((2, 2), (8,), (2, 4)):
@@ -170,7 +170,7 @@ def test_representative_independence_across_modules():
 def test_cyclic_formula_on_random_matrix_actions():
     # ker(norm)/im(sigma - 1) agreement for cyclic groups acting by
     # arbitrary automorphisms, not only homotheties
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     rng = random.Random(6)
     for n in (2, 3, 4, 6):
         grp = cyclic_group(n)
@@ -271,7 +271,7 @@ def test_dual_module_examples():
 
 def test_double_dual_random():
     rng = random.Random(5)
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     for grp in (cyclic_group(2), cyclic_group(4), klein_four_group()):
         for shape in ((4,), (2, 4), (8,), (2, 2)):
             space = FinAb(shape)
@@ -313,7 +313,7 @@ def test_homothety_examples():
 def test_homothety_noncentral_is_skipped():
     # S3 acting on Z/3: the sign-like action; only central homotheties count
     s3 = symmetric_group_3()
-    from families import all_actions
+    from families import all_actions, lemma_consistency_family
     for act in all_actions(s3, FinAb((3,)), dedup_first=False):
         mod = GModule(s3, FinAb((3,)), act)
         found = homothety_criterion(mod)
@@ -402,3 +402,27 @@ def test_gmodule_rejects_exactly_the_invalid_actions():
         singular_rejected += not all(matrix_is_automorphism(m, space) for m in act)
     assert outcomes[True] >= 120 and outcomes[False] >= 600
     assert singular_rejected >= 500      # a matrix that is not bijective
+
+
+def test_restriction_equals_the_checked_construction():
+    # GModule.restrict and subgroup_table skip the checks that a restriction
+    # of a valid module passes by construction; for every subset of every
+    # group of order <= 6, on every module of order <= 8, a subgroup gives
+    # the module built through the checking constructors and any other
+    # subset is refused
+    subgroups = 0
+    for _, module in lemma_consistency_family(6, 8):
+        grp = module.group
+        for keep in itertools.product((False, True), repeat=grp.order - 1):
+            elems = (0,) + tuple(g for g, k in zip(range(1, grp.order), keep) if k)
+            if not grp.is_subgroup(elems):
+                with pytest.raises(InputError):
+                    module.restrict(elems)
+                continue
+            local = {e: i for i, e in enumerate(elems)}
+            table = GroupTable(len(elems), tuple(tuple(local[grp.mul(a, b)] for b in elems)
+                                                 for a in elems))
+            assert module.restrict(elems) == GModule(table, module.space,
+                                                     tuple(module.action[e] for e in elems))
+            subgroups += 1
+    assert subgroups >= 1000

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,15 +6,16 @@ from itertools import combinations
 import pytest
 
 from locglob.abelian import FinAb
-from locglob.cohomology import CocycleClass, h1_star
+from locglob.cohomology import CocycleClass, h1, h1_star, restriction_kernel
 from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
-from locglob.models import (GW_SWEEP_LIMIT, SUPPORT_SAMPLE_LIMIT, PlaceModel,
-                            _label_subsets, finite_support_bound, gw_decision,
-                            sha_of_model, verdict, weak_approx_verdict)
+from locglob.models import (GW_SWEEP_LIMIT, PlaceModel, _subgroups_equal,
+                            finite_support_bound, gw_decision, sha_of_model, verdict,
+                            weak_approx_verdict)
 from locglob.padics import Place, is_nth_power, rational_nth_root
+from locglob.schema import load_document, parse_model
 
 from families import (_random_module_pool, abelian_shapes_up_to, all_actions,
                       groups_up_to_order_6, random_place_model)
@@ -199,27 +201,62 @@ def test_finite_support_bound_examples():
         assert sha_of_model(m2, T).is_trivial()
 
 
-def test_finite_support_bound_samples_label_subsets(monkeypatch):
+def mu8_seven_label_model():
     # mu8 over Q with seven labelled primes: 2 with the whole (non-cyclic)
-    # Klein group, the others with the cyclic group of Frobenius p mod 8.
-    # 2^7 label subsets exceed SUPPORT_SAMPLE_LIMIT, so the check runs on
-    # the empty set, all labels and the seven label prefixes.
-    module, _ = mu8_klein_model()
-    model = PlaceModel(module, {"2": (0, 1, 2, 3), "3": (0, 1), "5": (0, 2),
-                                "7": (0, 3), "11": (0, 1), "13": (0, 2),
-                                "17": (0,)}, frozenset())
-    assert 2 ** len(model.labels) > SUPPORT_SAMPLE_LIMIT
-    sampled = []
+    # Klein group, the others with the cyclic group of Frobenius p mod 8
+    path = os.path.join(os.path.dirname(__file__), "data", "mu8_seven_labels.json")
+    return parse_model(load_document(path))
 
-    def spy(labels, limit):
-        out = _label_subsets(labels, limit)
-        sampled.extend(out)
-        return out
-    monkeypatch.setattr("locglob.models._label_subsets", spy)
-    assert finite_support_bound(model) == frozenset({"2"})
+
+def _sha_by_full_list(model, T):
+    """Coordinates of Sha(T) from every condition that defines it: each
+    nontrivial cyclic subgroup, found by generating one from every element,
+    and each designated subgroup whose label is not in T."""
+    grp = model.module.group
+    cyclic = {grp.generated_subgroup((g,)) for g in range(grp.order)} - {(0,)}
+    sets = sorted(cyclic) + [elems for label, elems in model.designated if label not in T]
+    return restriction_kernel(h1(model.module), sets)
+
+
+def test_sha_equals_the_kernel_of_every_condition():
+    # Sha(T) is keyed by T & S; for every label subset it equals the kernel
+    # of the full list of conditions, and it grows with T
+    grew = []
+    for model in [mu8_seven_label_model()] + _seeded_models():
+        labels = sorted(model.labels)
+        subsets = [frozenset(c) for r in range(len(labels) + 1)
+                   for c in combinations(labels, r)]
+        shas = {}
+        for T in subsets:
+            shas[T] = sha_of_model(model, T).members.coordinate_subgroup
+            assert _subgroups_equal(shas[T], _sha_by_full_list(model, T))
+        for T in subsets:
+            for T2 in subsets:
+                if T <= T2:
+                    assert all(shas[T2].contains(g) for g in shas[T].generators)
+                    grew.append(shas[T2].order > shas[T].order)
+    assert grew.count(True) >= 50 and grew.count(False) >= 50
+
+
+def test_verdict_computes_one_kernel_per_subset_of_s(monkeypatch):
+    # all 128 label subsets of the seven-label model meet S = {2} in one of
+    # two ways, so verdict needs two restriction kernels
+    import locglob.models
+    model = mu8_seven_label_model()
+    calls = []
+
+    def spy(h, sets):
+        calls.append(sets)
+        return restriction_kernel(h, sets)
+    monkeypatch.setattr(locglob.models, "restriction_kernel", spy)
     labels = sorted(model.labels)
-    assert sampled == ([frozenset(), frozenset(labels)]
-                       + [frozenset(labels[:i + 1]) for i in range(7)])
+    queries = [frozenset(c) for r in range(len(labels) + 1) for c in combinations(labels, r)]
+    v = verdict(model, queries)
+    assert finite_support_bound(model) == frozenset({"2"})
+    assert len(calls) <= 2 ** len(finite_support_bound(model))
+    assert v.hasse and not v.strong_hasse
+    assert [T for T, singular in v.t_singular if singular] == [
+        key for key in map(tuple, map(sorted, queries)) if "2" in key]
 
 
 def test_hasse_failure_with_cyclic_decomposition_everywhere():
@@ -232,8 +269,7 @@ def test_hasse_failure_with_cyclic_decomposition_everywhere():
     assert not v.hasse
     assert not v.strong_hasse
     assert not v.singular({"2"}) and not v.singular({"2", "inf"})
-    # S is empty and sha(T) = sha(empty) != 0 for every T; the support bound
-    # still verifies its containment guarantees
+    # S is empty, so sha(T) = sha(empty) != 0 for every T
     assert finite_support_bound(model) == frozenset()
     assert sha_of_model(model, set()).order == 2
 
@@ -242,7 +278,7 @@ def test_finite_support_bound_random():
     rng = random.Random(99)
     for _ in range(30):
         model = random_place_model(rng)
-        S = finite_support_bound(model)      # raises on any violated containment
+        S = finite_support_bound(model)
         labels = sorted(model.labels)
         sha_s = sha_of_model(model, S)
         for r in range(len(labels) + 1):

@@ -388,6 +388,18 @@ def test_mu8_reports_are_pinned(monkeypatch, capsys, args, expected):
     assert code == (1 if args[0] == "hasse" else 0)
 
 
+def test_mu8_seven_labels_report_is_pinned(monkeypatch, capsys):
+    """The JSON hasse report on mu8 with seven labelled primes, byte for
+    byte, for queries with and without the one non-cyclic label 2."""
+    from locglob.cli import main
+    monkeypatch.chdir(REPO)
+    code = main(["hasse", "--input", "tests/data/mu8_seven_labels.json", "--format", "json",
+                 "--t", "2", "--t", "3,5", "--t", "2,3,17", "--t", "2,3,5,7,11,13,17"])
+    with open(os.path.join(REPO, "tests", "data", "mu8_seven_labels_hasse.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 1
+
+
 @pytest.mark.parametrize("place", ["2", "3", "5", "inf", "global"])
 def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
     """The text report with the halves of the Dvornicich-Zannier point, byte
