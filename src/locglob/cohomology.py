@@ -23,7 +23,9 @@ _CANONICAL_LIMIT = 4096
 
 @dataclass(frozen=True)
 class CocycleClass:
-    """A 1-cocycle: values f(g) with f(gh) = f(g) + g.f(h), f(1) = 0."""
+    """A 1-cocycle: values f(g) with f(gh) = f(g) + g.f(h), f(1) = 0.
+    Construction checks the identity for generators h only; by induction on
+    h = h's, as for GModule, f(gh) = f(gh') + gh'.f(s) = f(g) + g.f(h)."""
 
     module: GModule
     values: tuple
@@ -38,16 +40,15 @@ class CocycleClass:
         if vals[0] != space.zero():
             raise InputError("cocycle must vanish at the identity")
         for g in range(m):
-            for h in range(m):
-                gh = self.module.group.mul(g, h)
-                want = space.add(vals[g], self.module.act(g, vals[h]))
-                if vals[gh] != want:
-                    raise InputError("cocycle identity fails at (%d, %d)" % (g, h))
+            for s in self.module.group.generating_set():
+                gs = self.module.group.mul(g, s)
+                if vals[gs] != space.add(vals[g], self.module.act(g, vals[s])):
+                    raise InputError("cocycle identity fails at (%d, %d)" % (g, s))
 
     @classmethod
     def _unchecked(cls, module, values):
         # internal fast path: cocycle arithmetic preserves the identity, so
-        # results of add/scale/coboundary skip the exhaustive revalidation
+        # results of add/scale/coboundary skip the revalidation
         obj = object.__new__(cls)
         object.__setattr__(obj, "module", module)
         object.__setattr__(obj, "values", values)

@@ -19,7 +19,10 @@ class GModule:
 
     action[g] is an integer matrix (tuple of row tuples) acting on column
     vectors.  Construction checks compatibility, action[0] = 1 and action[g]
-    action[h] = action[gh]; then action[g] action[g^-1] = 1 makes it bijective.
+    action[s] = action[gs] for every g and generator s; then action[g]
+    action[g^-1] = 1 makes it bijective.  By induction on the length of h as
+    a product (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
+    rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
     """
 
     group: GroupTable
@@ -37,25 +40,13 @@ class GModule:
             if not matrix_is_compatible(mat, self.space):
                 raise InputError("action matrix %d is not compatible with the moduli" % g)
         d = self.space.invariant_factors
-        if mat_mod(act[0], d) != mat_mod(identity_matrix(self.space.rank), d):
+        red = tuple(mat_mod(mat, d) for mat in act)
+        if red[0] != mat_mod(identity_matrix(self.space.rank), d):
             raise InputError("identity element must act trivially")
         for g in range(m):
-            for h in range(m):
-                gh = self.group.mul(g, h)
-                if mat_mod(mat_mul(act[g], act[h]), d) != mat_mod(act[gh], d):
-                    raise InputError("action is not a homomorphism at (%d, %d)" % (g, h))
-
-    @classmethod
-    def _unchecked(cls, group, space, action):
-        # internal fast path for restrict: the matrices of a valid module,
-        # read on a subgroup, stay compatible, the identity still acts
-        # trivially, and the homomorphism property holds on the subgroup's
-        # products because it holds on the group's
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "group", group)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "action", action)
-        return obj
+            for s in self.group.generating_set():
+                if mat_mod(mat_mul(act[g], act[s]), d) != red[self.group.mul(g, s)]:
+                    raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)
@@ -64,12 +55,13 @@ class GModule:
         """Module over a subgroup, its elements reindexed in ascending order."""
         sub = subgroup_table(self.group, elements)
         act = tuple(self.action[e] for e in sorted(set(elements)))
-        return GModule._unchecked(sub, self.space, act)
+        return GModule(sub, self.space, act)
 
 
 @dataclass(frozen=True)
 class CyclotomicData:
-    """A character from the group to the units mod n (multiplicative)."""
+    """A character from the group to the units mod n (multiplicative);
+    validate checks chi(gs) = chi(g) chi(s) for generators s, as GModule."""
 
     modulus: int
     character: tuple   # character[g] is a unit mod modulus
@@ -89,9 +81,9 @@ class CyclotomicData:
         for g in range(group.order):
             if gcd(self.character[g], n) != 1:
                 raise InputError("character values must be units")
-            for h in range(group.order):
-                if (self.character[g] * self.character[h]
-                        - self.character[group.mul(g, h)]) % n:
+            for s in group.generating_set():
+                if (self.character[g] * self.character[s]
+                        - self.character[group.mul(g, s)]) % n:
                     raise InputError("character is not multiplicative")
 
 
@@ -170,8 +162,9 @@ def homothety_criterion(module: GModule):
     expo = module.space.exponent
     g_ord = module.group.order
     found = None
-    for s in range(g_ord):
-        if any(module.group.mul(s, h) != module.group.mul(h, s) for h in range(g_ord)):
+    for s in range(g_ord):      # central: commutes with every generator h
+        if any(module.group.mul(s, h) != module.group.mul(h, s)
+               for h in module.group.generating_set()):
             continue
         mat = module.action[s]
         r = module.space.rank

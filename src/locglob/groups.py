@@ -1,13 +1,13 @@
 """Finite groups as explicit multiplication tables.
 
-Index 0 is always the identity.  Tables are validated exhaustively at
-construction, which is cheap at the orders this project works with; a
-subgroup's table (subgroup_table) inherits its validity from the group.
+Index 0 is always the identity.  Every table is validated at construction,
+subgroup tables (subgroup_table) included; associativity is checked on a
+generating set S (Light's test), at |S| * m^2 table reads instead of m^3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -15,10 +15,16 @@ from .errors import InputError
 @dataclass(frozen=True)
 class GroupTable:
     """Construction checks shape, the identity 0, right inverses (read by inv)
-    and associativity; gh = e = hk gives g = g(hk) = (gh)k = k: two-sided."""
+    and associativity; gh = e = hk gives g = g(hk) = (gh)k = k: two-sided.
+    Associativity is Light's test, (xa)y = x(ay) for a in the generating set
+    and all x, y: the a that pass contain 0 and are closed under products,
+    as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), and each element
+    is a product (...(0 s1) ...) sk, since the greedy set takes every element
+    that the generators before it do not reach from 0."""
 
     order: int
     table: tuple   # table[g][h] = index of g*h
+    _gens: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.order
@@ -37,22 +43,19 @@ class GroupTable:
         for g in range(m):
             if 0 not in t[g]:
                 raise InputError("element %d has no right inverse" % g)
-        for g in range(m):
-            for h in range(m):
-                for k in range(m):
-                    if t[t[g][h]][k] != t[g][t[h][k]]:
-                        raise InputError("table is not associative")
-
-    @classmethod
-    def _unchecked(cls, order, table):
-        # internal fast path for subgroup_table: the table of a closed subset
-        # of a valid group, identity first, is the table of a group; its
-        # entries are indices of the subset, associativity holds in the
-        # ambient group, and each inverse is a power of its element
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "table", table)
-        return obj
+        gens = []
+        have = {0}
+        for g in range(1, m):
+            if g not in have:
+                gens.append(g)
+                have = set(self.generated_subgroup(gens))
+                if len(have) == m:
+                    break
+        object.__setattr__(self, "_gens", tuple(gens))
+        for a in gens:
+            for x in range(m):
+                if tuple(t[t[x][a]]) != tuple(t[x][b] for b in t[a]):
+                    raise InputError("table is not associative")
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -72,28 +75,22 @@ class GroupTable:
                    for g in range(self.order) for h in range(self.order))
 
     def generated_subgroup(self, gens) -> tuple:
+        """The elements reached from 0 by right multiplication by gens; in a
+        finite group each s^-1 is a power of s, so this is the subgroup."""
         seen = {0}
         frontier = [0]
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                for nxt in (self.mul(cur, g), self.mul(cur, self.inv(g))):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+                nxt = self.mul(cur, g)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
         return tuple(sorted(seen))
 
     def generating_set(self) -> tuple:
         """Greedy generating set, deterministic, identity excluded."""
-        gens = []
-        have = {0}
-        for g in range(1, self.order):
-            if g not in have:
-                gens.append(g)
-                have = set(self.generated_subgroup(gens))
-                if len(have) == self.order:
-                    break
-        return tuple(gens)
+        return self._gens
 
     def is_subgroup(self, elements) -> bool:
         es = set(elements)
@@ -139,7 +136,7 @@ def subgroup_table(group: GroupTable, elements) -> GroupTable:
         raise InputError("element set is not closed under the group operation")
     local = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(local[group.mul(a, b)] for b in elems) for a in elems)
-    return GroupTable._unchecked(len(elems), table)
+    return GroupTable(len(elems), table)
 
 
 # ---------------------------------------------------------------------------

@@ -39,20 +39,17 @@ class PlaceModel:
     module: GModule
     designated: tuple      # sorted ((label, elements), ...)
     archimedean: frozenset
+    labels: frozenset = field(init=False, repr=False, compare=False)
     # None -> (element sets of the nontrivial cyclic subgroups, S)
     # (_generic_sets); a subset K of S -> (coordinate subgroup, members,
     # support set) of Sha(K), shared by every T with T & S = K (_sha_parts)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.designated, dict):
-            object.__setattr__(self, "designated",
-                               tuple(sorted((str(k), tuple(sorted(set(v))))
-                                            for k, v in self.designated.items())))
-        else:
-            object.__setattr__(self, "designated",
-                               tuple(sorted((str(k), tuple(sorted(set(v))))
-                                            for k, v in self.designated)))
+        pairs = (self.designated.items() if isinstance(self.designated, dict)
+                 else self.designated)
+        object.__setattr__(self, "designated",
+                           tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs)))
         object.__setattr__(self, "archimedean", frozenset(str(x) for x in self.archimedean))
         grp = self.module.group
         labels = set()
@@ -62,16 +59,13 @@ class PlaceModel:
             labels.add(label)
             if not grp.is_subgroup(elems):
                 raise InputError("designated set at %r is not a subgroup" % label)
+        object.__setattr__(self, "labels", frozenset(labels))
         for label in self.archimedean:
             if label not in labels:
                 raise InputError("archimedean label %r has no designated subgroup" % label)
             elems = dict(self.designated)[label]
             if len(elems) > 2:
                 raise InputError("archimedean place %r must have order <= 2" % label)
-
-    @property
-    def labels(self) -> frozenset:
-        return frozenset(label for label, _ in self.designated)
 
 
 @dataclass(frozen=True)

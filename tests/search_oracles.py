@@ -6,18 +6,23 @@ ker(norm)/im(sigma - 1), squares mod p, n-th powers in Q_p by a residue
 sweep at the Hensel modulus, 2-power divisibility by the whole halving
 tree, and bijectivity of a matrix on a finite abelian group by the
 triviality of its kernel (GModule reads it from the homomorphism check).
+The axioms of a group table, an action, a cocycle and a character are
+tested here on all triples or pairs of elements; the program checks them
+on a generating set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from locglob.abelian import FinAb, matrix_is_compatible
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
 from locglob.elliptic import halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
-from locglob.linalg import kernel_mod_lattice
+from locglob.groups import GroupTable
+from locglob.linalg import identity_matrix, kernel_mod_lattice, mat_mod, mat_mul
 
 
 def cyclic_h1_profile(module: GModule):
@@ -96,3 +101,42 @@ def matrix_is_automorphism(mat, space: FinAb) -> bool:
     d = space.invariant_factors
     gens = kernel_mod_lattice([list(row) for row in mat], list(d), space.rank)
     return not any(any(x % m for x, m in zip(g, d)) for g in gens)
+
+
+def group_table_checks(m, t) -> tuple[bool, bool]:
+    """(every group axiom holds, right inverses exist but are not two-sided)
+    for an m x m table with entries in range, identity 0 tested, two-sided
+    inverses tested apart from associativity, which runs over all triples."""
+    right_inverses = all(0 in row for row in t)
+    two_sided = right_inverses and all(t[t[g].index(0)][g] == 0 for g in range(m))
+    ok = (all(t[0][g] == g == t[g][0] for g in range(m)) and two_sided
+          and all(t[t[g][h]][k] == t[g][t[h][k]]
+                  for g in range(m) for h in range(m) for k in range(m)))
+    return ok, right_inverses and not two_sided
+
+
+def is_action(group: GroupTable, space: FinAb, act) -> bool:
+    """Every matrix an automorphism (compatibility included), action[0] the
+    identity and action a homomorphism on all pairs, each decided on its own."""
+    d = space.invariant_factors
+    return (all(matrix_is_automorphism(mat, space) for mat in act)
+            and mat_mod(act[0], d) == mat_mod(identity_matrix(space.rank), d)
+            and all(mat_mod(mat_mul(act[g], act[h]), d) == mat_mod(act[group.mul(g, h)], d)
+                    for g in range(group.order) for h in range(group.order)))
+
+
+def is_cocycle(module: GModule, values) -> bool:
+    """f(1) = 0 and f(gh) = f(g) + g.f(h) on all pairs, for reduced values."""
+    space = module.space
+    grp = module.group
+    return (values[0] == space.zero()
+            and all(values[grp.mul(g, h)] == space.add(values[g], module.act(g, values[h]))
+                    for g in range(grp.order) for h in range(grp.order)))
+
+
+def is_character(group: GroupTable, n: int, values) -> bool:
+    """chi(1) = 1, unit values and chi(gh) = chi(g) chi(h) mod n on all pairs."""
+    return ((values[0] - 1) % n == 0
+            and all(gcd(v, n) == 1 for v in values)
+            and all((values[g] * values[h] - values[group.mul(g, h)]) % n == 0
+                    for g in range(group.order) for h in range(group.order)))

@@ -16,9 +16,9 @@ from locglob.gmodules import (GModule, dual_module,
                               trivial_character, CyclotomicData)
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3, trivial_group)
-from locglob.linalg import identity_matrix, mat_mod, mat_mul
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
-from search_oracles import cyclic_h1_profile, matrix_is_automorphism
+from search_oracles import (cyclic_h1_profile, is_action, is_character, is_cocycle,
+                            matrix_is_automorphism)
 
 from families import all_actions, lemma_consistency_family
 
@@ -343,16 +343,6 @@ def test_gmodule_validation():
         chi.validate(cyclic_group(3))                 # 2^3 = 8 != 1 mod 5
 
 
-def _valid_action(group, space, act) -> bool:
-    """Every matrix an automorphism (compatibility included), action[0] the
-    identity and action a homomorphism, each decided on its own."""
-    d = space.invariant_factors
-    return (all(matrix_is_automorphism(mat, space) for mat in act)
-            and mat_mod(act[0], d) == mat_mod(identity_matrix(space.rank), d)
-            and all(mat_mod(mat_mul(act[g], act[h]), d) == mat_mod(act[group.mul(g, h)], d)
-                    for g in range(group.order) for h in range(group.order)))
-
-
 def test_gmodule_rejects_exactly_the_invalid_actions():
     # GModule no longer tests bijectivity: identity and homomorphism imply it,
     # since action[g] * action[g^-1] == action[0] is the identity.  Over
@@ -392,7 +382,7 @@ def test_gmodule_rejects_exactly_the_invalid_actions():
     outcomes = {True: 0, False: 0}
     singular_rejected = 0
     for group, space, act in cases:
-        valid = _valid_action(group, space, act)
+        valid = is_action(group, space, act)
         outcomes[valid] += 1
         if valid:
             GModule(group, space, act)
@@ -404,12 +394,60 @@ def test_gmodule_rejects_exactly_the_invalid_actions():
     assert singular_rejected >= 500      # a matrix that is not bijective
 
 
+_SMALL_GROUPS = (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                 klein_four_group(), symmetric_group_3())
+
+
+def test_cocycle_accepts_exactly_the_cocycles():
+    # CocycleClass checks f(gs) = f(g) + g.f(s) for generators s only; over
+    # every value assignment on C2, C3, C4, V4 and S3 acting in every way
+    # (up to conjugacy) on Z/2, Z/3 and (Z/2)^2, it accepts exactly the
+    # assignments that pass the identity on all pairs
+    outcomes = {True: 0, False: 0}
+    for group in _SMALL_GROUPS:
+        for space in (FinAb((2,)), FinAb((3,)), FinAb((2, 2))):
+            elems = list(space.elements())
+            for act in all_actions(group, space):
+                module = GModule(group, space, act)
+                for values in itertools.product(elems, repeat=group.order):
+                    valid = is_cocycle(module, values)
+                    outcomes[valid] += 1
+                    if valid:
+                        CocycleClass(module, values)
+                        continue
+                    with pytest.raises(InputError):
+                        CocycleClass(module, values)
+    assert outcomes[True] >= 100 and outcomes[False] >= 10000
+
+
+def test_character_validation_accepts_exactly_the_characters():
+    # CyclotomicData.validate checks chi(gs) = chi(g) chi(s) for generators
+    # s only; over every value assignment mod n on C2, C3, C4, V4 and S3,
+    # for n in 2, 3, 4, 5, 8 with at most 5^6 assignments, it accepts
+    # exactly the assignments that pass the product rule on all pairs
+    outcomes = {True: 0, False: 0}
+    for group in _SMALL_GROUPS:
+        for n in (2, 3, 4, 5, 8):
+            if n ** group.order > 5 ** 6:
+                continue
+            for values in itertools.product(range(n), repeat=group.order):
+                chi = CyclotomicData(n, values)
+                valid = is_character(group, n, values)
+                outcomes[valid] += 1
+                if valid:
+                    chi.validate(group)
+                    continue
+                with pytest.raises(InputError):
+                    chi.validate(group)
+    assert outcomes[True] >= 50 and outcomes[False] >= 20000
+
+
 def test_restriction_equals_the_checked_construction():
-    # GModule.restrict and subgroup_table skip the checks that a restriction
-    # of a valid module passes by construction; for every subset of every
-    # group of order <= 6, on every module of order <= 8, a subgroup gives
-    # the module built through the checking constructors and any other
-    # subset is refused
+    # GModule.restrict and subgroup_table build their results through the
+    # checking constructors; for every subset of every group of order <= 6,
+    # on every module of order <= 8, a subgroup gives the module with the
+    # reindexed table and the restricted matrices, and any other subset is
+    # refused
     subgroups = 0
     for _, module in lemma_consistency_family(6, 8):
         grp = module.group

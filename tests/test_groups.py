@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from search_oracles import group_table_checks
 
 from locglob.errors import InputError
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
@@ -81,15 +82,24 @@ def test_subgroup_table():
         subgroup_table(z6, (0, 2, 3))
 
 
-def _table_checks(m, t) -> tuple[bool, bool]:
-    """(every check passes, the two-sided inverse check fails), with
-    two-sided inverses tested apart as well as associativity."""
-    right_inverses = all(0 in row for row in t)
-    two_sided = right_inverses and all(t[t[g].index(0)][g] == 0 for g in range(m))
-    ok = (all(t[0][g] == g == t[g][0] for g in range(m)) and two_sided
-          and all(t[t[g][h]][k] == t[g][t[h][k]]
-                  for g in range(m) for h in range(m) for k in range(m)))
-    return ok, right_inverses and not two_sided
+def _loop(m, rng):
+    """A random loop on 0..m-1 with identity 0 (a Latin square whose row 0
+    and column 0 are the identity), by backtracking over shuffled values."""
+    t = [list(range(m))] + [[g] + [None] * (m - 1) for g in range(1, m)]
+    cells = [(g, h) for g in range(1, m) for h in range(1, m)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        g, h = cells[i]
+        for x in rng.sample(range(m), m):
+            if x not in t[g][:h] and all(t[k][h] != x for k in range(g)):
+                t[g][h] = x
+                if fill(i + 1):
+                    return True
+        return False
+    fill(0)
+    return tuple(map(tuple, t))
 
 
 def test_table_accepts_exactly_the_groups():
@@ -121,9 +131,25 @@ def test_table_accepts_exactly_the_groups():
                 for b in range(m):
                     t[perm[a]][perm[b]] = perm[group.mul(a, b)]
             tables.append((m, tuple(map(tuple, t))))
+    # GroupTable checks associativity on a generating set only; these add
+    # tables where associativity alone fails: relabelled groups with two
+    # entries of one row swapped (identity and right inverses stay), and
+    # loops, Latin squares with identity 0
+    extra = random.Random(12)
+    n_old = len(tables)
+    for m, t in tables[-25:]:
+        for _ in range(4):
+            g = extra.randrange(1, m)
+            h, k = extra.sample(range(1, m), 2)
+            row = list(t[g])
+            row[h], row[k] = row[k], row[h]
+            tables.append((m, t[:g] + (tuple(row),) + t[g + 1:]))
+    for m in (5, 6):
+        for _ in range(150):
+            tables.append((m, _loop(m, extra)))
     accepted = one_sided = 0
     for m, t in tables:
-        ok, only_right = _table_checks(m, t)
+        ok, only_right = group_table_checks(m, t)
         accepted += ok
         one_sided += only_right
         if ok:
@@ -132,3 +158,4 @@ def test_table_accepts_exactly_the_groups():
             with pytest.raises(InputError):
                 GroupTable(m, t)
     assert accepted >= 26 and one_sided >= 500
+    assert sum(not group_table_checks(m, t)[0] for m, t in tables[n_old:]) >= 350

@@ -234,9 +234,15 @@ _MU8_TABLE_WITH_LIST = MU8_DOC["table"][:5] + [[1]] + MU8_DOC["table"][6:]
     # int() would truncate 8.5 to 8 and raise OverflowError on Infinity
     {"invariant_factors": [8.5]},
     {"action": dict(MU8_DOC["action"], **{"1": [float("inf")]})},
+    # a Latin square with identity 0, so only associativity fails: 1 * 1 = 0,
+    # and a group of order 5 has no element of order 2
+    {"order": 5, "table": [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 4, 0, 1, 3,
+                           3, 2, 4, 0, 1, 4, 3, 1, 2, 0],
+     "action": {str(g): [1] for g in range(5)}, "designated": {"2": [0]},
+     "archimedean": []},
 ], ids=["table_entry_list", "action_entry_null", "invariant_factor_text",
         "designated_scalar", "designated_out_of_range", "order_bool",
-        "invariant_factor_fraction", "action_entry_infinity"])
+        "invariant_factor_fraction", "action_entry_infinity", "table_loop_order_5"])
 def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     doc = dict(json.loads(json.dumps(MU8_DOC)), **changes)
     path = tmp_path / "bad.json"
@@ -247,6 +253,17 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+@pytest.mark.parametrize("command", ["h1", "hasse"])
+def test_order_400_cyclic_document_exits_0(command):
+    # C400 acting on Z/4 by (-1)^g: the table and the action are checked on
+    # the one generator, not on all 160,000 pairs, and H1 = Z/2
+    out = run_cli(command, "--input", os.path.join(REPO, "tests", "data", "cyclic_400.json"),
+                  "--format", "json")
+    assert out.returncode == 0, out.stderr
+    if command == "h1":
+        assert json.loads(out.stdout)["results"]["invariant_factors"] == [2]
 
 
 _DZ = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728")

@@ -37,3 +37,37 @@ def test_internal_failures_raise_self_check_error():
              for path in paths
              for line, what in _internal_failure_offences(ast.parse(path.read_text()))]
     assert found == []
+
+
+# the two constructors that build results of arithmetic without the checks;
+# every input, restrictions included, goes through a checking constructor
+_OBJECT_NEW_ALLOWED = {("cohomology.py", "CocycleClass._unchecked"),
+                       ("padics.py", "PadicNumber._unchecked")}
+
+
+def _object_new_sites(tree, scope=()):
+    """(line, qualified name of the enclosing definitions) for each
+    reference to object.__new__."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (node.name,)
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            yield node.lineno, ".".join(scope)
+        yield from _object_new_sites(node, inner)
+
+
+def test_object_new_finder():
+    tree = ast.parse("x = object.__new__(A)\nclass A:\n    def f(self):\n"
+                     "        return object.__new__(A)\n    y = object.__new__\n"
+                     "def g():\n    return other.__new__(A)\n")
+    assert list(_object_new_sites(tree)) == [(1, ""), (4, "A.f"), (5, "A")]
+
+
+def test_object_new_only_in_the_arithmetic_constructors():
+    found = ["%s:%d: object.__new__ in %s" % (path.name, line, where or "module scope")
+             for path in sorted(SRC.glob("*.py"))
+             for line, where in _object_new_sites(ast.parse(path.read_text()))
+             if (path.name, where) not in _OBJECT_NEW_ALLOWED]
+    assert found == []
