@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mod
 
 from .errors import InputError, SelfCheckError
 from .linalg import (LatticeQuotient, identity_matrix, integer_kernel,
@@ -106,6 +107,19 @@ def apply_matrix(mat, vec, space: FinAb) -> tuple:
     d = space.invariant_factors
     return tuple(sum(mat[i][j] * vec[j] for j in range(space.rank)) % d[i]
                  for i in range(space.rank))
+
+
+def linear_table(space: FinAb, images, moduli) -> list:
+    """f(x) for every x of space, in `elements()` order, for the additive
+    map f with f(e_j) = images[j] and values reduced mod moduli: each entry
+    is one tuple addition of a multiple of a basis image to an entry before
+    it.  f is well defined when d_j * images[j] = 0 mod moduli."""
+    moduli = tuple(moduli)
+    out = [(0,) * len(moduli)]
+    for img, d in zip(images, space.invariant_factors):
+        steps = [tuple(t * x % q for x, q in zip(img, moduli)) for t in range(d)]
+        out = [tuple(map(mod, map(add, v, w), moduli)) for v in out for w in steps]
+    return out
 
 
 @dataclass(frozen=True)

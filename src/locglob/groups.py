@@ -93,10 +93,30 @@ class GroupTable:
         return self._gens
 
     def is_subgroup(self, elements) -> bool:
+        """Whether the set is a subgroup: the closure of 0 under right
+        multiplication by its greedy generators (each element not yet
+        reached, as in `generating_set`) is the subgroup they generate, so
+        the set is one exactly when that closure never leaves it; the greedy
+        choice makes it reach every element."""
         es = set(elements)
         if 0 not in es:
             return False
-        return all(self.mul(a, b) in es for a in es for b in es)
+        gens, have = [], {0}
+        for g in sorted(es):
+            if g in have:
+                continue
+            gens.append(g)
+            frontier = list(have)
+            while frontier:
+                cur = frontier.pop()
+                for s in gens:
+                    nxt = self.mul(cur, s)
+                    if nxt not in have:
+                        if nxt not in es:
+                            return False
+                        have.add(nxt)
+                        frontier.append(nxt)
+        return True
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 Everything here recomputes quantities by enumeration or search, staying
 independent of the linear-algebra and residue-formula paths it is used to
-check, in `h1` and in `reproduce --oracle`.  Nothing here decides an
-answer.  Oracles that only the tests read live in `tests/search_oracles.py`.
+check, in `h1` and in `reproduce --oracle`; enumerations over a module
+tabulate additive maps from their values on a basis (`linear_table`).
+Nothing here decides an answer.  Oracles that only the tests read live in
+`tests/search_oracles.py`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mod
 
+from .abelian import linear_table
 from .errors import InputError, SelfCheckError
 from .gmodules import GModule
 
@@ -24,33 +27,32 @@ class BruteH1:
     cocycles: tuple | None    # value-index tuples, only kept when asked
 
 
-def _action_table(module: GModule, g: int) -> list:
-    """g.x for every x of M, in `space.elements()` order, extended
-    additively from the images of the basis vectors."""
-    space = module.space
-    out = [space.zero()]
-    for j, d in enumerate(space.invariant_factors):
-        col = module.act(g, tuple(int(i == j) for i in range(space.rank)))
-        steps = [space.scale(t, col) for t in range(d)]
-        out = [space.add(v, w) for v in out for w in steps]
-    return out
-
-
 def brute_force_h1(module: GModule, keep_cocycles: bool = False) -> BruteH1:
-    """Enumerate the assignments of values to the generating set of G,
-    extend each along a breadth-first spanning tree by f(gs) = f(g) + g.f(s),
-    keep those satisfying that identity for every g and generator s (these
-    are exactly the cocycles), and divide out coboundaries.  Returns the
-    order and the k-torsion profile of Z1/B1, for k dividing the exponent
-    of M.  Work: |M|^k * |G| for k generators; tables linear in |M|.
+    """Z1 and B1 on the generating set of G by enumeration of M; returns the
+    order and the k-torsion profile of Z1/B1, for k dividing the exponent of
+    M.
+
+    A cocycle is determined by its generator values x = (x_1, ..., x_k):
+    extended along a breadth-first spanning tree by f(gs) = f(g) + g.f(s),
+    they give a cocycle exactly when that identity also holds on the #checks
+    pairs (g, s) off the tree.  The walk is additive in x, so each residual
+    f(gs) - f(g) - g.f(s) is C_1(x_1) + ... + C_k(x_k), with C_s the walk of
+    x_s alone, and each C_s is tabulated over M from its values on the basis
+    (`linear_table`).  Z1 is the zero set of the sum: a hash map of -C_k
+    joined with the sums over the first k - 1 slots.  B1 on the generators
+    is tabulated the same way, and each cocycle's order modulo B1 gives the
+    profile.  No linear algebra runs, so the check is independent of the
+    Smith normal form.  With #checks = (k - 1) * |G| + 1, the tables and the
+    join take #checks * (k * |M| + |M|^(k-1)) tuple operations, and each of
+    at most |M|^k cocycles a few more; `cohomology._check_work` prices it.
     """
     grp = module.group
     space = module.space
     m = grp.order
     gens = grp.generating_set()
-    elems = list(space.elements())
-    act = [elems] + [_action_table(module, g) for g in range(1, m)]
-    add = space.add
+    k = len(gens)
+    r = space.rank
+    zero = space.zero()
 
     # tree edges (g, generator position, gs) in breadth-first order; every
     # other (g, s) pair is a cocycle condition to check
@@ -69,41 +71,98 @@ def brute_force_h1(module: GModule, keep_cocycles: bool = False) -> BruteH1:
     if len(reached) != m:
         raise SelfCheckError("generating set does not reach the whole group")
 
-    # a cocycle is determined by its generator values z; count the cocycles
-    # by their order modulo B1, the least o with o*z a coboundary
-    cobs = {tuple(space.sub(act[s][i], e) for s in gens) for i, e in enumerate(elems)}
+    # the walk of e_j in generator slot si, 0 in the others: its values and
+    # its residuals, flat; a residual coordinate that vanishes in every walk
+    # constrains nothing and is dropped
+    basis = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    cols = [[module.act(g, e) for e in basis] for g in range(m)]
+    walks = []
+    for si in range(k):
+        for j in range(r):
+            f = [zero] * m
+            for g, sj, gs in tree:
+                f[gs] = space.add(f[g], cols[g][j]) if sj == si else f[g]
+            res = [space.sub(f[gs], space.add(f[g], cols[g][j]) if sj == si else f[g])
+                   for g, sj, gs in checks]
+            walks.append((_flat(f), _flat(res)))
+    moduli = space.invariant_factors * len(checks)
+    live = [i for i in range(len(moduli)) if any(res[i] for _, res in walks)]
+    moduli = tuple(moduli[i] for i in live)
+    slots = [[tuple(res[i] for i in live) for _, res in walks[si * r:(si + 1) * r]]
+             for si in range(k)]
+
+    elems = list(space.elements())
+    gen_moduli = space.invariant_factors * k
+    cobs = set(linear_table(space, [_flat(space.sub(cols[s][j], e) for s in gens)
+                                    for j, e in enumerate(basis)], gen_moduli))
+    if k:
+        last = {}
+        negated = [tuple(-x % q for x, q in zip(img, moduli)) for img in slots[-1]]
+        for v, c in enumerate(linear_table(space, negated, moduli)):
+            last.setdefault(c, []).append(v)
+        prefixes = _sums([linear_table(space, imgs, moduli) for imgs in slots[:-1]], moduli)
+        found = (x + (v,) for x, c in prefixes for v in last.get(c, ()))
+    else:
+        found = [()]
+
+    # count the cocycles by their order modulo B1, the least o with o*z a
+    # coboundary for z the generator values
     orders = Counter()
-    full = []
-    for x in itertools.product(range(len(elems)), repeat=len(gens)):
-        f = [space.zero()] * m
-        for g, si, gs in tree:
-            f[gs] = add(f[g], act[g][x[si]])
-        if all(f[gs] == add(f[g], act[g][x[si]]) for g, si, gs in checks):
-            z = tuple(elems[i] for i in x)
-            o, w = 1, z
-            while w not in cobs:
-                w = tuple(add(a, b) for a, b in zip(w, z))
-                o += 1
-            orders[o] += 1
-            if keep_cocycles:
-                full.append(f)
+    kept = []
+    for x in found:
+        z = sum(map(elems.__getitem__, x), ())
+        o, w = 1, z
+        while w not in cobs:
+            w = tuple(map(mod, map(add, w, z), gen_moduli))
+            o += 1
+        orders[o] += 1
+        if keep_cocycles:
+            kept.append(x)
 
     z1, b1 = sum(orders.values()), len(cobs)
     if z1 % b1:
         raise SelfCheckError("coboundaries do not tile the cocycles")
     counts = {}
     expo = space.exponent
-    for k in (k for k in range(1, expo + 1) if expo % k == 0):
-        cnt = sum(c for o, c in orders.items() if k % o == 0)
+    for t in (t for t in range(1, expo + 1) if expo % t == 0):
+        cnt = sum(c for o, c in orders.items() if t % o == 0)
         if cnt % b1:
             raise SelfCheckError("torsion count is not a multiple of |B1|")
-        counts[k] = cnt // b1
+        counts[t] = cnt // b1
 
     cocycles = None
     if keep_cocycles:
-        index = {e: i for i, e in enumerate(elems)}
-        cocycles = tuple(sorted(tuple(index[v] for v in f) for f in full))
+        # value maps summed slot by slot; element indices by mixed radix
+        val_moduli = space.invariant_factors * m
+        values = [linear_table(space, [f for f, _ in walks[si * r:(si + 1) * r]], val_moduli)
+                  for si in range(k)]
+        weights = [1] * r
+        for i in range(r - 2, -1, -1):
+            weights[i] = weights[i + 1] * space.invariant_factors[i + 1]
+        full = []
+        for x in kept:
+            f = (0,) * (m * r)
+            for table, i in zip(values, x):
+                f = tuple(map(mod, map(add, f, table[i]), val_moduli))
+            full.append(tuple(sum(a * w for a, w in zip(f[g * r:(g + 1) * r], weights))
+                              for g in range(m)))
+        cocycles = tuple(sorted(full))
     return BruteH1(z1 // b1, counts, cocycles)
+
+
+def _flat(vectors) -> tuple:
+    return tuple(x for v in vectors for x in v)
+
+
+def _sums(tables, moduli):
+    """(x, tables[0][x_0] + ... + tables[-1][x_-1]) for every index tuple x,
+    depth first, keeping only the running sums."""
+    if not tables:
+        yield (), (0,) * len(moduli)
+        return
+    for x, p in _sums(tables[:-1], moduli):
+        for i, c in enumerate(tables[-1]):
+            yield x + (i,), tuple(map(mod, map(add, p, c), moduli))
 
 
 def brute_force_is_coboundary(module: GModule, values) -> bool:

@@ -11,7 +11,7 @@ import itertools
 import random
 from math import gcd
 
-from locglob.abelian import FinAb, apply_matrix
+from locglob.abelian import FinAb
 from locglob.gmodules import GModule
 from locglob.groups import (GroupTable, cyclic_group, direct_product,
                             klein_four_group, symmetric_group_3, trivial_group)
@@ -73,7 +73,11 @@ def _mat_pow_mod(a, k, space: FinAb):
 
 
 def enumerate_automorphisms(space: FinAb) -> list[tuple]:
-    """All automorphisms of a small FinAb as matrices; cached per shape."""
+    """All automorphisms of a small FinAb as matrices, in the order of their
+    entries; cached per shape.  Entries are compatible by construction, and
+    every candidate's bijectivity is read from its images of all elements,
+    in numpy batches: the sorted image indices are 0, 1, ..., |M| - 1."""
+    import numpy as np
     key = space.invariant_factors
     if key in _AUT_CACHE:
         return _AUT_CACHE[key]
@@ -84,14 +88,23 @@ def enumerate_automorphisms(space: FinAb) -> list[tuple]:
         for j in range(r):
             step = d[i] // gcd(d[i], d[j])
             choices.append(range(0, d[i], step))
-    elems = list(space.elements())
-    out = []
-    for flat in itertools.product(*choices):
-        mat = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-        # entries are compatible by construction; bijectivity by image count
-        image = {apply_matrix(mat, e, space) for e in elems}
-        if len(image) == len(elems):
-            out.append(mat)
+    if r == 0:
+        out = [()]
+    else:
+        n = space.order
+        mods = np.array(d, dtype=np.int64).reshape(r, 1)
+        evecs = np.array(list(space.elements()), dtype=np.int64).T
+        weights = np.ones(r, dtype=np.int64)
+        for i in range(r - 2, -1, -1):
+            weights[i] = weights[i + 1] * d[i + 1]
+        cands = np.array(list(itertools.product(*choices)), dtype=np.int64).reshape(-1, r, r)
+        out = []
+        for start in range(0, len(cands), 4096):
+            mats = cands[start:start + 4096]
+            images = weights @ ((mats @ evecs) % mods)
+            images.sort(axis=1)
+            bijective = (images == np.arange(n)).all(axis=1)
+            out.extend(tuple(tuple(row) for row in mat.tolist()) for mat in mats[bijective])
     _AUT_CACHE[key] = out
     return out
 

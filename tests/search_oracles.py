@@ -5,19 +5,25 @@ program decides by a formula or a shortcut: H1 of a cyclic group as
 ker(norm)/im(sigma - 1), squares mod p, n-th powers in Q_p by a residue
 sweep at the Hensel modulus, 2-power divisibility by the whole halving
 tree, and bijectivity of a matrix on a finite abelian group by the
-triviality of its kernel (GModule reads it from the homomorphism check).
-The axioms of a group table, an action, a cocycle and a character are
-tested here on all triples or pairs of elements; the program checks them
-on a generating set.
+triviality of its kernel (GModule reads it from the homomorphism check;
+the test families read it from a numpy batch of image counts).
+The axioms of a group table, an action, a cocycle and a character, and
+closure of a subgroup, are tested here on all triples or pairs of
+elements; the program checks them on a generating set.  The built-in H1
+check and the canonical representatives are recomputed here element by
+element, where the program sums tables of basis images.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from locglob.abelian import FinAb, matrix_is_compatible
+from locglob.abelian import FinAb, apply_matrix, matrix_is_compatible
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
+from locglob.cohomology import CocycleClass, coboundary
 from locglob.elliptic import halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
@@ -57,6 +63,70 @@ def cyclic_h1_profile(module: GModule):
         cnt = sum(1 for e in kernel if space.scale(k, e) in image)
         counts[k] = cnt // b
     return order, counts
+
+
+def brute_force_h1_by_assignments(module: GModule, keep_cocycles: bool = False):
+    """The built-in H1 check's answer (order, torsion counts and cocycles,
+    as `oracles.BruteH1`) by walking each of the |M|^k assignments of values
+    to the generating set along a breadth-first spanning tree, with the
+    action tabulated element by element."""
+    from locglob.oracles import BruteH1
+    grp = module.group
+    space = module.space
+    m = grp.order
+    gens = grp.generating_set()
+    elems = list(space.elements())
+    act = [[module.act(g, e) for e in elems] for g in range(m)]
+    add = space.add
+    tree, checks = [], []
+    reached = [0]
+    seen = {0}
+    for g in reached:
+        for si, s in enumerate(gens):
+            gs = grp.mul(g, s)
+            if gs in seen:
+                checks.append((g, si, gs))
+            else:
+                seen.add(gs)
+                reached.append(gs)
+                tree.append((g, si, gs))
+    cobs = {tuple(space.sub(act[s][i], e) for s in gens) for i, e in enumerate(elems)}
+    orders = Counter()
+    full = []
+    for x in itertools.product(range(len(elems)), repeat=len(gens)):
+        f = [space.zero()] * m
+        for g, si, gs in tree:
+            f[gs] = add(f[g], act[g][x[si]])
+        if all(f[gs] == add(f[g], act[g][x[si]]) for g, si, gs in checks):
+            z = tuple(elems[i] for i in x)
+            o, w = 1, z
+            while w not in cobs:
+                w = tuple(add(a, b) for a, b in zip(w, z))
+                o += 1
+            orders[o] += 1
+            if keep_cocycles:
+                full.append(f)
+    b1 = len(cobs)
+    expo = space.exponent
+    counts = {k: sum(c for o, c in orders.items() if k % o == 0) // b1
+              for k in range(1, expo + 1) if expo % k == 0}
+    cocycles = None
+    if keep_cocycles:
+        index = {e: i for i, e in enumerate(elems)}
+        cocycles = tuple(sorted(tuple(index[v] for v in f) for f in full))
+    return BruteH1(sum(orders.values()) // b1, counts, cocycles)
+
+
+def canonical_representative_by_enumeration(c: CocycleClass) -> CocycleClass:
+    """The lexicographically least cocycle in the class of c, by adding each
+    of the |M| coboundary objects in turn."""
+    best = c
+    best_flat = c.flat()
+    for elem in c.module.space.elements():
+        shifted = c.add(coboundary(c.module, elem))
+        if shifted.flat() < best_flat:
+            best, best_flat = shifted, shifted.flat()
+    return best
 
 
 def is_square_mod_prime_brute(a: int, p: int) -> bool:
@@ -101,6 +171,29 @@ def matrix_is_automorphism(mat, space: FinAb) -> bool:
     d = space.invariant_factors
     gens = kernel_mod_lattice([list(row) for row in mat], list(d), space.rank)
     return not any(any(x % m for x, m in zip(g, d)) for g in gens)
+
+
+def automorphisms_by_kernel(space: FinAb) -> list[tuple]:
+    """The compatible matrices on space, in the order of their entries, that
+    are bijective, one matrix at a time: exactly those that send no nonzero
+    element to zero."""
+    d = space.invariant_factors
+    r = space.rank
+    choices = [range(0, d[i], d[i] // gcd(d[i], d[j])) for i in range(r) for j in range(r)]
+    nonzero = list(space.elements())[1:]
+    zero = space.zero()
+    out = []
+    for flat in itertools.product(*choices):
+        mat = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
+        if all(apply_matrix(mat, e, space) != zero for e in nonzero):
+            out.append(mat)
+    return out
+
+
+def is_subgroup_all_pairs(group: GroupTable, elements) -> bool:
+    """Whether the set contains 0 and every product of two of its elements."""
+    es = set(elements)
+    return 0 in es and all(group.mul(a, b) in es for a in es for b in es)
 
 
 def group_table_checks(m, t) -> tuple[bool, bool]:

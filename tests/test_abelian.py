@@ -177,3 +177,19 @@ def test_character_value():
     assert value((1, 0), (1, 0)) == 2
     assert value((0, 1), (0, 1)) == 1
     assert value((1, 1), (1, 1)) == 3
+
+
+def test_batched_automorphisms_match_the_per_matrix_loop():
+    # enumerate_automorphisms decides bijectivity for all candidate matrices
+    # in numpy batches; one matrix at a time by kernel triviality, every
+    # shape of order <= 16 gives the same list in the same order
+    from families import _AUT_CACHE, abelian_shapes_up_to, enumerate_automorphisms
+    from search_oracles import automorphisms_by_kernel
+    counts = {}
+    for space in abelian_shapes_up_to(16):
+        _AUT_CACHE.pop(space.invariant_factors, None)
+        auts = enumerate_automorphisms(space)
+        assert auts == automorphisms_by_kernel(space)
+        counts[space.invariant_factors] = len(auts)
+    assert counts[()] == 1 and counts[(2, 2)] == 6 and counts[(2, 2, 2, 2)] == 20160
+    assert counts[(16,)] == 8 and counts[(4, 4)] == 96

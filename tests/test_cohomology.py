@@ -464,3 +464,79 @@ def test_restriction_equals_the_checked_construction():
                                                      tuple(module.action[e] for e in elems))
             subgroups += 1
     assert subgroups >= 1000
+
+
+def _edge_modules(rng):
+    """The k = 2 modules at the edges of the old check: V4 and S3 acting on
+    Z/128, Z/96 and (Z/2)^6, trivially and by seeded involutions."""
+    v4, s3 = klein_four_group(), symmetric_group_3()
+    out = [trivial_action_module(v4, FinAb((128,))),
+           trivial_action_module(s3, FinAb((96,))),
+           trivial_action_module(v4, FinAb((2,) * 6))]
+    for _ in range(2):
+        # V4 = Z2 x Z2 with element index 2a + b; S3 through its sign
+        u, v = rng.choice((1, 63, 65, 127)), rng.choice((1, 63, 65, 127))
+        out.append(homothety_module(v4, FinAb((128,)), (1, v, u, u * v)))
+        w = rng.choice((17, 47, 49, 95))
+        out.append(homothety_module(s3, FinAb((96,)), (1, 1, 1, w, w, w)))
+        swap = list(range(6))        # one to three disjoint transpositions
+        moved = rng.sample(range(6), 2 * rng.randrange(1, 4))
+        for a, b in zip(moved[::2], moved[1::2]):
+            swap[a], swap[b] = b, a
+        perm = tuple(tuple(int(swap[i] == j) for j in range(6)) for i in range(6))
+        ident = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        out.append(GModule(v4, FinAb((2,) * 6), (ident, perm, perm, ident)))
+    return out
+
+
+def test_linear_check_matches_the_assignment_walk():
+    # brute_force_h1 sums tables of basis images and joins the last slot
+    # by a hash map; walking every assignment of generator values gives the
+    # same order, torsion counts and cocycles on every module of order <= 8
+    # over every group of order <= 6, and on the k = 2 edge modules
+    from search_oracles import brute_force_h1_by_assignments
+    rng = random.Random(13)
+    checked = 0
+    modules = [mod for _, mod in lemma_consistency_family(6, 8)] + _edge_modules(rng)
+    for mod in modules:
+        assert (brute_force_h1(mod, keep_cocycles=True)
+                == brute_force_h1_by_assignments(mod, keep_cocycles=True))
+        checked += 1
+    assert checked == 265 + 9
+
+
+def test_canonical_representatives_match_the_enumeration():
+    # the least flat(c) + b over the coboundary table is the least cocycle
+    # that adding each coboundary object finds; every H1 and H1_*
+    # representative is that least cocycle, also from a shifted start
+    from search_oracles import canonical_representative_by_enumeration
+    rng = random.Random(4)
+    modules = [mod for _, mod in lemma_consistency_family(6, 8)] + _edge_modules(rng)
+    reps = 0
+    for mod in modules:
+        for rep in h1(mod).representatives + h1_star(mod).representatives:
+            shifted = rep.add(coboundary(mod, rng.choice(list(mod.space.elements()))))
+            assert canonical_representative_by_enumeration(rep) == rep
+            assert canonical_representative_by_enumeration(shifted) == rep
+            assert cohomology._canonical_representatives(mod, [shifted]) == (rep,)
+            reps += 1
+    assert reps >= 300
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), klein_four_group()], ids=["k1", "k2"])
+def test_h1_check_catches_a_wrong_invariant_factor(monkeypatch, group):
+    # a Smith-form quotient that reports one invariant factor too big gives
+    # a structure of the wrong order, and the built-in check refuses it
+    import dataclasses
+    real = cohomology.lattice_quotient
+
+    def wrong(*args):
+        quo = real(*args)
+        factors = quo.invariant_factors[:-1] + (2 * quo.invariant_factors[-1],)
+        return dataclasses.replace(quo, invariant_factors=factors)
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    monkeypatch.setattr(cohomology, "lattice_quotient", wrong)
+    mod = trivial_action_module(group, FinAb((2,)))
+    assert len(group.generating_set()) == {2: 1, 4: 2}[group.order]
+    with pytest.raises(SelfCheckError, match="brute force"):
+        h1(mod)

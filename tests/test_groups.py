@@ -159,3 +159,39 @@ def test_table_accepts_exactly_the_groups():
                 GroupTable(m, t)
     assert accepted >= 26 and one_sided >= 500
     assert sum(not group_table_checks(m, t)[0] for m, t in tables[n_old:]) >= 350
+
+
+def test_subgroup_test_by_closure_matches_all_pairs():
+    # is_subgroup closes the greedy generators of the set inside the set;
+    # the all-pairs predicate decides every subset of every group of order
+    # at most 6 and sets of subgroups, near-subgroups and random subsets
+    # of the order-400 cyclic document the same way
+    import json
+    import os
+    from families import groups_up_to_order_6
+    from locglob.schema import parse_group
+    from search_oracles import is_subgroup_all_pairs
+    outcomes = {True: 0, False: 0}
+    for _, group in groups_up_to_order_6():
+        for keep in itertools.product((False, True), repeat=group.order):
+            elems = [g for g, k in enumerate(keep) if k]
+            expected = is_subgroup_all_pairs(group, elems)
+            assert group.is_subgroup(elems) == expected
+            outcomes[expected] += 1
+    assert outcomes[True] == 1 + 2 + 2 + 3 + 5 + 2 + 4 + 6
+    path = os.path.join(os.path.dirname(__file__), "data", "cyclic_400.json")
+    with open(path) as fh:
+        group = parse_group(json.load(fh))
+    rng = random.Random(400)
+    subs = [set(sub.elements) for sub in cyclic_subgroups(group)]
+    sets = []
+    for sub in subs:
+        outside = sorted(set(range(group.order)) - sub)
+        sets += [sub, sub - {max(sub)}, sub | set(rng.sample(outside, min(1, len(outside))))]
+        sets.append(sub | subs[rng.randrange(len(subs))])
+    for size in (2, 5, 20, 80, 200, 399):
+        sets.append({0} | set(rng.sample(range(1, group.order), size - 1)))
+    for elems in sets:
+        outcomes[is_subgroup_all_pairs(group, elems)] += 1
+        assert group.is_subgroup(elems) == is_subgroup_all_pairs(group, elems)
+    assert outcomes == {True: 54, False: 218}

@@ -417,6 +417,25 @@ def test_mu8_seven_labels_report_is_pinned(monkeypatch, capsys):
     assert code == 1
 
 
+def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
+    """The JSON h1 report on C2 acting by -1 on Z/70492, byte for byte: the
+    built-in check's price is within 0.01% of its limit, and the check runs."""
+    from locglob import cohomology, oracles
+    from locglob.cli import main
+    monkeypatch.chdir(REPO)
+    path = "tests/data/c2_minus_one_z70492.json"
+    work = cohomology._check_work(parse_module(load_document(path)), 1)
+    assert 0.9999 * cohomology.BRUTE_FORCE_LIMIT < work <= cohomology.BRUTE_FORCE_LIMIT
+    checked = []
+    brute = oracles.brute_force_h1
+    monkeypatch.setattr(oracles, "brute_force_h1", lambda m: checked.append(m) or brute(m))
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    code = main(["h1", "--input", path, "--format", "json"])
+    with open(os.path.join(REPO, "tests", "data", "c2_minus_one_z70492_h1.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 0 and len(checked) == 1
+
+
 @pytest.mark.parametrize("place", ["2", "3", "5", "inf", "global"])
 def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
     """The text report with the halves of the Dvornicich-Zannier point, byte
