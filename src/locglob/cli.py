@@ -31,13 +31,15 @@ PRECISION_ENV = "LOCGLOB_PRECISION"
 EC_SWEEP_LIMIT = 10 ** 4        # largest `ec-div --sweep` bound
 
 
-def _report(args, command, inputs, results, checks_passed, checks_failed, elapsed):
+def _report(args, inputs, results, checks, elapsed) -> int:
+    """Write the report of one run; its checks are one boolean each."""
+    passed = sum(checks)
     doc = {
-        "command": command,
+        "command": args.subcommand,
         "inputs": inputs,
         "results": results,
-        "checks_passed": checks_passed,
-        "checks_failed": checks_failed,
+        "checks_passed": passed,
+        "checks_failed": len(checks) - passed,
     }
     if args.timings:
         doc["elapsed_ms"] = int(elapsed * 1000)
@@ -46,7 +48,7 @@ def _report(args, command, inputs, results, checks_passed, checks_failed, elapse
     else:
         for line in _text_lines(doc, ""):
             sys.stdout.write(line + "\n")
-    return 0 if checks_failed == 0 else 1
+    return 0 if passed == len(checks) else 1
 
 
 def _text_lines(obj, prefix):
@@ -58,16 +60,6 @@ def _text_lines(obj, prefix):
             yield from _text_lines(item, "%s[%d]" % (prefix, i))
     else:
         yield "%s: %s" % (prefix, obj)
-
-
-def _add_shared(sub):
-    sub.add_argument("--precision", type=int, default=None,
-                     help="p-adic working precision (default %d, or %s)"
-                          % (DEFAULT_PRECISION, PRECISION_ENV))
-    sub.add_argument("--format", choices=("json", "text"), default="text")
-    sub.add_argument("--input", default=None, help="structured input file (JSON)")
-    sub.add_argument("--timings", action="store_true",
-                     help="include elapsed milliseconds in the report")
 
 
 def _precision(args) -> int:
@@ -89,39 +81,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="local-global invariants of finite Galois modules")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    s = subs.add_parser("h1", help="first cohomology of a module")
-    _add_shared(s)
+    def subcommand(name, handler, summary):
+        """Register a subcommand with the shared flags and its handler."""
+        s = subs.add_parser(name, help=summary)
+        s.add_argument("--precision", type=int, default=None,
+                       help="p-adic working precision (default %d, or %s)"
+                            % (DEFAULT_PRECISION, PRECISION_ENV))
+        s.add_argument("--format", choices=("json", "text"), default="text")
+        s.add_argument("--input", default=None, help="structured input file (JSON)")
+        s.add_argument("--timings", action="store_true",
+                       help="include elapsed milliseconds in the report")
+        s.set_defaults(handler=handler)
+        return s
 
-    s = subs.add_parser("h1star", help="kernel of restriction to cyclic subgroups")
-    _add_shared(s)
+    subcommand("h1", _cmd_h1, "first cohomology of a module")
+    subcommand("h1star", _cmd_h1star, "kernel of restriction to cyclic subgroups")
 
-    s = subs.add_parser("hasse", help="Hasse / strong Hasse / T-singularity verdicts")
-    _add_shared(s)
+    s = subcommand("hasse", _cmd_hasse, "Hasse / strong Hasse / T-singularity verdicts")
     s.add_argument("--t", action="append", default=[],
                    help="comma-separated label set to query (repeatable)")
 
-    s = subs.add_parser("gw", help="Grunwald-Wang kernel over Q")
-    _add_shared(s)
+    s = subcommand("gw", _cmd_gw, "Grunwald-Wang kernel over Q")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--places", default="", help="comma-separated primes in T")
     s.add_argument("--sweep", type=int, default=GW_SWEEP_BOUND,
                    help="verify the witness locally below this bound")
 
-    s = subs.add_parser("power", help="is a an n-th power in Q_v")
-    _add_shared(s)
+    s = subcommand("power", _cmd_power, "is a an n-th power in Q_v")
     s.add_argument("--a", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", required=True, help="a prime or 'inf'")
     s.add_argument("--root", action="store_true", help="also compute a witness root")
 
-    s = subs.add_parser("hilbert", help="Hilbert symbol (a, b)_v")
-    _add_shared(s)
+    s = subcommand("hilbert", _cmd_hilbert, "Hilbert symbol (a, b)_v")
     s.add_argument("--a", required=True)
     s.add_argument("--b", required=True)
     s.add_argument("--p", required=True, help="a prime or 'inf'")
 
-    s = subs.add_parser("ec-div", help="2-power divisibility of a point")
-    _add_shared(s)
+    s = subcommand("ec-div", _cmd_ec_div, "2-power divisibility of a point")
     s.add_argument("--curve", required=True, help="e1,e2,e3")
     s.add_argument("--point", required=True, help="'inf' or x,y (rational)")
     s.add_argument("--k", type=int, required=True)
@@ -131,13 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "plus the real place")
     s.add_argument("--halves", action="store_true", help="list the halves found")
 
-    s = subs.add_parser("quadroots", help="local roots of monic quadratics")
-    _add_shared(s)
+    s = subcommand("quadroots", _cmd_quadroots, "local roots of monic quadratics")
     s.add_argument("--quadratics", required=True, help="'b,c;b,c;...' for x^2+bx+c")
     s.add_argument("--place", required=True, help="prime or 'inf'")
 
-    s = subs.add_parser("reproduce", help="run the full example suite")
-    _add_shared(s)
+    s = subcommand("reproduce", _cmd_reproduce, "run the full example suite")
     s.add_argument("--golden", default=None, help="override the golden file")
     s.add_argument("--oracle", action="store_true",
                    help="regenerate golden content with the brute-force oracles")
@@ -146,6 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Its handler returns (inputs, results, checks),
+    or None when it wrote its own output; main times it and writes the
+    report."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -153,14 +151,22 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.monotonic()
     try:
-        handler = _HANDLERS[args.subcommand]
-        return handler(args, t0)
+        found = args.handler(args)
+        if found is None:
+            return 0
+        return _report(args, *found, time.monotonic() - t0)
     except (InputError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (PrecisionError, SelfCheckError) as exc:
         sys.stderr.write("internal failure: %s\n" % exc)
         return 3
+
+
+def _document(args) -> dict:
+    if not args.input:
+        raise InputError("this subcommand needs --input FILE")
+    return load_document(args.input)
 
 
 def _module_structure(h):
@@ -171,30 +177,19 @@ def _module_structure(h):
     }
 
 
-def _cmd_h1(args, t0):
-    doc = load_document(_require_input(args))
-    module = parse_module(doc)
-    out = _module_structure(h1(module))
-    return _report(args, "h1", {"file": args.input}, out, 1, 0, time.monotonic() - t0)
+def _cmd_h1(args):
+    out = _module_structure(h1(parse_module(_document(args))))
+    return {"file": args.input}, out, [True]
 
 
-def _cmd_h1star(args, t0):
-    doc = load_document(_require_input(args))
-    module = parse_module(doc)
-    star = h1_star(module)
-    out = {
-        "invariant_factors": list(star.structure.invariant_factors),
-        "order": star.order,
-        "representatives": [[list(v) for v in rep.values] for rep in star.representatives],
-        "ambient": _module_structure(star.ambient),
-    }
-    return _report(args, "h1star", {"file": args.input}, out, 1, 0,
-                   time.monotonic() - t0)
+def _cmd_h1star(args):
+    star = h1_star(parse_module(_document(args)))
+    out = dict(_module_structure(star), ambient=_module_structure(star.ambient))
+    return {"file": args.input}, out, [True]
 
 
-def _cmd_hasse(args, t0):
-    doc = load_document(_require_input(args))
-    model = parse_model(doc)
+def _cmd_hasse(args):
+    model = parse_model(_document(args))
     queries = [frozenset(x for x in chunk.split(",") if x) for chunk in args.t]
     v = verdict(model, queries)
     out = {
@@ -206,13 +201,11 @@ def _cmd_hasse(args, t0):
                        "cocycle": [list(x) for x in c.values]}
                       for kind, labels, c in v.witnesses],
     }
-    failed = 0 if v.strong_hasse else 1
-    return _report(args, "hasse",
-                   {"file": args.input, "queries": [sorted(q) for q in queries]},
-                   out, 1 - failed, failed, time.monotonic() - t0)
+    return ({"file": args.input, "queries": [sorted(q) for q in queries]},
+            out, [v.strong_hasse])
 
 
-def _cmd_gw(args, t0):
+def _cmd_gw(args):
     try:
         places = {int(x) for x in args.places.split(",") if x.strip()}
     except ValueError:
@@ -225,11 +218,10 @@ def _cmd_gw(args, t0):
         "two_power": dec.two_power,
         "checked_places": dec.checked_places,
     }
-    return _report(args, "gw", {"n": args.n, "places": sorted(places)}, out, 1, 0,
-                   time.monotonic() - t0)
+    return {"n": args.n, "places": sorted(places)}, out, [True]
 
 
-def _cmd_power(args, t0):
+def _cmd_power(args):
     a = parse_rational(args.a)
     place = Place.parse(args.p)
     result = is_nth_power(a, args.n, place)
@@ -237,23 +229,19 @@ def _cmd_power(args, t0):
     if args.root and result:
         root = nth_root(a, args.n, place, _precision(args))
         out["root"] = str(root)
-    return _report(args, "power",
-                   {"a": format_rational(a), "n": args.n, "place": str(place)},
-                   out, 1 if result else 0, 0 if result else 1,
-                   time.monotonic() - t0)
+    return {"a": format_rational(a), "n": args.n, "place": str(place)}, out, [result]
 
 
-def _cmd_hilbert(args, t0):
+def _cmd_hilbert(args):
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     place = Place.parse(args.p)
     sym = hilbert_symbol(a, b, place)
-    return _report(args, "hilbert",
-                   {"a": format_rational(a), "b": format_rational(b), "place": str(place)},
-                   {"symbol": sym}, 1, 0, time.monotonic() - t0)
+    return ({"a": format_rational(a), "b": format_rational(b), "place": str(place)},
+            {"symbol": sym}, [True])
 
 
-def _cmd_ec_div(args, t0):
+def _cmd_ec_div(args):
     curve = parse_curve(args.curve)
     point = parse_point(args.point, curve)
     prec = _precision(args)
@@ -271,12 +259,10 @@ def _cmd_ec_div(args, t0):
             divisible_everywhere = divisible_everywhere and res
             rows.append({"place": str(v), "k": args.k,
                          "divisible": "yes" if res else "no"})
-        out = {"rows": rows, "all_divisible": divisible_everywhere}
-        return _report(args, "ec-div",
-                       {"curve": args.curve, "point": args.point,
-                        "sweep": args.sweep, "k": args.k},
-                       out, 1 if divisible_everywhere else 0,
-                       0 if divisible_everywhere else 1, time.monotonic() - t0)
+        return ({"curve": args.curve, "point": args.point,
+                 "sweep": args.sweep, "k": args.k},
+                {"rows": rows, "all_divisible": divisible_everywhere},
+                [divisible_everywhere])
     if args.place is None:
         raise InputError("ec-div needs --place or --sweep")
     place = None if args.place.strip() == "global" else Place.parse(args.place)
@@ -285,57 +271,29 @@ def _cmd_ec_div(args, t0):
     if args.halves:
         halves = halve_point(curve, point, place, prec)
         out["halves"] = sorted(str(h) for h in halves)
-    return _report(args, "ec-div",
-                   {"curve": args.curve, "point": args.point,
-                    "place": args.place, "k": args.k},
-                   out, 1 if result else 0, 0 if result else 1,
-                   time.monotonic() - t0)
+    return ({"curve": args.curve, "point": args.point, "place": args.place, "k": args.k},
+            out, [result])
 
 
-def _cmd_quadroots(args, t0):
+def _cmd_quadroots(args):
     quads = parse_quadratics(args.quadratics)
     place = Place.parse(args.place)
     result = quad_local_roots(quads, place)
-    return _report(args, "quadroots",
-                   {"quadratics": args.quadratics, "place": str(place)},
-                   {"has_root": result}, 1 if result else 0, 0 if result else 1,
-                   time.monotonic() - t0)
+    return ({"quadratics": args.quadratics, "place": str(place)},
+            {"has_root": result}, [result])
 
 
-def _cmd_reproduce(args, t0):
+def _cmd_reproduce(args):
     if args.oracle:
         sys.stdout.write(golden_bytes(oracle_golden()))
-        return 0
-    golden = load_golden(args.golden)
-    items = run_reproduce(golden, _precision(args))
+        return None
+    items = run_reproduce(load_golden(args.golden), _precision(args))
     results = {it.name: ("pass" if it.ok else "fail: %s" % (it.detail or "mismatch"))
                for it in items}
-    passed = sum(1 for it in items if it.ok)
-    failed = len(items) - passed
+    failed = [it for it in items if not it.ok]
     if failed:
-        first = next(it for it in items if not it.ok)
-        sys.stderr.write("reproduce: FAILED at %s (%s)\n" % (first.name, first.detail))
-    return _report(args, "reproduce", {"golden": args.golden or "builtin"},
-                   results, passed, failed, time.monotonic() - t0)
-
-
-def _require_input(args) -> str:
-    if not args.input:
-        raise InputError("this subcommand needs --input FILE")
-    return args.input
-
-
-_HANDLERS = {
-    "h1": _cmd_h1,
-    "h1star": _cmd_h1star,
-    "hasse": _cmd_hasse,
-    "gw": _cmd_gw,
-    "power": _cmd_power,
-    "hilbert": _cmd_hilbert,
-    "ec-div": _cmd_ec_div,
-    "quadroots": _cmd_quadroots,
-    "reproduce": _cmd_reproduce,
-}
+        sys.stderr.write("reproduce: FAILED at %s (%s)\n" % (failed[0].name, failed[0].detail))
+    return {"golden": args.golden or "builtin"}, results, [it.ok for it in items]
 
 
 if __name__ == "__main__":

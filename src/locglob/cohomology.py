@@ -166,7 +166,7 @@ class H1Group:
                    for x in classes for row, t in zip(rows, moduli))
 
 
-def _expand_from_generator_values(module: GModule, gens, exprs, x):
+def _expand_from_generator_values(module: GModule, exprs, x):
     """Full value map of the cocycle with generator values x (stacked)."""
     space = module.space
     r = space.rank
@@ -274,7 +274,7 @@ def h1(module: GModule) -> H1Group:
     reps = []
     for idx in range(len(structure.invariant_factors)):
         x = quo.representative(idx)
-        vals = _expand_from_generator_values(module, gens, exprs, x)
+        vals = _expand_from_generator_values(module, exprs, x)
         try:        # the engine built vals: a failed check is internal
             reps.append(CocycleClass(module, vals))
         except InputError as exc:

@@ -43,16 +43,8 @@ class GroupTable:
         for g in range(m):
             if 0 not in t[g]:
                 raise InputError("element %d has no right inverse" % g)
-        gens = []
-        have = {0}
-        for g in range(1, m):
-            if g not in have:
-                gens.append(g)
-                have = set(self.generated_subgroup(gens))
-                if len(have) == m:
-                    break
-        object.__setattr__(self, "_gens", tuple(gens))
-        for a in gens:
+        object.__setattr__(self, "_gens", self._greedy_generators(range(m)))
+        for a in self._gens:
             for x in range(m):
                 if tuple(t[t[x][a]]) != tuple(t[x][b] for b in t[a]):
                     raise InputError("table is not associative")
@@ -94,13 +86,17 @@ class GroupTable:
 
     def is_subgroup(self, elements) -> bool:
         """Whether the set is a subgroup: the closure of 0 under right
-        multiplication by its greedy generators (each element not yet
-        reached, as in `generating_set`) is the subgroup they generate, so
-        the set is one exactly when that closure never leaves it; the greedy
-        choice makes it reach every element."""
+        multiplication by its greedy generators is the subgroup they
+        generate, so the set is one exactly when it holds 0 and that closure
+        never leaves it; the greedy choice makes it reach every element."""
         es = set(elements)
-        if 0 not in es:
-            return False
+        return 0 in es and self._greedy_generators(es) is not None
+
+    def _greedy_generators(self, elements) -> tuple | None:
+        """The greedy generators of a set holding 0: in ascending order,
+        each element that the ones before it do not reach from 0 by right
+        multiplication.  None as soon as that closure leaves the set."""
+        es = set(elements)
         gens, have = [], {0}
         for g in sorted(es):
             if g in have:
@@ -113,19 +109,19 @@ class GroupTable:
                     nxt = self.mul(cur, s)
                     if nxt not in have:
                         if nxt not in es:
-                            return False
+                            return None
                         have.add(nxt)
                         frontier.append(nxt)
-        return True
+        return tuple(gens)
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup given by its sorted element set plus a chosen generator
-    when the subgroup is cyclic (generator None otherwise)."""
+    """A cyclic subgroup given by its sorted element set and the least
+    element that generates it."""
 
     elements: tuple
-    generator: int | None
+    generator: int
 
     @property
     def order(self):

@@ -40,9 +40,13 @@ class PlaceModel:
     designated: tuple      # sorted ((label, elements), ...)
     archimedean: frozenset
     labels: frozenset = field(init=False, repr=False, compare=False)
-    # None -> (element sets of the nontrivial cyclic subgroups, S)
-    # (_generic_sets); a subset K of S -> (coordinate subgroup, members,
-    # support set) of Sha(K), shared by every T with T & S = K (_sha_parts)
+    # element tuples of the nontrivial cyclic subgroups (the generic places)
+    cyclic: tuple = field(init=False, repr=False, compare=False)
+    # S: the labels whose designated subgroup is neither trivial nor cyclic
+    # (finite_support_bound)
+    support_bound: frozenset = field(init=False, repr=False, compare=False)
+    # a subset K of S -> (coordinate subgroup, members, support set) of
+    # Sha(K), shared by every T with T & S = K (_sha_parts)
     _kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,6 +70,12 @@ class PlaceModel:
             elems = dict(self.designated)[label]
             if len(elems) > 2:
                 raise InputError("archimedean place %r must have order <= 2" % label)
+        cyclic = tuple(z.elements for z in cyclic_subgroups(grp) if z.order > 1)
+        known = set(cyclic)
+        object.__setattr__(self, "cyclic", cyclic)
+        object.__setattr__(self, "support_bound", frozenset(
+            label for label, elems in self.designated
+            if len(elems) > 1 and elems not in known))
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,13 @@ def _sha_parts(model: PlaceModel, T: frozenset) -> tuple:
     Sha(K) is cut out by the nontrivial cyclic subgroups and the designated
     subgroups of the labels in S - K: every other label outside K carries a
     trivial subgroup or one of the cyclic ones."""
-    cyclic, S = _generic_sets(model)
+    S = model.support_bound
     key = T & S
     parts = model._kernels.get(key)
     if parts is None:
         ambient = h1(model.module)
-        sets = cyclic + [elems for label, elems in model.designated
-                         if label in S and label not in key]
+        sets = list(model.cyclic) + [elems for label, elems in model.designated
+                                     if label in S and label not in key]
         coords = restriction_kernel(ambient, sets)
         parts = (coords,) + _members_and_support(model, ambient, coords)
         model._kernels[key] = parts
@@ -132,19 +142,6 @@ def _members_and_support(model: PlaceModel, ambient: H1Group, coords: Subgroup) 
     support = frozenset(label for label, elems in model.designated
                         if not ambient.vanishes_on(elems, members.coordinate_generators))
     return members, support
-
-
-def _generic_sets(model: PlaceModel) -> tuple:
-    """(element tuples of the nontrivial cyclic subgroups, S) in one pass,
-    once per model; S holds the labels whose designated subgroup is neither
-    trivial nor one of those cyclic subgroups."""
-    if None not in model._kernels:
-        cyclic = [z.elements for z in cyclic_subgroups(model.module.group) if z.order > 1]
-        known = set(cyclic)
-        S = frozenset(label for label, elems in model.designated
-                      if len(elems) > 1 and elems not in known)
-        model._kernels[None] = (cyclic, S)
-    return model._kernels[None]
 
 
 def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -222,7 +219,7 @@ def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
 
 def finite_support_bound(model: PlaceModel) -> frozenset:
     """S = labels with non-cyclic designated subgroup: neither trivial nor
-    among the model's cyclic subgroups (_generic_sets).
+    among the model's cyclic subgroups (PlaceModel.cyclic).
 
     Sha(T) is cut out by one restriction condition per nontrivial cyclic
     subgroup (the generic places) and one per designated subgroup whose
@@ -241,7 +238,7 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
     every such T.  Every Sha(T) of the model is one of the 2^|S| groups
     Sha(K), K <= S.
     """
-    return _generic_sets(model)[1]
+    return model.support_bound
 
 
 # ---------------------------------------------------------------------------

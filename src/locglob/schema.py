@@ -40,12 +40,17 @@ from .padics import parse_rational
 
 
 def load_document(path: str) -> dict:
+    """The JSON object in a UTF-8 file.  Bytes that are not UTF-8, integer
+    literals past Python's digit limit and nesting past its recursion limit
+    are input errors like any other malformed JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise InputError("input file not found: %s" % path) from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError("input file is not UTF-8: %s" % exc) from None
+    except (ValueError, RecursionError) as exc:
         raise InputError("input file is not valid JSON: %s" % exc) from None
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")

@@ -196,6 +196,20 @@ def is_subgroup_all_pairs(group: GroupTable, elements) -> bool:
     return 0 in es and all(group.mul(a, b) in es for a in es for b in es)
 
 
+def greedy_generators_by_closure(group: GroupTable) -> tuple:
+    """Each element, in ascending order, outside the subgroup generated by
+    the ones taken before it; the closure is recomputed from scratch after
+    every new generator."""
+    gens, have = [], {0}
+    for g in range(1, group.order):
+        if g not in have:
+            gens.append(g)
+            have = set(group.generated_subgroup(gens))
+            if len(have) == group.order:
+                break
+    return tuple(gens)
+
+
 def group_table_checks(m, t) -> tuple[bool, bool]:
     """(every group axiom holds, right inverses exist but are not two-sided)
     for an m x m table with entries in range, identity 0 tested, two-sided

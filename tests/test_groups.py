@@ -72,6 +72,34 @@ def test_generating_set():
     assert trivial_group().generating_set() == ()
 
 
+def test_generating_set_matches_the_recomputed_closure():
+    # the greedy generators grown inside one closure equal those of the
+    # closure recomputed after each generator, on every labelling of every
+    # group of order at most 6 (identity 0) and on the order-400 document
+    import json
+    import os
+    from families import groups_up_to_order_6
+    from locglob.schema import parse_group
+    from search_oracles import greedy_generators_by_closure
+    tables = 0
+    for _, group in groups_up_to_order_6():
+        m = group.order
+        for rest in itertools.permutations(range(1, m)):
+            perm = (0,) + rest
+            t = [[0] * m for _ in range(m)]
+            for a in range(m):
+                for b in range(m):
+                    t[perm[a]][perm[b]] = perm[group.mul(a, b)]
+            relabelled = GroupTable(m, tuple(map(tuple, t)))
+            assert relabelled.generating_set() == greedy_generators_by_closure(relabelled)
+            tables += 1
+    assert tables == 1 + 1 + 2 + 6 + 6 + 24 + 120 + 120
+    path = os.path.join(os.path.dirname(__file__), "data", "cyclic_400.json")
+    with open(path) as fh:
+        group = parse_group(json.load(fh))
+    assert group.generating_set() == greedy_generators_by_closure(group) == (1,)
+
+
 def test_subgroup_table():
     z6 = cyclic_group(6)
     sub = subgroup_table(z6, (0, 2, 4))

@@ -255,6 +255,22 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, changes):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
+@pytest.mark.parametrize("content", [
+    b'{"order": 1, "label": "\xff\xfe"}',
+    b'{"order": 1' + b"0" * 5000 + b"}",
+    b'{"order": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["not_utf8", "integer_over_digit_limit", "array_nested_100000_deep"])
+def test_malformed_bytes_exit_2_with_one_line(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError):
+        load_document(str(path))
+    out = run_cli("h1", "--input", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
 @pytest.mark.parametrize("command", ["h1", "hasse"])
 def test_order_400_cyclic_document_exits_0(command):
     # C400 acting on Z/4 by (-1)^g: the table and the action are checked on
@@ -305,9 +321,9 @@ def test_bad_flag_exits_2_with_one_line(monkeypatch, capsys, argv, env):
 def test_internal_failure_exits_3(monkeypatch, capsys, mu8_file, error):
     import locglob.cli as cli
 
-    def broken(args, t0):
+    def broken(module):
         raise error("engine disagrees with itself")
-    monkeypatch.setitem(cli._HANDLERS, "h1", broken)
+    monkeypatch.setattr(cli, "h1", broken)
     assert cli.main(["h1", "--input", mu8_file]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -462,6 +478,29 @@ def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected):
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == 1
+
+
+_PINNED_REPORTS = [
+    (["gw", "--n", "8", "--places", "2"], "gw_n8_places_2.txt", 0),
+    (["gw", "--n", "24", "--places", "3", "--format", "json"], "gw_n24_places_3.json", 0),
+    (["hilbert", "--a", "3", "--b", "5", "--p", "5"], "hilbert_3_5_p5.txt", 0),
+    (["quadroots", "--quadratics", "0,1;0,5;0,-5", "--place", "2"], "quadroots_2.txt", 1),
+    (["power", "--a", "16", "--n", "8", "--p", "2"], "power_16_8_2.txt", 1),
+    (list(_DZ) + ["--k", "2", "--place", "2"], "ec_div_dz_k2_place_2.txt", 1),
+    (["reproduce", "--format", "json"], "reproduce.json", 0),
+]
+
+
+@pytest.mark.parametrize("argv,expected,code", _PINNED_REPORTS,
+                         ids=[name.rsplit(".", 1)[0] for _, name, _ in _PINNED_REPORTS])
+def test_reports_are_pinned(monkeypatch, capsys, argv, expected, code):
+    """One report of each remaining subcommand, byte for byte, with its
+    exit status."""
+    from locglob.cli import main
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    assert main(argv) == code
+    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_power_root_is_pinned(monkeypatch, capsys):
