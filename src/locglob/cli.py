@@ -17,15 +17,11 @@ import os
 import sys
 import time
 
-from .cohomology import h1, h1_star
-from .elliptic import divisible_by_2k, halve_point, quad_local_roots
+from . import DEFAULT_PRECISION
 from .errors import InputError, PrecisionError, SelfCheckError
-from .models import GW_SWEEP_BOUND, finite_support_bound, gw_decision, verdict
-from .padics import (DEFAULT_PRECISION, Place, hilbert_symbol, is_nth_power,
-                     nth_root, parse_rational)
-from .reproduce import golden_bytes, load_golden, oracle_golden, run_reproduce
-from .schema import (format_rational, load_document, parse_curve, parse_model,
-                     parse_module, parse_point, parse_quadratics)
+
+# Each handler imports the modules it calls, so an invocation loads only
+# those: `power` never loads the cohomology stack, nor `h1` the p-adics.
 
 PRECISION_ENV = "LOCGLOB_PRECISION"
 EC_SWEEP_LIMIT = 10 ** 4        # largest `ec-div --sweep` bound
@@ -75,39 +71,51 @@ def _precision(args) -> int:
     return prec
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are input errors, reported by main in one line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locglob",
         description="local-global invariants of finite Galois modules")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    def subcommand(name, handler, summary):
-        """Register a subcommand with the shared flags and its handler."""
+    def subcommand(name, handler, summary, reads_input=False, reads_precision=False):
+        """Register a subcommand and its handler, with --format and
+        --timings, and with --input and --precision only if it reads them."""
         s = subs.add_parser(name, help=summary)
-        s.add_argument("--precision", type=int, default=None,
-                       help="p-adic working precision (default %d, or %s)"
-                            % (DEFAULT_PRECISION, PRECISION_ENV))
+        if reads_precision:
+            s.add_argument("--precision", type=int, default=None,
+                           help="p-adic working precision (default %d, or %s)"
+                                % (DEFAULT_PRECISION, PRECISION_ENV))
         s.add_argument("--format", choices=("json", "text"), default="text")
-        s.add_argument("--input", default=None, help="structured input file (JSON)")
+        if reads_input:
+            s.add_argument("--input", default=None, help="structured input file (JSON)")
         s.add_argument("--timings", action="store_true",
                        help="include elapsed milliseconds in the report")
         s.set_defaults(handler=handler)
         return s
 
-    subcommand("h1", _cmd_h1, "first cohomology of a module")
-    subcommand("h1star", _cmd_h1star, "kernel of restriction to cyclic subgroups")
+    subcommand("h1", _cmd_h1, "first cohomology of a module", reads_input=True)
+    subcommand("h1star", _cmd_h1star, "kernel of restriction to cyclic subgroups",
+               reads_input=True)
 
-    s = subcommand("hasse", _cmd_hasse, "Hasse / strong Hasse / T-singularity verdicts")
+    s = subcommand("hasse", _cmd_hasse, "Hasse / strong Hasse / T-singularity verdicts",
+                   reads_input=True)
     s.add_argument("--t", action="append", default=[],
                    help="comma-separated label set to query (repeatable)")
 
     s = subcommand("gw", _cmd_gw, "Grunwald-Wang kernel over Q")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--places", default="", help="comma-separated primes in T")
-    s.add_argument("--sweep", type=int, default=GW_SWEEP_BOUND,
+    s.add_argument("--sweep", type=int, default=None,
                    help="verify the witness locally below this bound")
 
-    s = subcommand("power", _cmd_power, "is a an n-th power in Q_v")
+    s = subcommand("power", _cmd_power, "is a an n-th power in Q_v", reads_precision=True)
     s.add_argument("--a", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", required=True, help="a prime or 'inf'")
@@ -118,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", required=True)
     s.add_argument("--p", required=True, help="a prime or 'inf'")
 
-    s = subcommand("ec-div", _cmd_ec_div, "2-power divisibility of a point")
+    s = subcommand("ec-div", _cmd_ec_div, "2-power divisibility of a point",
+                   reads_precision=True)
     s.add_argument("--curve", required=True, help="e1,e2,e3")
     s.add_argument("--point", required=True, help="'inf' or x,y (rational)")
     s.add_argument("--k", type=int, required=True)
@@ -132,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--quadratics", required=True, help="'b,c;b,c;...' for x^2+bx+c")
     s.add_argument("--place", required=True, help="prime or 'inf'")
 
-    s = subcommand("reproduce", _cmd_reproduce, "run the full example suite")
+    s = subcommand("reproduce", _cmd_reproduce, "run the full example suite",
+                   reads_precision=True)
     s.add_argument("--golden", default=None, help="override the golden file")
     s.add_argument("--oracle", action="store_true",
                    help="regenerate golden content with the brute-force oracles")
@@ -144,17 +154,15 @@ def main(argv=None) -> int:
     """Run one subcommand.  Its handler returns (inputs, results, checks),
     or None when it wrote its own output; main times it and writes the
     report."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    t0 = time.monotonic()
-    try:
+        args = build_parser().parse_args(argv)
+        t0 = time.monotonic()
         found = args.handler(args)
         if found is None:
             return 0
         return _report(args, *found, time.monotonic() - t0)
+    except SystemExit:              # --help wrote its text
+        return 0
     except (InputError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
@@ -164,6 +172,7 @@ def main(argv=None) -> int:
 
 
 def _document(args) -> dict:
+    from .schema import load_document
     if not args.input:
         raise InputError("this subcommand needs --input FILE")
     return load_document(args.input)
@@ -178,17 +187,23 @@ def _module_structure(h):
 
 
 def _cmd_h1(args):
+    from .cohomology import h1
+    from .schema import parse_module
     out = _module_structure(h1(parse_module(_document(args))))
     return {"file": args.input}, out, [True]
 
 
 def _cmd_h1star(args):
+    from .cohomology import h1_star
+    from .schema import parse_module
     star = h1_star(parse_module(_document(args)))
     out = dict(_module_structure(star), ambient=_module_structure(star.ambient))
     return {"file": args.input}, out, [True]
 
 
 def _cmd_hasse(args):
+    from .models import finite_support_bound, verdict
+    from .schema import parse_model
     model = parse_model(_document(args))
     queries = [frozenset(x for x in chunk.split(",") if x) for chunk in args.t]
     v = verdict(model, queries)
@@ -206,12 +221,15 @@ def _cmd_hasse(args):
 
 
 def _cmd_gw(args):
+    from .padics import GW_SWEEP_BOUND, gw_decision
+    from .schema import format_rational
     try:
         places = {int(x) for x in args.places.split(",") if x.strip()}
     except ValueError:
         raise InputError("--places must be comma-separated primes, got %r"
                          % args.places) from None
-    dec = gw_decision(args.n, places, sweep_bound=args.sweep)
+    sweep = GW_SWEEP_BOUND if args.sweep is None else args.sweep
+    dec = gw_decision(args.n, places, sweep_bound=sweep)
     out = {
         "kernel_order": dec.kernel_order,
         "witness": format_rational(dec.witness) if dec.witness is not None else None,
@@ -222,6 +240,8 @@ def _cmd_gw(args):
 
 
 def _cmd_power(args):
+    from .padics import Place, is_nth_power, nth_root, parse_rational
+    from .schema import format_rational
     a = parse_rational(args.a)
     place = Place.parse(args.p)
     result = is_nth_power(a, args.n, place)
@@ -233,6 +253,8 @@ def _cmd_power(args):
 
 
 def _cmd_hilbert(args):
+    from .padics import Place, hilbert_symbol, parse_rational
+    from .schema import format_rational
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     place = Place.parse(args.p)
@@ -242,6 +264,9 @@ def _cmd_hilbert(args):
 
 
 def _cmd_ec_div(args):
+    from .elliptic import divisible_by_2k, halve_point
+    from .padics import Place
+    from .schema import parse_curve, parse_point
     curve = parse_curve(args.curve)
     point = parse_point(args.point, curve)
     prec = _precision(args)
@@ -276,6 +301,9 @@ def _cmd_ec_div(args):
 
 
 def _cmd_quadroots(args):
+    from .elliptic import quad_local_roots
+    from .padics import Place
+    from .schema import parse_quadratics
     quads = parse_quadratics(args.quadratics)
     place = Place.parse(args.place)
     result = quad_local_roots(quads, place)
@@ -284,6 +312,7 @@ def _cmd_quadroots(args):
 
 
 def _cmd_reproduce(args):
+    from .reproduce import golden_bytes, load_golden, oracle_golden, run_reproduce
     if args.oracle:
         sys.stdout.write(golden_bytes(oracle_golden()))
         return None

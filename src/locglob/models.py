@@ -14,17 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
-from .arith import int_valuation, is_prime, legendre_symbol
 from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1,
                          restriction_kernel, subgroup_to_h1subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
 from .groups import cyclic_subgroups
-from .padics import (Place, is_nth_power, rational_nth_root,
-                     square_class_approximate)
-
-GW_SWEEP_BOUND = 1000
-GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
 
 
 @dataclass(frozen=True)
@@ -242,59 +236,6 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# the Grunwald-Wang kernel over Q
-
-
-@dataclass(frozen=True)
-class GwDecision:
-    kernel_order: int
-    witness: Fraction | None
-    two_power: int          # r with n = 2^r * odd
-    checked_places: int
-
-
-def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
-    """Order of the kernel of Q*/Q*^n -> prod_{v not in T} Q_v*/Q_v*^n.
-
-    Over Q the cyclotomic field of 2^r-th roots of unity is noncyclic
-    exactly when r >= 3, and its non-decomposed primes reduce to {2}; the
-    kernel is nontrivial iff r >= 3 and T contains 2.  When nontrivial the
-    witness 16^(n/8) is checked: an n-th power at every place outside T up
-    to the sweep bound and at the real place, not an n-th power in Q
-    (exact root test), and an (n/2)-th power in Q.  A sweep bound above
-    GW_SWEEP_LIMIT is refused.
-    """
-    if n < 2:
-        raise InputError("n must be >= 2")
-    if sweep_bound > GW_SWEEP_LIMIT:
-        raise InputError("sweep bound must be at most %d, got %d"
-                         % (GW_SWEEP_LIMIT, sweep_bound))
-    T = frozenset(int(x) for x in T)
-    for p in T:
-        if not is_prime(p):
-            raise InputError("T must consist of primes, got %d" % p)
-    r = int_valuation(n, 2)
-    if r < 3 or 2 not in T:
-        return GwDecision(1, None, r, 0)
-    witness = Fraction(16) ** (n // 8)
-    checked = 0
-    for p in range(2, sweep_bound + 1):
-        if p in T or not is_prime(p):
-            continue
-        if not is_nth_power(witness, n, Place.finite(p)):
-            raise SelfCheckError("GW witness fails locally at %d" % p)
-        checked += 1
-    if not is_nth_power(witness, n, Place.real()):
-        raise SelfCheckError("GW witness fails at the real place")
-    checked += 1
-    if rational_nth_root(witness, n) is not None:
-        raise SelfCheckError("GW witness is a global n-th power")
-    if rational_nth_root(witness, n // 2) is None:
-        raise SelfCheckError("GW witness is not an (n/2)-th power")
-    return GwDecision(2, witness, r, checked)
-
-
-# ---------------------------------------------------------------------------
 # weak approximation verdicts (Corollary-style, dual side)
 
 
@@ -332,6 +273,7 @@ def weak_approx_verdict(model: PlaceModel, chi: CyclotomicData, T) -> WeakApprox
 
 
 def _parse_places(model: PlaceModel, T):
+    from .padics import Place
     out = []
     for label in sorted(T):
         if label in model.archimedean:
@@ -345,6 +287,7 @@ def _parse_places(model: PlaceModel, T):
 
 
 def _local_square_class_generators(place: Place):
+    from .arith import legendre_symbol
     if place.is_real:
         return [Fraction(-1)]
     p = place.prime
@@ -357,6 +300,7 @@ def _local_square_class_generators(place: Place):
 
 
 def _square_class_witnesses(places):
+    from .padics import square_class_approximate
     for v0 in places:
         for gen in _local_square_class_generators(v0):
             targets = {v: (gen if v == v0 else Fraction(1)) for v in places}

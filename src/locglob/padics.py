@@ -1,7 +1,8 @@
 """Places of Q, exact p-adic arithmetic at finite precision, n-th power
 tests by the unit-group criterion, n-th roots by Hensel lifting, exact
-rational roots, Hilbert symbols, the product-formula check, and
-constructive approximation of square classes.
+rational roots, Hilbert symbols, the product-formula check,
+constructive approximation of square classes, and the Grunwald-Wang
+kernel over Q.
 
 Rationals are kept exact (Fraction); truncation to a PadicNumber happens
 only when a value is embedded.  Decisions about exact rational inputs are
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from . import DEFAULT_PRECISION
 from .arith import (factorize, int_valuation, is_prime, legendre_symbol,
                     rational_unit_mod, rational_valuation, sqrt_mod_prime)
 from .errors import InputError, PrecisionError, SelfCheckError
 
-DEFAULT_PRECISION = 64
 _EXACT = 10 ** 9            # precision sentinel for exact zero
 _MIN_MARGIN = 8             # verdicts this close to the horizon are retried
 
@@ -602,3 +603,59 @@ def square_class_approximate(targets: dict) -> Fraction:
     if real_target is None and out < 0:
         raise SelfCheckError("sign drift in square-class construction")
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Grunwald-Wang kernel over Q
+
+GW_SWEEP_BOUND = 1000
+GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
+
+
+@dataclass(frozen=True)
+class GwDecision:
+    kernel_order: int
+    witness: Fraction | None
+    two_power: int          # r with n = 2^r * odd
+    checked_places: int
+
+
+def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
+    """Order of the kernel of Q*/Q*^n -> prod_{v not in T} Q_v*/Q_v*^n.
+
+    Over Q the cyclotomic field of 2^r-th roots of unity is noncyclic
+    exactly when r >= 3, and its non-decomposed primes reduce to {2}; the
+    kernel is nontrivial iff r >= 3 and T contains 2.  When nontrivial the
+    witness 16^(n/8) is checked: an n-th power at every place outside T up
+    to the sweep bound and at the real place, not an n-th power in Q
+    (exact root test), and an (n/2)-th power in Q.  A sweep bound above
+    GW_SWEEP_LIMIT is refused.
+    """
+    if n < 2:
+        raise InputError("n must be >= 2")
+    if sweep_bound > GW_SWEEP_LIMIT:
+        raise InputError("sweep bound must be at most %d, got %d"
+                         % (GW_SWEEP_LIMIT, sweep_bound))
+    T = frozenset(int(x) for x in T)
+    for p in T:
+        if not is_prime(p):
+            raise InputError("T must consist of primes, got %d" % p)
+    r = int_valuation(n, 2)
+    if r < 3 or 2 not in T:
+        return GwDecision(1, None, r, 0)
+    witness = Fraction(16) ** (n // 8)
+    checked = 0
+    for p in range(2, sweep_bound + 1):
+        if p in T or not is_prime(p):
+            continue
+        if not is_nth_power(witness, n, Place.finite(p)):
+            raise SelfCheckError("GW witness fails locally at %d" % p)
+        checked += 1
+    if not is_nth_power(witness, n, Place.real()):
+        raise SelfCheckError("GW witness fails at the real place")
+    checked += 1
+    if rational_nth_root(witness, n) is not None:
+        raise SelfCheckError("GW witness is a global n-th power")
+    if rational_nth_root(witness, n // 2) is None:
+        raise SelfCheckError("GW witness is not an (n/2)-th power")
+    return GwDecision(2, witness, r, checked)

@@ -21,9 +21,10 @@ from .cohomology import h1, h1_star
 from .elliptic import Curve, divisible_by_2k, halve_point, propagation_check
 from .errors import SelfCheckError
 from .gmodules import mu8_klein_model
-from .models import PlaceModel, gw_decision, sha_of_model, verdict
+from .models import PlaceModel, sha_of_model, verdict
 from .oracles import duplication_x
-from .padics import Place, hilbert_symbol, is_nth_power, product_formula_check
+from .padics import (Place, gw_decision, hilbert_symbol, is_nth_power,
+                     product_formula_check)
 from .schema import format_rational
 
 WANG_SWEEP = 10 ** 4

@@ -29,14 +29,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .abelian import FinAb
-from .elliptic import Curve, CurvePoint
 from .errors import InputError
-from .gmodules import CyclotomicData, GModule
-from .groups import GroupTable
-from .models import PlaceModel
-from .padics import parse_rational
+
+# each parser imports the types it builds, so a command loads only those
+if TYPE_CHECKING:
+    from .elliptic import Curve, CurvePoint
+    from .gmodules import CyclotomicData, GModule
+    from .groups import GroupTable
+    from .models import PlaceModel
 
 
 def load_document(path: str) -> dict:
@@ -87,6 +89,7 @@ def _ints(value, field: str, size: int | None = None, bound: int | None = None) 
 
 
 def parse_group(doc: dict) -> GroupTable:
+    from .groups import GroupTable
     order = _int(_require(doc, "order"), "order")
     if order < 1:
         raise InputError("order must be a positive integer")
@@ -95,6 +98,8 @@ def parse_group(doc: dict) -> GroupTable:
 
 
 def parse_module(doc: dict) -> GModule:
+    from .abelian import FinAb
+    from .gmodules import GModule
     group = parse_group(doc)
     space = FinAb(_ints(_require(doc, "invariant_factors"), "invariant_factors"))
     raw = _require(doc, "action")
@@ -112,6 +117,7 @@ def parse_module(doc: dict) -> GModule:
 
 
 def parse_chi(doc: dict, module: GModule) -> CyclotomicData | None:
+    from .gmodules import CyclotomicData
     if "chi" not in doc:
         return None
     raw = doc["chi"]
@@ -130,6 +136,7 @@ def parse_chi(doc: dict, module: GModule) -> CyclotomicData | None:
 
 
 def parse_model(doc: dict) -> PlaceModel:
+    from .models import PlaceModel
     module = parse_module(doc)
     designated = doc.get("designated", {})
     if not isinstance(designated, dict):
@@ -144,6 +151,8 @@ def parse_model(doc: dict) -> PlaceModel:
 
 
 def parse_curve(text: str) -> Curve:
+    from .elliptic import Curve
+    from .padics import parse_rational
     parts = str(text).split(",")
     if len(parts) != 3:
         raise InputError("curve must be three comma-separated rationals")
@@ -151,6 +160,7 @@ def parse_curve(text: str) -> Curve:
 
 
 def parse_point(text: str, curve: Curve) -> CurvePoint:
+    from .padics import parse_rational
     text = str(text).strip()
     if text in ("inf", "oo", "infinity"):
         return curve.infinity()
@@ -163,6 +173,7 @@ def parse_point(text: str, curve: Curve) -> CurvePoint:
 def parse_quadratics(text: str) -> list[tuple[Fraction, Fraction]]:
     """Semicolon-separated monic quadratics, each given as 'b,c' meaning
     x^2 + b x + c."""
+    from .padics import parse_rational
     out = []
     for chunk in str(text).split(";"):
         chunk = chunk.strip()

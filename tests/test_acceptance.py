@@ -18,10 +18,9 @@ from locglob.arith import is_prime
 from locglob.cohomology import h1, h1_star
 from locglob.elliptic import Curve, divisible_by_2k, quad_local_roots
 from locglob.gmodules import homothety_criterion, mu8_klein_model
-from locglob.models import (PlaceModel, finite_support_bound, gw_decision,
-                            sha_of_model, verdict)
+from locglob.models import PlaceModel, finite_support_bound, sha_of_model, verdict
 from locglob.oracles import brute_force_h1_star
-from locglob.padics import (Place, is_nth_power, product_formula_check,
+from locglob.padics import (Place, gw_decision, is_nth_power, product_formula_check,
                             rational_nth_root, square_class_approximate)
 
 from families import (lemma_consistency_family, random_homothety_module,

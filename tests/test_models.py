@@ -11,10 +11,10 @@ from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
-from locglob.models import (GW_SWEEP_LIMIT, PlaceModel, _subgroups_equal,
-                            finite_support_bound, gw_decision, sha_of_model, verdict,
-                            weak_approx_verdict)
-from locglob.padics import Place, is_nth_power, rational_nth_root
+from locglob.models import (PlaceModel, _subgroups_equal, finite_support_bound,
+                            sha_of_model, verdict, weak_approx_verdict)
+from locglob.padics import (GW_SWEEP_LIMIT, Place, gw_decision, is_nth_power,
+                            rational_nth_root)
 from locglob.schema import load_document, parse_model
 
 from families import (_random_module_pool, abelian_shapes_up_to, all_actions,

@@ -301,11 +301,19 @@ _EC_DIV = _DZ + ("--k", "2", "--place", "3")
     (("gw", "--n", "4", "--places", "3", "--sweep", "1000001"), None),
     (("power", "--a", "1" + "0" * 400, "--n", "2", "--p", "inf", "--root"), None),
     (("power", "--a", "1/1" + "0" * 400, "--n", "2", "--p", "inf", "--root"), None),
+    # argparse errors: one line too, not the usage text
+    (("frobnicate",), None),
+    (("power", "--a", "16", "--n", "8", "--p", "7", "--frobnicate"), None),
+    (("gw", "--places", "2"), None),
+    # --input and --precision exist only where they are read
+    (("gw", "--n", "8", "--places", "2", "--input", "/nonexistent.json"), None),
+    (("hilbert", "--a", "3", "--b", "5", "--p", "5", "--precision", "0"), None),
 ], ids=["places_text", "places_fraction", "precision_0", "precision_negative",
         "env_precision_0", "env_precision_negative", "power_root_precision_0",
         "ec_div_k_1000", "ec_div_k_over_limit", "ec_div_sweep_over_limit",
         "gw_sweep_5e9", "gw_sweep_over_limit", "power_real_root_overflow",
-        "power_real_root_underflow"])
+        "power_real_root_underflow", "unknown_subcommand", "unknown_flag",
+        "missing_required_flag", "gw_input", "hilbert_precision"])
 def test_bad_flag_exits_2_with_one_line(monkeypatch, capsys, argv, env):
     import locglob.cli as cli
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
@@ -323,11 +331,19 @@ def test_internal_failure_exits_3(monkeypatch, capsys, mu8_file, error):
 
     def broken(module):
         raise error("engine disagrees with itself")
-    monkeypatch.setattr(cli, "h1", broken)
+    monkeypatch.setattr("locglob.cohomology.h1", broken)
     assert cli.main(["h1", "--input", mu8_file]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal failure: engine disagrees with itself\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gw", "--help"]], ids=["top", "gw"])
+def test_help_exits_0(capsys, argv):
+    from locglob.cli import main
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: locglob") and err == ""
 
 
 def test_internal_root_failure_exits_3(monkeypatch, capsys):
@@ -545,3 +561,35 @@ def test_reproduce_tampered_golden(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["checks_failed"] == 1
     assert doc["results"]["dz.halves_x"].startswith("fail")
+
+
+_BASE = {"locglob", "locglob.cli", "locglob.errors"}
+_LOCAL = _BASE | {"locglob.schema", "locglob.padics", "locglob.arith"}
+_H1 = _BASE | {"locglob.schema", "locglob.groups", "locglob.abelian", "locglob.linalg",
+               "locglob.gmodules", "locglob.cohomology", "locglob.oracles"}
+_FOOTPRINT = ("import sys\n"
+              "from locglob.cli import main\n"
+              "main(sys.argv[1:])\n"
+              "sys.stderr.write(' '.join(m for m in sys.modules if m.startswith('locglob')))\n")
+
+
+@pytest.mark.parametrize("args,expected", [
+    (("power", "--a", "16", "--n", "8", "--p", "7", "--root"), _LOCAL),
+    (("hilbert", "--a", "3", "--b", "5", "--p", "5"), _LOCAL),
+    (("gw", "--n", "8", "--places", "2"), _LOCAL),
+    (_EC_DIV, _LOCAL | {"locglob.elliptic"}),
+    (("quadroots", "--quadratics", "0,1;0,5;0,-5", "--place", "2"),
+     _LOCAL | {"locglob.elliptic"}),
+    (("h1", "--input", "sample_inputs/mu8.json"), _H1),
+    (("h1star", "--input", "sample_inputs/mu8.json"), _H1),
+    (("hasse", "--input", "sample_inputs/mu8.json"), _H1 | {"locglob.models"}),
+    (("frobnicate",), _BASE),
+], ids=["power", "hilbert", "gw", "ec-div", "quadroots", "h1", "h1star", "hasse",
+        "unknown"])
+def test_subcommands_load_only_their_modules(args, expected):
+    """A cold invocation imports only the modules its handler calls: the
+    p-adic commands no cohomology, the cohomology commands no p-adics."""
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *args], cwd=REPO,
+                          capture_output=True, text=True)
+    loaded = set(proc.stderr.strip().splitlines()[-1].split())
+    assert loaded == expected
