@@ -1,15 +1,29 @@
 """Weierstrass curves with full rational 2-torsion over Q, Q_p, and R:
 chord-tangent arithmetic, point halving by square roots, and 2-power
-divisibility by depth-first iterated halving.
+divisibility.
 
-A point is 2-divisible iff x(P) - e_i is a square for each root e_i
-(Silverman, AEC, X.1.4); the candidate halves are assembled from the
-square roots and each is verified by doubling, exactly over Q and to
-working precision locally.  The descent takes the halves one at a time and
-stops at the first half that descends, so every half a verdict uses is
-verified and a False verdict visits every candidate.  Each precision
-attempt embeds the curve once; local verdicts too close to the precision
-horizon retry the whole computation at twice the precision.
+The square test: P lies in 2E(K) iff x(P) - e_i is a square in K for each
+root e_i, zero counting as a square (Knapp, Elliptic Curves, Thm 4.2;
+Silverman, AEC, X.1.4).  It decides k = 1 for a rational point exactly,
+with no embedding: by is_nth_power at a finite place and by an exact
+rational root over Q.  It also decides the last level of every deeper
+descent, so a k-deep descent halves k - 1 times.
+
+Deeper verdicts descend depth-first: a point is 2^k-divisible iff some
+half is 2^(k-1)-divisible.  The halves are assembled from the square roots
+and each is verified by doubling, exactly over Q and to working precision
+locally; the descent stops at the first half that descends.  Each precision
+attempt embeds the curve once, and local verdicts too close to the
+precision horizon retry the whole computation at twice the precision.
+
+The depth cap: at an odd prime p where every e_i is p-integral and the e_i
+are distinct mod p, the curve has good reduction, E(Q_p)/E_1 is the
+reduced group E~(F_p), and E_1 is uniquely 2-divisible (Silverman, AEC,
+VII.2.1-2).  So P lies in 2^k E(Q_p) iff its reduction lies in
+2^k E~(F_p).  That group has full 2-torsion and at most p + 1 + 2 sqrt(p)
+points (Hasse; AEC, V.1.1), so its 2-part has exponent at most 2^(s_p)
+(see _depth_cap) and every k >= s_p gives the verdict of k = s_p.  The
+cap applies nowhere else: not at p = 2, at a bad prime, over R or over Q.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InputError, PrecisionError
 from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
@@ -239,6 +254,7 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
     A rational point at a finite place is embedded at the working precision,
     and precision exhaustion retries at doubled precision; persistent
     ambiguity raises PrecisionError rather than guessing."""
+    _check_precision(precision)
     retriable = (place is not None and not place.is_real
                  and isinstance(p.x, (int, Fraction)))
 
@@ -250,11 +266,14 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
     return _at_rising_precision(attempt, precision, retriable)
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 1:
+        raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
+
+
 def _at_rising_precision(compute, precision: int, retriable: bool = True):
     """compute(n) at n = precision, retried at doubled n while it raises
     PrecisionError (when retriable) and n stays within _MAX_PRECISION."""
-    if precision < 1:
-        raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
     n = precision
     while True:
         try:
@@ -309,19 +328,28 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
                     precision: int = DEFAULT_PRECISION) -> bool:
     """Whether P lies in 2^k E over the stated field, for 1 <= k <= MAX_K.
 
-    Finite places and Q: depth-first iterated halving (a point is
-    2^k-divisible iff some half is 2^(k-1)-divisible) over one field that
-    embeds the curve once per precision attempt.  Halves are taken one at
-    a time, each verified by doubling before the descent uses it, and the
-    descent stops at the first half that descends; a False verdict visits
-    every candidate.  A PrecisionError anywhere retries the whole descent
-    at doubled precision.  The real place: for k >= 1 the image of
-    multiplication by 2^k is exactly the identity (unbounded) component,
-    decided by exact sign arithmetic; the component-group convention gives
-    the same verdict for every k >= 1.
+    The real place: for k >= 1 the image of multiplication by 2^k is
+    exactly the identity (unbounded) component, decided by exact sign
+    arithmetic; the component-group convention gives the same verdict for
+    every k >= 1.
+
+    Finite places and Q.  At a good odd prime p (every root p-integral,
+    the roots distinct mod p) k is first capped at s_p, which is exact
+    because E_1 is uniquely 2-divisible and the reduced group has at most
+    p + 1 + 2 sqrt(p) points (module docstring); p = 2, bad primes and Q
+    are not capped.  Then k = 1 on a rational point is the square test on
+    x(P) - e_i, exact and without an embedding.  Otherwise the descent is
+    depth-first over one field that embeds the curve once per precision
+    attempt (a point is 2^k-divisible iff some half is
+    2^(k-1)-divisible): halves are taken one at a time, each verified by
+    doubling before the descent uses it, and the descent stops at the first
+    half that descends.  The last level is the square test, so a k-deep
+    descent halves k - 1 times.  A PrecisionError anywhere retries the
+    whole descent at doubled precision.
     """
     if not 1 <= k <= MAX_K:
         raise InputError("k must be between 1 and %d, got %d" % (MAX_K, k))
+    _check_precision(precision)
     if not curve.contains(p):
         raise InputError("point is not on the curve")
     if p.infinity:
@@ -331,6 +359,9 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
         if isinstance(p.x, (int, Fraction)):
             return Fraction(p.x) >= top
         return p.x >= float(top) - _REAL_TOL
+    k = min(k, _depth_cap(curve, place))
+    if k == 1 and isinstance(p.x, (int, Fraction)):
+        return all(_is_square(p.x - e, place) for e in curve.roots)
 
     def attempt(n):
         f = _Field(curve, place, n)
@@ -338,9 +369,38 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     return _at_rising_precision(attempt, precision)
 
 
-def _descends(f: _Field, p: CurvePoint, k: int) -> bool:
-    if k == 0:
+def _depth_cap(curve: Curve, place: Place | None) -> int:
+    """s_p = floor(log2(M)), M = ceil((p + 1 + isqrt(4p)) / 2), at a good
+    odd prime p, and MAX_K at every other place (three roots are never
+    distinct mod 2).  The 2-part of E~(F_p) has order 2^a >= 4 (full
+    2-torsion) dividing #E~(F_p) <= p + 1 + isqrt(4p), so its exponent is
+    at most 2^(a - 1) <= M."""
+    if place is None:
+        return MAX_K
+    p = place.prime
+    if (any(e.denominator % p == 0 for e in curve.roots)
+            or len({e.numerator * pow(e.denominator, -1, p) % p for e in curve.roots}) < 3):
+        return MAX_K
+    return ((p + 2 + isqrt(4 * p)) // 2).bit_length() - 1
+
+
+def _is_square(c, place: Place | None) -> bool:
+    """Whether c is a square over the place's field (Q for None), zero
+    counting as one: exact for a rational c, and for a p-adic c as
+    PadicNumber.is_square decides it, with an approximate zero counting as
+    a square as in _Field.sqrt."""
+    if isinstance(c, PadicNumber):
+        return c.is_zero or c.is_square()
+    if c == 0:
         return True
+    if place is None:
+        return rational_nth_root(c, 2) is not None
+    return is_nth_power(c, 2, place)
+
+
+def _descends(f: _Field, p: CurvePoint, k: int) -> bool:
+    if k == 1:
+        return all(_is_square(p.x - e, f.place) for e in f.roots)
     for q in _halve_affine(f, p):
         if _descends(f, q, k - 1):
             return True

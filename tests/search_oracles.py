@@ -4,9 +4,11 @@ Each recomputes by enumeration or by a direct test a quantity that the
 program decides by a formula or a shortcut: H1 of a cyclic group as
 ker(norm)/im(sigma - 1), squares mod p, n-th powers in Q_p by a residue
 sweep at the Hensel modulus, 2-power divisibility by the whole halving
-tree, and bijectivity of a matrix on a finite abelian group by the
-triviality of its kernel (GModule reads it from the homomorphism check;
-the test families read it from a numpy batch of image counts).
+tree and, at a good odd prime, by the multiples in the reduced group
+E~(F_p) with no p-adics at all, and bijectivity of a matrix on a finite
+abelian group by the triviality of its kernel (GModule reads it from the
+homomorphism check; the test families read it from a numpy batch of image
+counts).
 The axioms of a group table, an action, a cocycle and a character, and
 closure of a subgroup, are tested here on all triples or pairs of
 elements; the program checks them on a generating set.  The built-in H1
@@ -16,6 +18,7 @@ element, where the program sums tables of basis images.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -161,6 +164,45 @@ def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:
     fiber_sizes.append(len(halves))
     depths = [1 + halving_depth(curve, q, k - 1, place, fiber_sizes) for q in halves]
     return max(depths, default=0)
+
+
+def reduced_divisible_by_2k(curve, point, k: int, p: int) -> bool:
+    """Whether the reduction of a rational point lies in 2^k E~(F_p), for
+    y^2 = (x - e1)(x - e2)(x - e3) with good reduction at the odd prime p,
+    by membership in the set of 2^k-multiples of the enumerated E~(F_p).
+    A point with p in the denominator of x reduces to the origin, which is
+    always divisible."""
+    roots = tuple(e.numerator * pow(e.denominator, -1, p) % p for e in curve.roots)
+    if len(set(roots)) < 3:
+        raise InputError("the reduced-group oracle needs a good odd prime")
+    if point.infinity or point.x.denominator % p == 0:
+        return True
+    reduced = (point.x.numerator * pow(point.x.denominator, -1, p) % p,
+               point.y.numerator * pow(point.y.denominator, -1, p) % p)
+    assert reduced in _reduced_multiples(roots, p, 0)
+    return reduced in _reduced_multiples(roots, p, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_multiples(roots: tuple, p: int, k: int) -> frozenset:
+    """2^k E~(F_p) for y^2 = prod (x - e_i) mod p; None is the origin."""
+    e1, e2, e3 = roots
+    if k == 0:
+        sqrt = {}
+        for y in range(p):
+            sqrt.setdefault(y * y % p, []).append(y)
+        return frozenset([None] + [(x, y) for x in range(p)
+                                   for y in sqrt.get((x - e1) * (x - e2) * (x - e3) % p, ())])
+    a2, a4 = -(e1 + e2 + e3), e1 * e2 + e1 * e3 + e2 * e3
+
+    def double(q):
+        if q is None or q[1] == 0:
+            return None
+        x, y = q
+        lam = (3 * x * x + 2 * a2 * x + a4) * pow(2 * y, -1, p) % p
+        x3 = (lam * lam - a2 - 2 * x) % p
+        return x3, (lam * (x - x3) - y) % p
+    return frozenset(map(double, _reduced_multiples(roots, p, k - 1)))
 
 
 def matrix_is_automorphism(mat, space: FinAb) -> bool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from locglob import elliptic
 from locglob.arith import is_prime
 from locglob.elliptic import (MAX_K, Curve, divisible_by_2k, group_law,
                               halve_point, negate, points_equal,
@@ -152,6 +153,19 @@ def test_halving_two_torsion():
     assert halve_point(DZ, egg, Place.real()) == []
 
 
+def test_square_test_counts_zero_as_a_square():
+    # at a 2-torsion point one x(T) - e_i is zero, and the square test on
+    # the other two must agree with the halves that halve_point finds
+    places = [Place.finite(p) for p in PRIMES_200] + [None]
+    verdicts = set()
+    for t in DZ.two_torsion()[1:]:
+        for place in places:
+            got = divisible_by_2k(DZ, t, 1, place)
+            assert got == bool(halve_point(DZ, t, place)), (t, place)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_real_divisibility_component_rule():
     egg_point = DZ.point(Fraction(-15), Fraction(0))   # leftmost root: egg
     assert not divisible_by_2k(DZ, egg_point, 1, Place.real())
@@ -237,10 +251,50 @@ def test_lazy_descent_matches_the_whole_halving_tree():
     assert set(fiber_sizes) == {0, 4}
 
 
+def _good_odd_primes(curve, bound):
+    """The odd primes below bound where every root is integral and the
+    roots stay distinct."""
+    out = []
+    for p in range(3, bound, 2):
+        if is_prime(p) and all(e.denominator % p for e in curve.roots) \
+                and len({e.numerator * pow(e.denominator, -1, p) % p
+                         for e in curve.roots}) == 3:
+            out.append(p)
+    return out
+
+
+def test_divisibility_at_good_primes_matches_the_reduced_group():
+    # at a good odd prime, P is in 2^k E(Q_p) iff its reduction is in
+    # 2^k E~(F_p); the oracle enumerates E~(F_p), so this checks the depth
+    # cap (k up to s_p + 3), the k = 1 square test and the last level
+    from search_oracles import reduced_divisible_by_2k
+    rng = random.Random(1615)
+    cases = [(DZ, [DZ_P] + [scalar_mul(DZ, m, DZ_P) for m in (2, 3, 4)]
+              + [group_law(DZ, DZ_P, t) for t in DZ.two_torsion()[1:]])]
+    for _ in range(2):
+        curve, q = _curve_through_a_point(rng)
+        cases.append((curve, [q, group_law(curve, q, curve.two_torsion()[1])]))
+    mismatches = []
+    verdicts = set()
+    for curve, points in cases:
+        for p in _good_odd_primes(curve, 200):
+            cap = elliptic._depth_cap(curve, Place.finite(p))
+            for pt in points:
+                for k in range(1, cap + 4):
+                    got = divisible_by_2k(curve, pt, k, Place.finite(p))
+                    verdicts.add((k > cap, got))
+                    if got != reduced_divisible_by_2k(curve, pt, k, p):
+                        mismatches.append((curve, pt, p, k))
+    assert mismatches == []
+    assert verdicts == {(deep, v) for deep in (True, False) for v in (True, False)}
+
+
 def test_precision_below_one_is_an_input_error():
+    # k = 1 on a rational point takes the square test, which embeds nothing
     for prec in (0, -4):
-        with pytest.raises(InputError):
-            divisible_by_2k(DZ, DZ_P, 2, Place.finite(3), prec)
+        for k, place in ((2, Place.finite(3)), (1, Place.finite(3)), (1, None)):
+            with pytest.raises(InputError):
+                divisible_by_2k(DZ, DZ_P, k, place, prec)
         with pytest.raises(InputError):
             halve_point(DZ, DZ_P, Place.finite(3), prec)
 
@@ -265,13 +319,23 @@ def test_low_starting_precision_rises_to_the_same_verdict():
         assert all(any(points_equal(h, q) for q in high) for h in low), p
 
 
-def test_divisibility_depth_is_bounded():
+def test_divisibility_depth_is_bounded(monkeypatch):
     with pytest.raises(InputError):
         divisible_by_2k(DZ, DZ_P, MAX_K + 1, Place.finite(3))
     with pytest.raises(InputError):
         divisible_by_2k(DZ, DZ_P, 0, Place.finite(3))
-    # the deepest allowed descent runs within the default recursion limit
+    halved = []
+    halve = elliptic._halve_affine
+    monkeypatch.setattr(elliptic, "_halve_affine",
+                        lambda f, p: halved.append(p) or halve(f, p))
+    # 3 is a good prime of DZ, where the depth is capped at 2: one halving
     assert divisible_by_2k(DZ, DZ_P, MAX_K, Place.finite(3))
+    assert len(halved) == 1
+    # 5 divides e2 - e3, so 5 is uncapped, and a True verdict there halves
+    # at least MAX_K - 1 times, within the default recursion limit
+    halved.clear()
+    assert divisible_by_2k(DZ, DZ_P, MAX_K, Place.finite(5))
+    assert len(halved) >= MAX_K - 1
 
 
 def test_quad_local_roots():

@@ -480,20 +480,24 @@ def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
     assert code == 0
 
 
-@pytest.mark.parametrize("k,bound,expected", [
-    ("2", "997", "ec_div_dz_sweep_997.json"),
-    ("3", "199", "ec_div_dz_k3_sweep_199.json"),
-], ids=["k2_997", "k3_199"])
-def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected):
+@pytest.mark.parametrize("k,bound,expected,exit_code", [
+    ("1", "997", "ec_div_dz_k1_sweep_997.json", 0),
+    ("2", "997", "ec_div_dz_sweep_997.json", 1),
+    ("3", "199", "ec_div_dz_k3_sweep_199.json", 1),
+    ("600", "97", "ec_div_dz_k600_sweep_97.json", 1),
+], ids=["k1_997", "k2_997", "k3_199", "k600_97"])
+def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected, exit_code):
     """The JSON sweep reports of the Dvornicich-Zannier point, byte for
-    byte.  At k = 3 four places answer no, some of them after the descent
-    has explored part of the halving tree."""
+    byte.  At k = 1 every place decides by the square test.  At k = 3 four
+    places answer no, some of them after the descent has explored part of
+    the halving tree.  At k = 600 the good odd primes stop at their depth
+    cap and the bad prime 5 descends all the way."""
     from locglob.cli import main
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
     code = main(list(_DZ) + ["--k", k, "--sweep", bound, "--format", "json"])
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
         assert capsys.readouterr().out == fh.read()
-    assert code == 1
+    assert code == exit_code
 
 
 _PINNED_REPORTS = [
