@@ -9,12 +9,16 @@ with no embedding: by is_nth_power at a finite place and by an exact
 rational root over Q.  It also decides the last level of every deeper
 descent, so a k-deep descent halves k - 1 times.
 
-Deeper verdicts descend depth-first: a point is 2^k-divisible iff some
-half is 2^(k-1)-divisible.  The halves are assembled from the square roots
-and each is verified by doubling, exactly over Q and to working precision
-locally; the descent stops at the first half that descends.  Each precision
-attempt embeds the curve once, and local verdicts too close to the
-precision horizon retry the whole computation at twice the precision.
+Halving: with r_i^2 = x(P) - e_i and r1 r2 r3 = y(P), flipping the signs
+of the r_i in pairs gives the four halves, each (x(P) + r1 r2 + r1 r3 +
+r2 r3, (r1 + r2)(r1 + r3)(r2 + r3)) (Knapp, Thm 4.2).  Over Q and Q_p each
+half is verified by doubling.  Over R the point must be rational, every
+decision is exact, and floats are for display only.  Deeper verdicts
+descend depth-first: a point is 2^k-divisible iff some half is
+2^(k-1)-divisible, and the descent stops at the first half that descends.
+Each precision attempt embeds the curve once, and local verdicts too close
+to the precision horizon retry the whole computation at twice the
+precision.
 
 The depth cap: at an odd prime p where every e_i is p-integral and the e_i
 are distinct mod p, the curve has good reduction, E(Q_p)/E_1 is the
@@ -39,7 +43,6 @@ from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
 
 _MAX_PRECISION = 4096
 MAX_K = 600                 # deepest 2-power divisibility decided
-_REAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,14 @@ class Curve:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point or the point at infinity; coordinates are Fractions
-    (global), PadicNumbers (finite place), or floats (real place)."""
+    """Affine point or the point at infinity.  Coordinates are Fractions
+    (global), or PadicNumbers (finite place); floats appear only in the
+    halves that halve_point returns at the real place, for display, and are
+    never accepted as input."""
 
     x: object
     y: object
     infinity: bool = False
-
-    def key(self):
-        if self.infinity:
-            return ("inf",)
-        return ("pt", _coord_key(self.x), _coord_key(self.y))
 
     def __str__(self):
         if self.infinity:
@@ -116,22 +116,9 @@ class CurvePoint:
         return "(%s, %s)" % (self.x, self.y)
 
 
-def _coord_key(c):
-    if isinstance(c, PadicNumber):
-        if c.is_zero:
-            return ("0",)
-        digits = min(c.precision, 16)
-        return (c.valuation, c.unit % c.prime ** digits)
-    if isinstance(c, float):
-        return round(c, 6)
-    return c
-
-
 def _is_zero(c) -> bool:
     if isinstance(c, PadicNumber):
         return c.is_zero
-    if isinstance(c, float):
-        return abs(c) <= _REAL_TOL * 1000
     return c == 0
 
 
@@ -140,8 +127,6 @@ def _eq(a, b) -> bool:
         if not isinstance(a, PadicNumber):
             a, b = b, a
         return a.equals_to_precision(b)
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= _REAL_TOL * max(1.0, abs(a), abs(b))
     return a == b
 
 
@@ -231,14 +216,13 @@ class _Field:
         return CurvePoint(self.embed(p.x), self.embed(p.y), False)
 
     def sqrt(self, c):
-        """A square root or None; PrecisionError when undecidable.  The real
-        sign test is exact for a rational c and tolerant for a float."""
+        """A square root or None; PrecisionError when undecidable.  At R the
+        sign test is exact on the rational c and the float root is for
+        display only."""
         if self.place is None:
             return rational_nth_root(c, 2)
         if self.place.is_real:
-            if c < (0 if isinstance(c, (int, Fraction)) else -_REAL_TOL):
-                return None
-            return max(float(c), 0.0) ** 0.5
+            return None if c < 0 else float(c) ** 0.5
         if c.is_zero:
             return c
         return c.sqrt() if c.is_square() else None
@@ -246,29 +230,35 @@ class _Field:
 
 def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
                 precision: int = DEFAULT_PRECISION) -> list[CurvePoint]:
-    """Every Q over the given field with 2Q = P, each verified by doubling
-    (the whole list, where the descent of divisible_by_2k stops at the
-    first half that descends).  Halving the origin returns the 2-torsion
-    fiber.
+    """Every Q over the given field with 2Q = P: four halves or none (where
+    the descent of divisible_by_2k stops at the first half that descends).
+    Halving the origin returns the 2-torsion fiber.  A point off the curve,
+    or at R a point whose coordinates are not rational, is an InputError.
+    At R the float coordinates of a half are for display only.
 
     A rational point at a finite place is embedded at the working precision,
     and precision exhaustion retries at doubled precision; persistent
-    ambiguity raises PrecisionError rather than guessing."""
-    _check_precision(precision)
-    retriable = (place is not None and not place.is_real
-                 and isinstance(p.x, (int, Fraction)))
+    ambiguity raises PrecisionError rather than guessing (Q and R decide
+    exactly and never raise it)."""
+    _check_input(curve, p, place, precision)
 
     def attempt(n):
         f = _Field(curve, place, n)
         if p.infinity:
             return [f.point(t) for t in curve.two_torsion()]
         return list(_halve_affine(f, f.point(p)))
-    return _at_rising_precision(attempt, precision, retriable)
+    return _at_rising_precision(attempt, precision, isinstance(p.x, (int, Fraction)))
 
 
-def _check_precision(precision: int) -> None:
+def _check_input(curve: Curve, p: CurvePoint, place: Place | None,
+                 precision: int) -> None:
     if precision < 1:
         raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
+    if (place is not None and place.is_real and not p.infinity
+            and not isinstance(p.x, (int, Fraction))):
+        raise InputError("the real place takes a point with rational coordinates")
+    if not curve.contains(p):
+        raise InputError("point is not on the curve")
 
 
 def _at_rising_precision(compute, precision: int, retriable: bool = True):
@@ -285,38 +275,51 @@ def _at_rising_precision(compute, precision: int, retriable: bool = True):
 
 
 def _halve_affine(f: _Field, p: CurvePoint) -> Iterator[CurvePoint]:
-    """The distinct halves of an affine P, each yielded as soon as doubling
-    has verified it, so a caller that needs one half stops the search."""
-    r1, r2, r3 = f.roots
-    alphas = []
+    """The four halves of an affine P (module docstring), or none, yielded
+    one at a time so that a caller that needs one half stops early.  A zero
+    root flips to itself, so y(P) = 0 needs no special case.  At R every
+    sign is exact: r1 takes the sign of y(P), and r_i + r_j that of the
+    root with the smaller e (|r_i| > |r_j| iff e_i < e_j), so y(Q) takes
+    the sign of the root with the middle e.  Over Q and Q_p, y(Q) is the
+    square root of the cubic at x(Q) with the sign of the formula's
+    product, and Q must double back to P; what the precision cannot settle
+    raises PrecisionError."""
+    roots = []
     for e in f.roots:
         r = f.sqrt(p.x - e)
         if r is None:
             return
-        alphas.append(r)
-    a1, a2, a3 = alphas
-    if not _is_zero(p.y):
-        prod = a1 * a2 * a3
-        if _eq(prod, -p.y):
-            a1 = -a1
-        elif not _eq(prod, p.y):
+        roots.append(r)
+    real = f.place is not None and f.place.is_real
+    if real:
+        first = -1 if p.y < 0 else 1
+        mid = sorted(range(3), key=f.roots.__getitem__)[1]
+    else:
+        prod = roots[0] * roots[1] * roots[2]
+        if _is_zero(p.y) or _eq(prod, p.y):
+            first = 1
+        elif _eq(prod, -p.y):
+            first = -1
+        else:
             raise PrecisionError("square roots do not recombine to y(P)")
-    seen = set()
-    n2, n3 = -a2, -a3
-    for b2, b3 in ((a2, a3), (a2, n3), (n2, a3), (n2, n3)):
-        xq = p.x + b2 * b3 + a1 * b3 + a1 * b2
-        rhs = (xq - r1) * (xq - r2) * (xq - r3)
-        if _is_zero(rhs):
-            continue   # a 2-torsion candidate can only double to the origin
-        yq = f.sqrt(rhs)
-        if yq is None:
+    e1, e2, e3 = f.roots
+    for signs in ((first, 1, 1), (first, -1, -1), (-first, 1, -1), (-first, -1, 1)):
+        s1, s2, s3 = (r if sign > 0 else -r for r, sign in zip(roots, signs))
+        xq = p.x + s2 * s3 + s1 * s3 + s1 * s2
+        cubic = (xq - e1) * (xq - e2) * (xq - e3)
+        if real:
+            yq = max(cubic, 0.0) ** 0.5
+            yield CurvePoint(xq, yq if signs[mid] > 0 else -yq, False)
             continue
-        for cand in (CurvePoint(xq, yq, False), CurvePoint(xq, -yq, False)):
-            if points_equal(_double(f, cand), p):
-                k = cand.key()
-                if k not in seen:
-                    seen.add(k)
-                    yield cand
+        yq = f.sqrt(cubic)
+        w = (s1 + s2) * (s1 + s3) * (s2 + s3)
+        plus = yq is not None and _eq(yq, w)
+        if yq is None or plus == _eq(-yq, w):
+            raise PrecisionError("the sign of y(Q) is not settled at this precision")
+        q = CurvePoint(xq, yq if plus else -yq, False)
+        if not points_equal(_double(f, q), p):
+            raise PrecisionError("a half does not double back to P")
+        yield q
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +332,9 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     """Whether P lies in 2^k E over the stated field, for 1 <= k <= MAX_K.
 
     The real place: for k >= 1 the image of multiplication by 2^k is
-    exactly the identity (unbounded) component, decided by exact sign
-    arithmetic; the component-group convention gives the same verdict for
-    every k >= 1.
+    exactly the identity (unbounded) component, x(P) >= max e_i, decided
+    exactly on the rational P; the component-group convention gives the
+    same verdict for every k >= 1.
 
     Finite places and Q.  At a good odd prime p (every root p-integral,
     the roots distinct mod p) k is first capped at s_p, which is exact
@@ -349,16 +352,11 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     """
     if not 1 <= k <= MAX_K:
         raise InputError("k must be between 1 and %d, got %d" % (MAX_K, k))
-    _check_precision(precision)
-    if not curve.contains(p):
-        raise InputError("point is not on the curve")
+    _check_input(curve, p, place, precision)
     if p.infinity:
         return True
     if place is not None and place.is_real:
-        top = max(curve.roots)
-        if isinstance(p.x, (int, Fraction)):
-            return Fraction(p.x) >= top
-        return p.x >= float(top) - _REAL_TOL
+        return p.x >= max(curve.roots)
     k = min(k, _depth_cap(curve, place))
     if k == 1 and isinstance(p.x, (int, Fraction)):
         return all(_is_square(p.x - e, place) for e in curve.roots)

@@ -22,12 +22,12 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isclose, sqrt
 
 from locglob.abelian import FinAb, apply_matrix, matrix_is_compatible
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
 from locglob.cohomology import CocycleClass, coboundary
-from locglob.elliptic import halve_point
+from locglob.elliptic import CurvePoint, halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
 from locglob.groups import GroupTable
@@ -155,15 +155,43 @@ def is_nth_power_search(a, n: int, p: int) -> bool:
 
 def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:
     """The largest j <= k with P in 2^j E over the place, by recursion over
-    every half that halve_point lists, with no early exit: a half of the
-    origin counts as divisible to any depth.  Appends the number of halves
-    of every affine point halved to fiber_sizes."""
+    every half, with no early exit: a half of the origin counts as
+    divisible to any depth.  The halves are those that halve_point lists,
+    and at the real place those of _real_halves.  Appends the number of
+    halves of every affine point halved to fiber_sizes."""
     if k == 0 or point.infinity:
         return k
-    halves = halve_point(curve, point, place)
+    if place is not None and place.is_real:
+        halves = _real_halves(curve, point)
+    else:
+        halves = halve_point(curve, point, place)
     fiber_sizes.append(len(halves))
     depths = [1 + halving_depth(curve, q, k - 1, place, fiber_sizes) for q in halves]
     return max(depths, default=0)
+
+
+def _real_halves(curve, point) -> list:
+    """The real halves of an affine point in floats, which halve_point does
+    not take as input: the point (x(P) + r1 r2 + r1 r3 + r2 r3,
+    (r1 + r2)(r1 + r3)(r2 + r3)) for each of the eight sign choices of
+    r_i = +-sqrt(x(P) - e_i), kept when its chord-tangent double is P
+    within a relative 1e-9, a float-accuracy bound of this oracle alone."""
+    x, y = float(point.x), float(point.y)
+    diffs = [x - float(e) for e in curve.roots]
+    if min(diffs) < 0:
+        return []
+    a2, a4 = float(curve.a2), float(curve.a4)
+    halves = []
+    for signs in itertools.product((1, -1), repeat=3):
+        r1, r2, r3 = (s * sqrt(d) for s, d in zip(signs, diffs))
+        xq = x + r1 * r2 + r1 * r3 + r2 * r3
+        yq = (r1 + r2) * (r1 + r3) * (r2 + r3)
+        lam = (3 * xq * xq + 2 * a2 * xq + a4) / (2 * yq)
+        x2 = lam * lam - a2 - 2 * xq
+        if (isclose(x2, x, rel_tol=1e-9)
+                and isclose(lam * (xq - x2) - yq, y, rel_tol=1e-9)):
+            halves.append(CurvePoint(xq, yq))
+    return halves
 
 
 def reduced_divisible_by_2k(curve, point, k: int, p: int) -> bool:

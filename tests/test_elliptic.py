@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import isclose
 
 import pytest
 
 from locglob import elliptic
 from locglob.arith import is_prime
-from locglob.elliptic import (MAX_K, Curve, divisible_by_2k, group_law,
-                              halve_point, negate, points_equal,
+from locglob.elliptic import (MAX_K, Curve, CurvePoint, divisible_by_2k,
+                              group_law, halve_point, negate, points_equal,
                               propagation_check, quad_local_roots, scalar_mul)
 from locglob.errors import InputError
 from locglob.oracles import duplication_x, propagation_by_torsion_translates
@@ -19,6 +20,13 @@ TRIPLE = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(5)),
 
 ODD_PRIMES_100 = [p for p in range(3, 100) if is_prime(p)]
 PRIMES_200 = [p for p in range(2, 200) if is_prime(p)]
+SCALES = [Fraction(1, 100), Fraction(1, 10), Fraction(10), Fraction(100)]
+
+
+def _dz_scaled(u):
+    """DZ and DZ_P under (x, y) -> (u^2 x, u^3 y), an isomorphism over Q."""
+    curve = Curve(*(e * u * u for e in DZ.roots))
+    return curve, curve.point(DZ_P.x * u * u, DZ_P.y * u ** 3)
 
 
 def _random_rational_points(curve, rng, count):
@@ -42,6 +50,19 @@ def test_curve_validation():
         Curve(Fraction(1), Fraction(1), Fraction(2))
     with pytest.raises(InputError):
         DZ.point(Fraction(0), Fraction(1))
+
+
+def test_halving_a_point_off_the_curve_is_an_input_error():
+    off = CurvePoint(Fraction(1561, 144), Fraction(1))
+    for place in (None, Place.real(), Place.finite(7)):
+        with pytest.raises(InputError):
+            halve_point(DZ, off, place)
+    # the floats of a real half are for display; no float point is input
+    half = halve_point(DZ, DZ_P, Place.real())[0]
+    with pytest.raises(InputError):
+        halve_point(DZ, half, Place.real())
+    with pytest.raises(InputError):
+        divisible_by_2k(DZ, half, 1, Place.real())
 
 
 def test_group_law_identity_and_inverse():
@@ -155,15 +176,41 @@ def test_halving_two_torsion():
 
 def test_square_test_counts_zero_as_a_square():
     # at a 2-torsion point one x(T) - e_i is zero, and the square test on
-    # the other two must agree with the halves that halve_point finds
-    places = [Place.finite(p) for p in PRIMES_200] + [None]
+    # the other two must agree with the halves that halve_point finds: four
+    # or none at every place, R included, on DZ and its scalings (where the
+    # real halves of the 1/100 scaling have y^2 below 1e-6) and on a curve
+    # whose real halves of (-26, 0) lie hundreds apart
+    places = [Place.finite(p) for p in PRIMES_200] + [Place.real(), None]
+    cases = []
+    for curve, p in [_dz_scaled(u) for u in [1] + SCALES]:
+        cases.append((curve, [p, scalar_mul(curve, 2, p), scalar_mul(curve, 3, p)]
+                      + curve.two_torsion()[1:]))
+    wide = Curve(-27, -26, -58778)
+    cases.append((wide, wide.two_torsion()[1:]))
     verdicts = set()
-    for t in DZ.two_torsion()[1:]:
-        for place in places:
-            got = divisible_by_2k(DZ, t, 1, place)
-            assert got == bool(halve_point(DZ, t, place)), (t, place)
-            verdicts.add(got)
+    for curve, points in cases:
+        for pt in points:
+            for place in places:
+                got = divisible_by_2k(curve, pt, 1, place)
+                assert len(halve_point(curve, pt, place)) == 4 * got, (curve, pt, place)
+                verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_real_halves_match_the_rational_halves():
+    # on DZ and its scalings the halves of P, 2P and 3P are rational: each
+    # real half has the y sign of its rational half exactly and its
+    # coordinates to float accuracy (a bound of this test alone)
+    for u in [1] + SCALES:
+        curve, p = _dz_scaled(u)
+        for pt in (p, scalar_mul(curve, 2, p), scalar_mul(curve, 3, p)):
+            exact = sorted(halve_point(curve, pt), key=lambda h: (h.x, h.y))
+            real = sorted(halve_point(curve, pt, Place.real()), key=lambda h: (h.x, h.y))
+            assert len(exact) == len(real) == 4, (u, pt)
+            for q, h in zip(exact, real):
+                assert (h.y > 0) == (q.y > 0), (u, pt, q)
+                assert isclose(h.x, q.x, rel_tol=1e-12), (u, pt, q)
+                assert isclose(h.y, q.y, rel_tol=1e-12), (u, pt, q)
 
 
 def test_real_divisibility_component_rule():

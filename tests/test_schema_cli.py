@@ -283,6 +283,8 @@ def test_order_400_cyclic_document_exits_0(command):
 
 
 _DZ = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728")
+_DZ_SCALED = ("ec-div", "--curve=-15/10000,5/10000,10/10000",
+              "--point", "1561/1440000,19459/1728000000")
 _EC_DIV = _DZ + ("--k", "2", "--place", "3")
 
 
@@ -468,14 +470,20 @@ def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
     assert code == 0 and len(checked) == 1
 
 
-@pytest.mark.parametrize("place", ["2", "3", "5", "inf", "global"])
-def test_ec_div_halves_are_pinned(monkeypatch, capsys, place):
+@pytest.mark.parametrize("curve,place", [("dz", v) for v in ("2", "3", "5", "inf", "global")]
+                         + [("dz_scaled", v) for v in ("inf", "global")],
+                         ids=["2", "3", "5", "inf", "global", "scaled-inf", "scaled-global"])
+def test_ec_div_halves_are_pinned(monkeypatch, capsys, curve, place):
     """The text report with the halves of the Dvornicich-Zannier point, byte
-    for byte, so that a change in the digits or precision of a half shows."""
+    for byte, so that a change in the digits or precision of a half shows;
+    also on the curve scaled by 1/100, whose real halves have y^2 below
+    1e-6."""
     from locglob.cli import main
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    code = main(list(_DZ) + ["--k", "1", "--halves", "--place", place])
-    with open(os.path.join(REPO, "tests", "data", "ec_div_dz_k1_halves_%s.txt" % place)) as fh:
+    args = _DZ if curve == "dz" else _DZ_SCALED
+    code = main(list(args) + ["--k", "1", "--halves", "--place", place])
+    with open(os.path.join(REPO, "tests", "data",
+                           "ec_div_%s_k1_halves_%s.txt" % (curve, place))) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == 0
 
