@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .abelian import FinAb, apply_matrix, matrix_is_compatible
 from .errors import InputError, SelfCheckError
 from .groups import GroupTable, subgroup_table
-from .linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
+from .linalg import identity_matrix, mat_mod, scalar_matrix
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class GModule:
         m = self.group.order
         if len(self.action) != m:
             raise InputError("need one action matrix per group element")
-        act = tuple(tuple(tuple(int(x) for x in row) for row in mat)
+        act = tuple(tuple(tuple(map(int, row)) for row in mat)
                     for mat in self.action)
         object.__setattr__(self, "action", act)
         for g, mat in enumerate(act):
@@ -43,10 +44,16 @@ class GModule:
         red = tuple(mat_mod(mat, d) for mat in act)
         if red[0] != mat_mod(identity_matrix(self.space.rank), d):
             raise InputError("identity element must act trivially")
-        for g in range(m):
-            for s in self.group.generating_set():
-                if mat_mod(mat_mul(act[g], act[s]), d) != red[self.group.mul(g, s)]:
-                    raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
+        # compatible matrices may be reduced before multiplying: a[i][k] d_k
+        # = 0 mod d_i, so changing b[k][j] by a multiple of d_k leaves row i
+        # of a b unchanged mod d_i
+        cols = [(s, tuple(zip(*red[s]))) for s in self.group.generating_set()]
+        for g, rows in enumerate(red):
+            products = self.group.table[g]
+            for s, cs in cols:
+                for row, di, want in zip(rows, d, red[products[s]]):
+                    if want != tuple([sum(map(mul, row, col)) % di for col in cs]):
+                        raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)

@@ -33,10 +33,8 @@ class GroupTable:
             raise InputError("group order must be >= 1")
         if len(t) != m or any(len(row) != m for row in t):
             raise InputError("multiplication table has wrong shape")
-        for row in t:
-            for x in row:
-                if not (0 <= x < m):
-                    raise InputError("table entry out of range")
+        if min(map(min, t)) < 0 or max(map(max, t)) >= m:
+            raise InputError("table entry out of range")
         for g in range(m):
             if t[0][g] != g or t[g][0] != g:
                 raise InputError("index 0 is not a two-sided identity")
@@ -46,7 +44,7 @@ class GroupTable:
         object.__setattr__(self, "_gens", self._greedy_generators(range(m)))
         for a in self._gens:
             for x in range(m):
-                if tuple(t[t[x][a]]) != tuple(t[x][b] for b in t[a]):
+                if tuple(t[t[x][a]]) != tuple(map(t[x].__getitem__, t[a])):
                     raise InputError("table is not associative")
 
     def mul(self, g: int, h: int) -> int:
@@ -132,11 +130,18 @@ def cyclic_subgroups(group: GroupTable) -> list[SubgroupSpec]:
     """Every distinct cyclic subgroup exactly once, trivial one included.
 
     Deduplicates by element-set equality; the chosen generator is the least
-    element generating the subgroup.
+    element generating the subgroup, whose elements are its powers g, g^2,
+    ... up to the first that is 0.
     """
     seen = {}
+    table = group.table
     for g in range(group.order):
-        elems = group.generated_subgroup((g,))
+        powers = [0]
+        x = g
+        while x:
+            powers.append(x)
+            x = table[x][g]
+        elems = tuple(sorted(powers))
         if elems not in seen:
             seen[elems] = g
     out = [SubgroupSpec(elems, gen) for elems, gen in seen.items()]

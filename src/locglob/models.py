@@ -115,10 +115,18 @@ def _sha_parts(model: PlaceModel, T: frozenset) -> tuple:
     per model and K = T & S.  Sha(T) = Sha(K) (see finite_support_bound), and
     Sha(K) is cut out by the nontrivial cyclic subgroups and the designated
     subgroups of the labels in S - K: every other label outside K carries a
-    trivial subgroup or one of the cyclic ones."""
+    trivial subgroup or one of the cyclic ones.
+
+    Sha(S), that is H1_*, comes first: Sha(K) <= Sha(S) for K <= S (see
+    finite_support_bound), so when Sha(S) is zero every Sha(K) is zero, with
+    an empty support set, and shares the parts of Sha(S)."""
     S = model.support_bound
     key = T & S
     parts = model._kernels.get(key)
+    if parts is None and key != S:
+        top = _sha_parts(model, S)
+        if top[1].is_trivial():
+            parts = model._kernels[key] = top
     if parts is None:
         ambient = h1(model.module)
         sets = list(model.cyclic) + [elems for label, elems in model.designated

@@ -80,11 +80,16 @@ def _int(value, field: str, bound: int | None = None) -> int:
 
 
 def _ints(value, field: str, size: int | None = None, bound: int | None = None) -> tuple:
-    """value as a list of ints read by _int, of the given size if one is given."""
+    """value as a list of ints read by _int, of the given size if one is given.
+    A list of plain ints within the bound is taken as it is; any other list
+    goes through _int entry by entry, for its message."""
     if not isinstance(value, list):
         raise InputError("%s must be a list of integers" % field)
     if size is not None and len(value) != size:
         raise InputError("%s must hold %d integers, got %d" % (field, size, len(value)))
+    if set(map(type, value)) <= {int} and (
+            bound is None or not value or 0 <= min(value) and max(value) < bound):
+        return tuple(value)
     return tuple(_int(x, field + " entry", bound) for x in value)
 
 

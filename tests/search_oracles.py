@@ -11,9 +11,10 @@ homomorphism check; the test families read it from a numpy batch of image
 counts).
 The axioms of a group table, an action, a cocycle and a character, and
 closure of a subgroup, are tested here on all triples or pairs of
-elements; the program checks them on a generating set.  The built-in H1
-check and the canonical representatives are recomputed here element by
-element, where the program sums tables of basis images.
+elements; the program checks them on a generating set.  Cyclic subgroups
+are closures here, where the program walks the powers of each element.
+The built-in H1 check and the canonical representatives are recomputed
+here element by element, where the program sums tables of basis images.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from locglob.cohomology import CocycleClass, coboundary
 from locglob.elliptic import CurvePoint, halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
-from locglob.groups import GroupTable
+from locglob.groups import GroupTable, SubgroupSpec
 from locglob.linalg import identity_matrix, kernel_mod_lattice, mat_mod, mat_mul
 
 
@@ -266,6 +267,19 @@ def is_subgroup_all_pairs(group: GroupTable, elements) -> bool:
     return 0 in es and all(group.mul(a, b) in es for a in es for b in es)
 
 
+def cyclic_subgroups_by_closure(group: GroupTable) -> list[SubgroupSpec]:
+    """Every cyclic subgroup once, each as the closure of 0 under right
+    multiplication by its least generator, ordered by (order, elements)."""
+    seen = {}
+    for g in range(group.order):
+        elems = group.generated_subgroup((g,))
+        if elems not in seen:
+            seen[elems] = g
+    out = [SubgroupSpec(elems, gen) for elems, gen in seen.items()]
+    out.sort(key=lambda s: (s.order, s.elements))
+    return out
+
+
 def greedy_generators_by_closure(group: GroupTable) -> tuple:
     """Each element, in ascending order, outside the subgroup generated by
     the ones taken before it; the closure is recomputed from scratch after
@@ -300,6 +314,18 @@ def is_action(group: GroupTable, space: FinAb, act) -> bool:
             and mat_mod(act[0], d) == mat_mod(identity_matrix(space.rank), d)
             and all(mat_mod(mat_mul(act[g], act[h]), d) == mat_mod(act[group.mul(g, h)], d)
                     for g in range(group.order) for h in range(group.order)))
+
+
+def first_non_homomorphic_pair(group: GroupTable, space: FinAb, act):
+    """The first (g, s), g outer and s over the generating set inner, where
+    the product of the action matrices as given differs from act[gs] mod the
+    invariant factors; None if there is none."""
+    d = space.invariant_factors
+    for g in range(group.order):
+        for s in group.generating_set():
+            if mat_mod(mat_mul(act[g], act[s]), d) != mat_mod(act[group.mul(g, s)], d):
+                return g, s
+    return None
 
 
 def is_cocycle(module: GModule, values) -> bool:

@@ -72,16 +72,10 @@ def test_generating_set():
     assert trivial_group().generating_set() == ()
 
 
-def test_generating_set_matches_the_recomputed_closure():
-    # the greedy generators grown inside one closure equal those of the
-    # closure recomputed after each generator, on every labelling of every
-    # group of order at most 6 (identity 0) and on the order-400 document
-    import json
-    import os
+def _relabelled_groups():
+    """Every labelling of every group of order at most 6 with identity 0:
+    1 + 1 + 2 + 6 + 6 + 24 + 120 + 120 tables."""
     from families import groups_up_to_order_6
-    from locglob.schema import parse_group
-    from search_oracles import greedy_generators_by_closure
-    tables = 0
     for _, group in groups_up_to_order_6():
         m = group.order
         for rest in itertools.permutations(range(1, m)):
@@ -90,14 +84,47 @@ def test_generating_set_matches_the_recomputed_closure():
             for a in range(m):
                 for b in range(m):
                     t[perm[a]][perm[b]] = perm[group.mul(a, b)]
-            relabelled = GroupTable(m, tuple(map(tuple, t)))
-            assert relabelled.generating_set() == greedy_generators_by_closure(relabelled)
-            tables += 1
-    assert tables == 1 + 1 + 2 + 6 + 6 + 24 + 120 + 120
+            yield GroupTable(m, tuple(map(tuple, t)))
+
+
+def _cyclic_400():
+    import json
+    import os
+    from locglob.schema import parse_group
     path = os.path.join(os.path.dirname(__file__), "data", "cyclic_400.json")
     with open(path) as fh:
-        group = parse_group(json.load(fh))
+        return parse_group(json.load(fh))
+
+
+def test_generating_set_matches_the_recomputed_closure():
+    # the greedy generators grown inside one closure equal those of the
+    # closure recomputed after each generator, on every labelling of every
+    # group of order at most 6 (identity 0) and on the order-400 document
+    from search_oracles import greedy_generators_by_closure
+    tables = 0
+    for relabelled in _relabelled_groups():
+        assert relabelled.generating_set() == greedy_generators_by_closure(relabelled)
+        tables += 1
+    assert tables == 1 + 1 + 2 + 6 + 6 + 24 + 120 + 120
+    group = _cyclic_400()
     assert group.generating_set() == greedy_generators_by_closure(group) == (1,)
+
+
+def test_cyclic_subgroups_match_the_closures():
+    # the powers walk lists the same subgroups, with the same least
+    # generators and in the same order, as the closure of each element, on
+    # every labelling of every group of order at most 6 (identity 0) and on
+    # the order-400 document
+    from search_oracles import cyclic_subgroups_by_closure
+    tables = 0
+    for relabelled in _relabelled_groups():
+        assert cyclic_subgroups(relabelled) == cyclic_subgroups_by_closure(relabelled)
+        tables += 1
+    assert tables == 1 + 1 + 2 + 6 + 6 + 24 + 120 + 120
+    group = _cyclic_400()
+    subs = cyclic_subgroups(group)
+    assert subs == cyclic_subgroups_by_closure(group)
+    assert len(subs) == 15          # one per divisor of 400
 
 
 def test_subgroup_table():
@@ -194,10 +221,7 @@ def test_subgroup_test_by_closure_matches_all_pairs():
     # the all-pairs predicate decides every subset of every group of order
     # at most 6 and sets of subgroups, near-subgroups and random subsets
     # of the order-400 cyclic document the same way
-    import json
-    import os
     from families import groups_up_to_order_6
-    from locglob.schema import parse_group
     from search_oracles import is_subgroup_all_pairs
     outcomes = {True: 0, False: 0}
     for _, group in groups_up_to_order_6():
@@ -207,9 +231,7 @@ def test_subgroup_test_by_closure_matches_all_pairs():
             assert group.is_subgroup(elems) == expected
             outcomes[expected] += 1
     assert outcomes[True] == 1 + 2 + 2 + 3 + 5 + 2 + 4 + 6
-    path = os.path.join(os.path.dirname(__file__), "data", "cyclic_400.json")
-    with open(path) as fh:
-        group = parse_group(json.load(fh))
+    group = _cyclic_400()
     rng = random.Random(400)
     subs = [set(sub.elements) for sub in cyclic_subgroups(group)]
     sets = []

@@ -6,13 +6,15 @@ from itertools import combinations
 import pytest
 
 from locglob.abelian import FinAb
-from locglob.cohomology import CocycleClass, h1, h1_star, restriction_kernel
+from locglob.cohomology import (CocycleClass, h1, h1_star, restriction_kernel,
+                                subgroup_to_h1subgroup)
 from locglob.errors import InputError
 from locglob.gmodules import (GModule, mu8_klein_model, trivial_action_module,
                               trivial_character)
 from locglob.groups import cyclic_group, klein_four_group
-from locglob.models import (PlaceModel, _subgroups_equal, finite_support_bound,
-                            sha_of_model, verdict, weak_approx_verdict)
+from locglob.models import (PlaceModel, ShaGroup, _subgroups_equal,
+                            finite_support_bound, sha_of_model, verdict,
+                            weak_approx_verdict)
 from locglob.padics import (GW_SWEEP_LIMIT, Place, gw_decision, is_nth_power,
                             rational_nth_root)
 from locglob.schema import load_document, parse_model
@@ -236,6 +238,82 @@ def test_sha_equals_the_kernel_of_every_condition():
                     assert all(shas[T2].contains(g) for g in shas[T].generators)
                     grew.append(shas[T2].order > shas[T].order)
     assert grew.count(True) >= 50 and grew.count(False) >= 50
+
+
+def _sha_by_stacked_kernel(model, T):
+    """Sha(T) from its own stacked restriction kernel, whatever Sha(S) is:
+    the coordinates from every defining condition, its members and the
+    labels where one of them restricts nontrivially."""
+    h = h1(model.module)
+    members = subgroup_to_h1subgroup(h, _sha_by_full_list(model, T))
+    support = frozenset(label for label, elems in model.designated
+                        if not h.vanishes_on(elems, members.coordinate_generators))
+    return ShaGroup(h, members, frozenset(T), support)
+
+
+def _witnesses_by_stacked_kernel(model, shas):
+    """The witnesses of verdict over the label subsets that shas maps to
+    their Sha(T), all of them included, the singular ones by the search
+    over all of T."""
+    def least_nonzero(sha):
+        return min((c for coords, c in sha.members.all_classes() if any(coords)),
+                   key=CocycleClass.flat)
+    out = []
+    for kind, T in (("hasse", frozenset()), ("strong_hasse", model.labels)):
+        if not shas[T].is_trivial():
+            out.append((kind, (), least_nonzero(shas[T])))
+    for T, sha in shas.items():
+        wit = _singular_witness_by_search(model, sha)
+        if wit is not None:
+            out.append(("t_singular", tuple(sorted(T)), wit))
+    return tuple(out)
+
+
+def v4_trivial_z2_model():
+    # V4 acting trivially on Z/2: H1 = Hom(V4, Z/2) has order 4, every class
+    # dies on a cyclic subgroup, so H1_* = 0 while S = {v}, the whole group
+    path = os.path.join(os.path.dirname(__file__), "data", "v4_trivial_z2.json")
+    return parse_model(load_document(path))
+
+
+def test_sha_matches_its_own_stacked_kernel(monkeypatch):
+    # Sha(T) of every label subset T has the order, coordinates and support
+    # set of its own stacked kernel, and verdict the witnesses read off
+    # those; a zero Sha(S) with S nonempty takes one kernel, where each K <= S
+    # takes its own when Sha(S) is nonzero, and both occur
+    import locglob.models
+    kernels = []
+
+    def spy(h, sets):
+        kernels.append(sets)
+        return restriction_kernel(h, sets)
+    monkeypatch.setattr(locglob.models, "restriction_kernel", spy)
+    v4 = v4_trivial_z2_model()
+    two_full = PlaceModel(v4.module, {"u": (0, 1, 2, 3), "v": (0, 1, 2, 3), "w": (0, 1)},
+                          frozenset())
+    paths = []
+    for model in [v4, two_full] + _seeded_models():
+        labels = sorted(model.labels)
+        queries = [frozenset(c) for r in range(len(labels) + 1)
+                   for c in combinations(labels, r)]
+        kernels.clear()
+        v = verdict(model, queries)
+        S = finite_support_bound(model)
+        sha_s = sha_of_model(model, S)
+        assert len(kernels) == (1 if sha_s.is_trivial() else 2 ** len(S))
+        paths.append((len(S), sha_s.is_trivial()))
+        wants = {T: _sha_by_stacked_kernel(model, T) for T in queries}
+        for T, want in wants.items():
+            sha = sha_of_model(model, T)
+            assert sha.order == want.order
+            assert _subgroups_equal(sha.members.coordinate_subgroup,
+                                    want.members.coordinate_subgroup)
+            assert sha.support_set == want.support_set
+        assert v.witnesses == _witnesses_by_stacked_kernel(model, wants)
+    assert paths[:2] == [(1, True), (2, True)]
+    assert sum(n > 0 and zero for n, zero in paths) >= 10
+    assert sum(n > 0 and not zero for n, zero in paths) >= 10
+    assert any(n > 1 and not zero for n, zero in paths)
 
 
 def test_verdict_computes_one_kernel_per_subset_of_s(monkeypatch):

@@ -62,6 +62,101 @@ def test_parse_rejects_bad_documents(mutate, message):
         parse_model(doc)
 
 
+def _set_entry(field, value):
+    """A mutation that puts value into the given entry of MU8_DOC: the
+    second row's second table entry, the action of element 2 or the second
+    element of the designated subgroup at "inf"."""
+    def mutate(doc):
+        if field == "table":
+            doc["table"][5] = value
+        elif field == "action":
+            doc["action"]["2"] = [value]
+        else:
+            doc["designated"]["inf"] = [0, value]
+    return mutate
+
+
+_INT = "%s must be an integer, got %s"
+_TABLE, _ACTION = "table entry", "action matrix for element 2 entry"
+_DESIGNATED = "designated subgroup at 'inf' entry"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("table", True, _INT % (_TABLE, "True")),
+    ("table", 1.5, _INT % (_TABLE, "1.5")),
+    ("table", "1", "element 1 has no right inverse"),
+    ("table", None, _INT % (_TABLE, "None")),
+    ("table", -1, "table entry out of range"),
+    ("table", 4, "table entry out of range"),
+    ("action", True, _INT % (_ACTION, "True")),
+    ("action", 1.5, _INT % (_ACTION, "1.5")),
+    ("action", "1", "action is not a homomorphism at (1, 2)"),
+    ("action", None, _INT % (_ACTION, "None")),
+    ("action", -1, "action is not a homomorphism at (1, 2)"),
+    ("action", 8, "action is not a homomorphism at (1, 2)"),
+    ("designated", True, _INT % (_DESIGNATED, "True")),
+    ("designated", 1.5, _INT % (_DESIGNATED, "1.5")),
+    ("designated", None, _INT % (_DESIGNATED, "None")),
+    ("designated", -1, _DESIGNATED + " must be an index below 4, got -1"),
+    ("designated", 4, _DESIGNATED + " must be an index below 4, got 4"),
+    ("designated", 10 ** 30, _DESIGNATED + " must be an index below 4, got 10" + "0" * 29),
+])
+def test_parse_errors_name_the_entry(field, value, message):
+    # each wrong entry, read entry by entry, keeps its message; a string
+    # holding an integer reads as int() of it, so "1" fails only as a value
+    doc = json.loads(json.dumps(MU8_DOC))
+    _set_entry(field, value)(doc)
+    with pytest.raises(InputError) as err:
+        parse_model(doc)
+    assert str(err.value) == message
+
+
+def test_action_check_names_the_first_failing_pair():
+    # GModule multiplies the reduced matrices; on compatible actions whose
+    # entries are lifted by multiples of the moduli it names the same first
+    # (g, s), g outer and s inner, as the products of the matrices as given
+    import random
+    from math import gcd
+
+    from families import all_actions, groups_up_to_order_6
+    from locglob.abelian import FinAb
+    from locglob.gmodules import GModule
+    from search_oracles import first_non_homomorphic_pair
+    rng = random.Random(18)
+    outcomes = {}
+    for _, group in groups_up_to_order_6():
+        m = group.order
+        for space in (FinAb((2,)), FinAb((4,)), FinAb((2, 2)), FinAb((2, 4)), FinAb((3, 6))):
+            r, d = space.rank, space.invariant_factors
+
+            def lift(mat):
+                return tuple(tuple(x + d[i] * rng.randrange(-2, 3) for x in row)
+                             for i, row in enumerate(mat))
+
+            def random_matrix():
+                return tuple(tuple(rng.randrange(d[i]) * (d[i] // gcd(d[i], d[j]))
+                                   for j in range(r)) for i in range(r))
+            ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+            cases = [(ident,) + tuple(random_matrix() for _ in range(m - 1))
+                     for _ in range(4)]
+            for act in list(all_actions(group, space, dedup_first=False))[:4]:
+                cases.append(act)
+                if m > 1:
+                    g = rng.randrange(1, m)
+                    cases.append(act[:g] + (random_matrix(),) + act[g + 1:])
+            for act in cases:
+                act = tuple(map(lift, act))
+                want = first_non_homomorphic_pair(group, space, act)
+                outcomes[want] = outcomes.get(want, 0) + 1
+                if want is None:
+                    GModule(group, space, act)
+                    continue
+                with pytest.raises(InputError) as err:
+                    GModule(group, space, act)
+                assert str(err.value) == "action is not a homomorphism at (%d, %d)" % want
+    assert outcomes[None] >= 100 and len(outcomes) >= 8     # 7 distinct first pairs
+
+
 def test_parse_curve_and_point():
     curve = parse_curve("-15,5,10")
     assert curve.roots == (-15, 5, 10)
@@ -449,6 +544,19 @@ def test_mu8_seven_labels_report_is_pinned(monkeypatch, capsys):
     with open(os.path.join(REPO, "tests", "data", "mu8_seven_labels_hasse.json")) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == 1
+
+
+def test_v4_trivial_z2_report_is_pinned(monkeypatch, capsys):
+    """The JSON hasse report on V4 acting trivially on Z/2, byte for byte:
+    |H1| = 4 and H1_* = 0 with S = {v}, so every Sha(T) is read off the one
+    kernel of Sha(S)."""
+    from locglob.cli import main
+    monkeypatch.chdir(REPO)
+    code = main(["hasse", "--input", "tests/data/v4_trivial_z2.json",
+                 "--t", "v", "--t", "v,w", "--format", "json"])
+    with open(os.path.join(REPO, "tests", "data", "v4_trivial_z2_hasse.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 0
 
 
 def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
