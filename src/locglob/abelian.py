@@ -180,13 +180,27 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     return subgroup_from_generators(a.ambient, gens)
 
 
+def trivial_subgroup(ambient: FinAb) -> Subgroup:
+    """The zero subgroup, with no Smith normal form: its integer lift is the
+    relation lattice diag(d), whose coordinates are x_i / d_i and in which
+    every class is zero."""
+    n = ambient.rank
+    if n == 0:
+        return Subgroup(ambient, (), FinAb(()), None)
+    d = ambient.invariant_factors
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    basis = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n))
+    quo = LatticeQuotient(ident, d, ident, (1,) * n, (), basis, ())
+    return Subgroup(ambient, (), FinAb(()), quo)
+
+
 def subgroup_from_generators(ambient: FinAb, generators) -> Subgroup:
     gens = tuple(ambient.reduce(g) for g in generators)
+    if not any(map(any, gens)):
+        return trivial_subgroup(ambient)
     n = ambient.rank
     rel = [[ambient.invariant_factors[i] if j == i else 0 for i in range(n)]
            for j in range(n)]
-    if n == 0:
-        return Subgroup(ambient, gens, FinAb(()), None)
     quo = lattice_quotient([list(g) for g in gens] + rel, rel, n)
     return Subgroup(ambient, gens, FinAb(quo.invariant_factors), quo)
 

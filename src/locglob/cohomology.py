@@ -7,6 +7,11 @@ cross-checked against the enumeration of Z1 and B1 over M in
 `oracles.brute_force_h1`; representatives are made canonical against a
 table of all coboundaries.  Both tables are sums of the images of the basis
 of M.
+
+A restriction kernel that is zero, as H1_* usually is, is decided by one
+rank over F_p per prime p of the exponent of H1, with no Smith normal form:
+a finite abelian group is zero iff it has no element of prime order
+(Cauchy), and |G| kills H1, so those primes divide |G|.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import add, mod
 
-from .abelian import FinAb, Subgroup, linear_table, subgroup_from_generators
+from .abelian import (FinAb, Subgroup, linear_table, subgroup_from_generators,
+                      trivial_subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import GModule
 from .groups import cyclic_subgroups
@@ -376,16 +382,85 @@ class H1Subgroup:
 
 def restriction_kernel(h: H1Group, element_sets) -> Subgroup:
     """Coordinates of the classes whose restriction to each listed subgroup
-    is a coboundary."""
+    is a coboundary.
+
+    A zero kernel is decided without a Smith normal form: it is zero iff it
+    holds no element of prime order (Cauchy), iff the stacked restriction
+    x -> (row_i . x mod t_i) is injective on the p-torsion H1[p] for every
+    prime p of the exponent of H1 (`_injective_on_torsion`).  The exponent
+    divides |G|, since |G| kills H1 (Brown, Cohomology of Groups, III.10.2),
+    so its primes come by trial division.  Otherwise the kernel is solved
+    modulo the row moduli."""
+    if h.is_trivial():      # no H1(Z, M) is computed for a trivial H1
+        return trivial_subgroup(h.structure)
     rows = []
     moduli = []
-    if not h.is_trivial():      # no H1(Z, M) is computed for a trivial H1
-        for elems in element_sets:
-            r, m = h.restriction(elems)
-            rows.extend(r)
-            moduli.extend(m)
-    gens = kernel_mod_lattice(rows, moduli, len(h.structure.invariant_factors))
-    return subgroup_from_generators(h.structure, gens)
+    for elems in element_sets:
+        r, m = h.restriction(elems)
+        rows.extend(r)
+        moduli.extend(m)
+    factors = h.structure.invariant_factors
+    if _injective_on_torsion(rows, moduli, factors):
+        return trivial_subgroup(h.structure)
+    return subgroup_from_generators(h.structure,
+                                    kernel_mod_lattice(rows, moduli, len(factors)))
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The primes of n by trial division; n divides |G| here, so is small."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _injective_on_torsion(rows, moduli, factors) -> bool:
+    """Whether x -> (row_i . x mod t_i) is injective on H1 = + Z/s_j, by one
+    rank over F_p per prime p of the exponent s_last.  H1[p] has the F_p
+    basis (s_j/p) e_j for p | s_j; the image of (s_j/p) e_j in Z/t_i lies in
+    the p-torsion, which is 0 when p does not divide t_i and (t_i/p) F_p
+    when it does.  The map is injective on H1[p] iff the F_p matrix of these
+    images has full column rank.  An image outside the p-torsion means the
+    rows are not a well-defined map, and raises SelfCheckError."""
+    for p in _prime_divisors(factors[-1]):
+        lifts = [(j, s // p) for j, s in enumerate(factors) if s % p == 0]
+        mat = []
+        for row, t in zip(rows, moduli):
+            step = t // p if t % p == 0 else t
+            images = [row[j] * c % t for j, c in lifts]
+            if any(v % step for v in images):
+                raise SelfCheckError("restriction rows do not define a map on H1")
+            if step < t:
+                mat.append([v // step for v in images])
+        if not _full_column_rank(mat, len(lifts), p):
+            return False
+    return True
+
+
+def _full_column_rank(mat, ncols: int, p: int) -> bool:
+    """Whether the matrix over F_p with ncols columns has rank ncols, by
+    elimination column by column."""
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c] % p), None)
+        if piv is None:
+            return False
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        top = [v * inv % p for v in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c]
+            if f % p:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], top)]
+        rank += 1
+    return True
 
 
 def joint_restriction_kernel(h: H1Group, element_sets) -> H1Subgroup:

@@ -66,9 +66,9 @@ def _require(doc: dict, field: str):
 
 
 def _int(value, field: str, bound: int | None = None) -> int:
-    """value as an int, refusing bools and fractional, infinite or NaN
-    floats; an index below bound if one is given."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int, refusing bools, strings and fractional, infinite or
+    NaN floats; an index below bound if one is given."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise InputError("%s must be an integer, got %r" % (field, value))
     try:
         out = int(value)

@@ -1,22 +1,26 @@
 """Deterministic families of groups, modules, and place models.
 
 Used by the consistency sweeps: the exhaustive small-model family for the
-strong-Hasse/cyclic-kernel comparison, random place models, and random
-modules admitting a fixed-point-free central homothety.
+strong-Hasse/cyclic-kernel comparison, random place models, the seeded
+models of the Sha(T) tests, and random modules admitting a fixed-point-free
+central homothety.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from math import gcd
 
 from locglob.abelian import FinAb
-from locglob.gmodules import GModule
+from locglob.cohomology import h1_star
+from locglob.gmodules import GModule, mu8_klein_model
 from locglob.groups import (GroupTable, cyclic_group, direct_product,
                             klein_four_group, symmetric_group_3, trivial_group)
 from locglob.linalg import identity_matrix, mat_mod, mat_mul, scalar_matrix
 from locglob.models import PlaceModel
+from locglob.schema import load_document, parse_model
 
 
 def groups_up_to_order_6():
@@ -275,6 +279,37 @@ def random_place_model(rng: random.Random, require_full_place: bool = True) -> P
         designated["inf"] = grp.generated_subgroup((rng.choice(invol),))
         archimedean.add("inf")
     return PlaceModel(module, designated, frozenset(archimedean))
+
+
+def mu8_q_model():
+    """(module, character, place model) of mu8 over Q with the places 2 and
+    infinity."""
+    module, chi = mu8_klein_model()
+    return module, chi, PlaceModel(module, {"2": (0, 1, 2, 3), "inf": (0, 3)},
+                                   frozenset({"inf"}))
+
+
+def v4_trivial_z2_model():
+    """V4 acting trivially on Z/2: H1 = Hom(V4, Z/2) has order 4, every class
+    dies on a cyclic subgroup, so H1_* = 0 while S = {v}, the whole group."""
+    path = os.path.join(os.path.dirname(__file__), "data", "v4_trivial_z2.json")
+    return parse_model(load_document(path))
+
+
+def seeded_models():
+    """mu8, random place models, and random places on the pool's modules
+    with H1_* != 0, where singular T occur."""
+    rng = random.Random(12)
+    models = [mu8_q_model()[2]] + [random_place_model(rng, require_full_place=i % 2 == 0)
+                                   for i in range(24)]
+    for module in [m for m in _random_module_pool() if h1_star(m).order > 1]:
+        grp = module.group
+        for _ in range(4):
+            designated = {"p%d" % i: grp.generated_subgroup(
+                              rng.sample(range(grp.order), rng.randrange(1, 3)))
+                          for i in range(rng.randrange(2, 5))}
+            models.append(PlaceModel(module, designated, frozenset()))
+    return models
 
 
 _MODULE_POOL: list | None = None

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locglob.abelian import (FinAb, Pairing, annihilator,
+from locglob.abelian import (FinAb, Pairing, Subgroup, annihilator,
                              orthogonal_complement_chain, standard_pairing,
-                             subgroup_from_generators, subgroup_intersection)
+                             subgroup_from_generators, subgroup_intersection,
+                             trivial_subgroup)
 from locglob.errors import InputError
+from locglob.linalg import lattice_quotient
 
 from search_oracles import matrix_is_automorphism
 
@@ -90,6 +92,53 @@ def test_subgroup_intersection():
         y = subgroup_from_generators(space, [rng.choice(elems) for _ in range(2)])
         inter = subgroup_intersection(x, y)
         assert set(inter.elements()) == set(x.elements()) & set(y.elements())
+
+
+def _chains_up_to(bound, rank):
+    """Every divisibility chain of the given length with entries 2..bound."""
+    if rank == 0:
+        return [()]
+    return [c + (d,) for c in _chains_up_to(bound, rank - 1)
+            for d in range(2, bound + 1) if not c or d % c[-1] == 0]
+
+
+def test_trivial_subgroup_matches_its_smith_form():
+    # the zero subgroup written down directly behaves as the one that
+    # lattice_quotient builds from the relations diag(d): the same order,
+    # structure, elements and membership, and the same intersections with
+    # random subgroups, taken either side; generators that all reduce to
+    # zero give it
+    rng = random.Random(19)
+    shapes = [c for rank in range(4) for c in _chains_up_to(8, rank)]
+    assert len(shapes) == 1 + 7 + 12 + 18
+    for shape in shapes:
+        space = FinAb(shape)
+        n = space.rank
+        direct = trivial_subgroup(space)
+        if n:
+            rel = [[d if i == j else 0 for i in range(n)] for j, d in enumerate(shape)]
+            quo = lattice_quotient(rel, rel, n)
+            by_snf = Subgroup(space, (), FinAb(quo.invariant_factors), quo)
+        else:
+            by_snf = Subgroup(space, (), FinAb(()), None)
+        assert direct.order == by_snf.order == 1
+        assert direct.structure == by_snf.structure == FinAb(())
+        assert direct.elements() == by_snf.elements() == [space.zero()]
+        elems = list(space.elements())
+        for x in elems:
+            assert direct.contains(x) == by_snf.contains(x) == (not any(x))
+        lifted = [tuple(d * rng.randrange(-2, 3) for d in shape) for _ in range(2)]
+        assert subgroup_from_generators(space, [space.zero()] + lifted) == direct
+        for _ in range(6):
+            other = subgroup_from_generators(space, [rng.choice(elems)
+                                                     for _ in range(rng.randint(1, 2))])
+            for a, b in ((direct, other), (other, direct)):
+                a_snf = by_snf if a is direct else a
+                b_snf = by_snf if b is direct else b
+                got, want = subgroup_intersection(a, b), subgroup_intersection(a_snf, b_snf)
+                assert got.order == want.order == 1
+                assert got.structure == want.structure
+                assert got.elements() == want.elements()
 
 
 def test_standard_pairing_perfect():

@@ -4,10 +4,10 @@ from math import gcd
 
 import pytest
 
-from locglob.abelian import FinAb
+from locglob.abelian import FinAb, subgroup_from_generators
 from locglob import cohomology, oracles
-from locglob.cohomology import (CocycleClass, coboundary, h1, h1_star,
-                                restrict_class, zero_cocycle)
+from locglob.cohomology import (CocycleClass, H1Group, coboundary, h1, h1_star,
+                                restrict_class, restriction_kernel, zero_cocycle)
 from locglob.errors import InputError, SelfCheckError
 from locglob.gmodules import (GModule, dual_module,
                               double_dual_isomorphism, dual_pairing_value,
@@ -16,6 +16,7 @@ from locglob.gmodules import (GModule, dual_module,
                               trivial_character, CyclotomicData)
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3, trivial_group)
+from locglob.linalg import kernel_mod_lattice
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
 from search_oracles import (cyclic_h1_profile, is_action, is_character, is_cocycle,
                             matrix_is_automorphism)
@@ -540,3 +541,74 @@ def test_h1_check_catches_a_wrong_invariant_factor(monkeypatch, group):
     assert len(group.generating_set()) == {2: 1, 4: 2}[group.order]
     with pytest.raises(SelfCheckError, match="brute force"):
         h1(mod)
+
+
+_CHAIN_VALUES = (2, 3, 4, 6, 8, 9, 12, 16)
+
+
+def _random_chain(rng, rank):
+    """A divisibility chain of the given length drawn from _CHAIN_VALUES."""
+    out = [rng.choice(_CHAIN_VALUES)]
+    while len(out) < rank:
+        out.append(rng.choice([v for v in _CHAIN_VALUES if v % out[-1] == 0]))
+    return tuple(out)
+
+
+def _kernel_is_zero_by_snf(rows, moduli, factors):
+    gens = kernel_mod_lattice(rows, moduli, len(factors))
+    return subgroup_from_generators(FinAb(factors), gens).order == 1
+
+
+def test_rank_test_matches_the_snf_kernel_on_random_maps():
+    # a well-defined map + Z/s_j -> + Z/t_i has entries row_ij that are
+    # multiples of t_i / gcd(t_i, s_j); the rank test over F_p says it is
+    # injective exactly when its kernel by Smith normal form is zero
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        factors = _random_chain(rng, rng.randint(1, 3))
+        moduli = [t for _ in range(rng.randint(1, 3))
+                  for t in _random_chain(rng, rng.randint(1, 2))]
+        rows = [[rng.randrange(t) * (t // gcd(t, s)) % t for s in factors] for t in moduli]
+        injective = cohomology._injective_on_torsion(rows, moduli, factors)
+        assert injective == _kernel_is_zero_by_snf(rows, moduli, factors), (rows, moduli, factors)
+        outcomes[injective] += 1
+    assert outcomes[True] >= 500 and outcomes[False] >= 2000
+
+
+def test_rank_test_matches_the_snf_kernel_on_every_restriction(monkeypatch):
+    # every restriction_kernel call of h1_star and of verdict over every
+    # label subset, on the seeded models and on V4 acting trivially on Z/2,
+    # takes the rank test's verdict, which the Smith-form kernel confirms;
+    # zero and nonzero kernels both occur
+    from families import seeded_models, v4_trivial_z2_model
+    from locglob.models import verdict
+    real = cohomology._injective_on_torsion
+    calls = []
+
+    def spy(rows, moduli, factors):
+        out = real(rows, moduli, factors)
+        calls.append((rows, moduli, factors, out))
+        return out
+    monkeypatch.setattr(cohomology, "_injective_on_torsion", spy)
+    for model in seeded_models() + [v4_trivial_z2_model()]:
+        h1_star(model.module)
+        labels = sorted(model.labels)
+        verdict(model, [frozenset(c) for r in range(len(labels) + 1)
+                        for c in itertools.combinations(labels, r)])
+    outcomes = {True: 0, False: 0}
+    for rows, moduli, factors, injective in calls:
+        assert injective == _kernel_is_zero_by_snf(rows, moduli, factors)
+        outcomes[injective] += 1
+    assert outcomes[True] >= 80 and outcomes[False] >= 30
+
+
+def test_ill_defined_restriction_rows_are_refused(monkeypatch):
+    # Z/2 -> Z/4 by 1 and Z/2 -> Z/3 by 1 are not maps: the image of the
+    # 2-torsion generator leaves the 2-torsion of the target
+    h = h1(trivial_action_module(cyclic_group(2), FinAb((2,))))
+    assert h.structure.invariant_factors == (2,)
+    for moduli in ((4,), (3,)):
+        monkeypatch.setattr(H1Group, "restriction", lambda self, elems: (((1,),), moduli))
+        with pytest.raises(SelfCheckError, match="do not define a map"):
+            restriction_kernel(h, [(0, 1)])

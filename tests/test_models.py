@@ -19,14 +19,9 @@ from locglob.padics import (GW_SWEEP_LIMIT, Place, gw_decision, is_nth_power,
                             rational_nth_root)
 from locglob.schema import load_document, parse_model
 
-from families import (_random_module_pool, abelian_shapes_up_to, all_actions,
-                      groups_up_to_order_6, random_place_model)
-
-
-def mu8_q_model():
-    module, chi = mu8_klein_model()
-    return module, chi, PlaceModel(module, {"2": (0, 1, 2, 3), "inf": (0, 3)},
-                                   frozenset({"inf"}))
+from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
+                      mu8_q_model, random_place_model, seeded_models,
+                      v4_trivial_z2_model)
 
 
 def test_place_model_validation():
@@ -224,7 +219,7 @@ def test_sha_equals_the_kernel_of_every_condition():
     # Sha(T) is keyed by T & S; for every label subset it equals the kernel
     # of the full list of conditions, and it grows with T
     grew = []
-    for model in [mu8_seven_label_model()] + _seeded_models():
+    for model in [mu8_seven_label_model()] + seeded_models():
         labels = sorted(model.labels)
         subsets = [frozenset(c) for r in range(len(labels) + 1)
                    for c in combinations(labels, r)]
@@ -269,13 +264,6 @@ def _witnesses_by_stacked_kernel(model, shas):
     return tuple(out)
 
 
-def v4_trivial_z2_model():
-    # V4 acting trivially on Z/2: H1 = Hom(V4, Z/2) has order 4, every class
-    # dies on a cyclic subgroup, so H1_* = 0 while S = {v}, the whole group
-    path = os.path.join(os.path.dirname(__file__), "data", "v4_trivial_z2.json")
-    return parse_model(load_document(path))
-
-
 def test_sha_matches_its_own_stacked_kernel(monkeypatch):
     # Sha(T) of every label subset T has the order, coordinates and support
     # set of its own stacked kernel, and verdict the witnesses read off
@@ -292,7 +280,7 @@ def test_sha_matches_its_own_stacked_kernel(monkeypatch):
     two_full = PlaceModel(v4.module, {"u": (0, 1, 2, 3), "v": (0, 1, 2, 3), "w": (0, 1)},
                           frozenset())
     paths = []
-    for model in [v4, two_full] + _seeded_models():
+    for model in [v4, two_full] + seeded_models():
         labels = sorted(model.labels)
         queries = [frozenset(c) for r in range(len(labels) + 1)
                    for c in combinations(labels, r)]
@@ -429,28 +417,12 @@ def _singular_witness_by_search(model, sha):
     return min(hits, key=CocycleClass.flat, default=None)
 
 
-def _seeded_models():
-    """mu8, random place models, and random places on the pool's modules
-    with H1_* != 0, where singular T occur."""
-    rng = random.Random(12)
-    models = [mu8_q_model()[2]] + [random_place_model(rng, require_full_place=i % 2 == 0)
-                                   for i in range(24)]
-    for module in [m for m in _random_module_pool() if h1_star(m).order > 1]:
-        grp = module.group
-        for _ in range(4):
-            designated = {"p%d" % i: grp.generated_subgroup(
-                              rng.sample(range(grp.order), rng.randrange(1, 3)))
-                          for i in range(rng.randrange(2, 5))}
-            models.append(PlaceModel(module, designated, frozenset()))
-    return models
-
-
 def test_verdict_singularity_matches_the_full_search():
     # verdict reads T-singularity from support_set and tests only the places
     # in support_set & T; with every label subset queried, its answers and
     # witnesses equal those of the search over all of T
     outcomes = []
-    for model in _seeded_models():
+    for model in seeded_models():
         labels = sorted(model.labels)
         queries = [frozenset(c) for k in range(len(labels) + 1)
                    for c in combinations(labels, k)]
@@ -468,7 +440,7 @@ def test_finite_support_bound_matches_generated_subgroups():
     # finite_support_bound reads cyclicity from the model's cyclic subgroups;
     # S is the set of labels whose subgroup no single element generates
     bounds = set()
-    for model in _seeded_models():
+    for model in seeded_models():
         grp = model.module.group
         want = frozenset(label for label, elems in model.designated
                          if all(grp.generated_subgroup((g,)) != elems for g in elems))

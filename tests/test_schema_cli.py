@@ -64,10 +64,12 @@ def test_parse_rejects_bad_documents(mutate, message):
 
 def _set_entry(field, value):
     """A mutation that puts value into the given entry of MU8_DOC: the
-    second row's second table entry, the action of element 2 or the second
-    element of the designated subgroup at "inf"."""
+    order, the second row's second table entry, the action of element 2 or
+    the second element of the designated subgroup at "inf"."""
     def mutate(doc):
-        if field == "table":
+        if field == "order":
+            doc["order"] = value
+        elif field == "table":
             doc["table"][5] = value
         elif field == "action":
             doc["action"]["2"] = [value]
@@ -82,28 +84,33 @@ _DESIGNATED = "designated subgroup at 'inf' entry"
 
 
 @pytest.mark.parametrize("field,value,message", [
+    ("order", "4", _INT % ("order", "'4'")),
     ("table", True, _INT % (_TABLE, "True")),
     ("table", 1.5, _INT % (_TABLE, "1.5")),
-    ("table", "1", "element 1 has no right inverse"),
+    ("table", "1", _INT % (_TABLE, "'1'")),
+    ("table", " 1 ", _INT % (_TABLE, "' 1 '")),
+    ("table", "1_0", _INT % (_TABLE, "'1_0'")),
     ("table", None, _INT % (_TABLE, "None")),
     ("table", -1, "table entry out of range"),
     ("table", 4, "table entry out of range"),
     ("action", True, _INT % (_ACTION, "True")),
     ("action", 1.5, _INT % (_ACTION, "1.5")),
-    ("action", "1", "action is not a homomorphism at (1, 2)"),
+    ("action", "1", _INT % (_ACTION, "'1'")),
     ("action", None, _INT % (_ACTION, "None")),
     ("action", -1, "action is not a homomorphism at (1, 2)"),
     ("action", 8, "action is not a homomorphism at (1, 2)"),
     ("designated", True, _INT % (_DESIGNATED, "True")),
     ("designated", 1.5, _INT % (_DESIGNATED, "1.5")),
     ("designated", None, _INT % (_DESIGNATED, "None")),
+    ("designated", " 1 ", _INT % (_DESIGNATED, "' 1 '")),
+    ("designated", "1_0", _INT % (_DESIGNATED, "'1_0'")),
     ("designated", -1, _DESIGNATED + " must be an index below 4, got -1"),
     ("designated", 4, _DESIGNATED + " must be an index below 4, got 4"),
     ("designated", 10 ** 30, _DESIGNATED + " must be an index below 4, got 10" + "0" * 29),
 ])
 def test_parse_errors_name_the_entry(field, value, message):
     # each wrong entry, read entry by entry, keeps its message; a string
-    # holding an integer reads as int() of it, so "1" fails only as a value
+    # is refused as a type error, whatever it holds
     doc = json.loads(json.dumps(MU8_DOC))
     _set_entry(field, value)(doc)
     with pytest.raises(InputError) as err:
