@@ -20,9 +20,11 @@ class GModule:
 
     action[g] is an integer matrix (tuple of row tuples) acting on column
     vectors.  Construction checks compatibility, action[0] = 1 and action[g]
-    action[s] = action[gs] for every g and generator s; then action[g]
-    action[g^-1] = 1 makes it bijective.  By induction on the length of h as
-    a product (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
+    action[s] = action[gs] for every g and generator s; compatibility runs
+    once per distinct matrix and the product once per distinct (reduced
+    matrix, generator) pair.  Then action[g] action[g^-1] = 1 makes it
+    bijective.  By induction on the length of h as a product
+    (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
     rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
     """
 
@@ -37,23 +39,32 @@ class GModule:
         act = tuple(tuple(tuple(map(int, row)) for row in mat)
                     for mat in self.action)
         object.__setattr__(self, "action", act)
-        for g, mat in enumerate(act):
-            if not matrix_is_compatible(mat, self.space):
-                raise InputError("action matrix %d is not compatible with the moduli" % g)
         d = self.space.invariant_factors
-        red = tuple(mat_mod(mat, d) for mat in act)
-        if red[0] != mat_mod(identity_matrix(self.space.rank), d):
+        red = {}            # each distinct matrix, checked once and reduced
+        for g, mat in enumerate(act):
+            if mat not in red:
+                if not matrix_is_compatible(mat, self.space):
+                    raise InputError("action matrix %d is not compatible with the moduli" % g)
+                red[mat] = mat_mod(mat, d)
+        if red[act[0]] != mat_mod(identity_matrix(self.space.rank), d):
             raise InputError("identity element must act trivially")
+        # number the distinct reduced matrices; ids[g] is that of action[g]
+        index = {}
+        ids = [index.setdefault(red[mat], len(index)) for mat in act]
         # compatible matrices may be reduced before multiplying: a[i][k] d_k
         # = 0 mod d_i, so changing b[k][j] by a multiple of d_k leaves row i
-        # of a b unchanged mod d_i
-        cols = [(s, tuple(zip(*red[s]))) for s in self.group.generating_set()]
-        for g, rows in enumerate(red):
-            products = self.group.table[g]
-            for s, cs in cols:
-                for row, di, want in zip(rows, d, red[products[s]]):
-                    if want != tuple([sum(map(mul, row, col)) % di for col in cs]):
-                        raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
+        # of a b unchanged mod d_i.  products[i][j] numbers the product of
+        # reduced matrix i by generator j, None if it is no action matrix.
+        gens = self.group.generating_set()
+        cols = [tuple(zip(*red[act[s]])) for s in gens]
+        products = [[index.get(tuple(tuple([sum(map(mul, row, col)) % di for col in cs])
+                                     for row, di in zip(rows, d)))
+                     for cs in cols] for rows in index]
+        for g, row in enumerate(self.group.table):
+            prod = products[ids[g]]
+            for j, s in enumerate(gens):
+                if prod[j] != ids[row[s]]:
+                    raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)

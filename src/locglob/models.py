@@ -50,23 +50,26 @@ class PlaceModel:
                            tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs)))
         object.__setattr__(self, "archimedean", frozenset(str(x) for x in self.archimedean))
         grp = self.module.group
+        cyclic = tuple(z.elements for z in cyclic_subgroups(grp) if z.order > 1)
+        # sets known to be subgroups skip the closure test of is_subgroup
+        known = set(cyclic)
+        accepted = known | {(0,), tuple(range(grp.order))}
         labels = set()
         for label, elems in self.designated:
             if label in labels:
                 raise InputError("duplicate place label %r" % label)
             labels.add(label)
-            if not grp.is_subgroup(elems):
+            if elems not in accepted and not grp.is_subgroup(elems):
                 raise InputError("designated set at %r is not a subgroup" % label)
         object.__setattr__(self, "labels", frozenset(labels))
+        subgroups = dict(self.designated)
         for label in self.archimedean:
             if label not in labels:
                 raise InputError("archimedean label %r has no designated subgroup" % label)
-            elems = dict(self.designated)[label]
-            if len(elems) > 2:
+            if len(subgroups[label]) > 2:
                 raise InputError("archimedean place %r must have order <= 2" % label)
-        cyclic = tuple(z.elements for z in cyclic_subgroups(grp) if z.order > 1)
-        known = set(cyclic)
         object.__setattr__(self, "cyclic", cyclic)
+        # the whole group is in S unless it is cyclic, so S reads known alone
         object.__setattr__(self, "support_bound", frozenset(
             label for label, elems in self.designated
             if len(elems) > 1 and elems not in known))
@@ -98,10 +101,8 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     the subgroup V generated by the given coordinate vectors; the result is
     then Sha(V, T) = V intersected with the restriction kernel."""
     T = frozenset(str(x) for x in T)
-    unknown = T - model.labels
-    if unknown:
-        raise InputError("unknown labels in T: %s" % sorted(unknown))
-    coords, members, support = _sha_parts(model, T)
+    _check_labels(model, T)
+    coords, members, support = _sha_parts(model, T & model.support_bound)
     ambient = members.ambient
     if v_generators is not None:
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
@@ -110,18 +111,24 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     return ShaGroup(ambient, members, T, support)
 
 
-def _sha_parts(model: PlaceModel, T: frozenset) -> tuple:
-    """(coordinate subgroup, members, support set) of Sha(T), computed once
-    per model and K = T & S.  Sha(T) = Sha(K) (see finite_support_bound), and
-    Sha(K) is cut out by the nontrivial cyclic subgroups and the designated
-    subgroups of the labels in S - K: every other label outside K carries a
-    trivial subgroup or one of the cyclic ones.
+def _check_labels(model: PlaceModel, T):
+    """Raise unless every label in T is a label of the model."""
+    if not model.labels.issuperset(T):
+        raise InputError("unknown labels in T: %s" % sorted(set(T) - model.labels))
+
+
+def _sha_parts(model: PlaceModel, key: frozenset) -> tuple:
+    """(coordinate subgroup, members, support set) of Sha(K) for K = key, a
+    subset of S, computed once per model and K.  Sha(T) = Sha(T & S) (see
+    finite_support_bound), and Sha(K) is cut out by the nontrivial cyclic
+    subgroups and the designated subgroups of the labels in S - K: every
+    other label outside K carries a trivial subgroup or one of the cyclic
+    ones.
 
     Sha(S), that is H1_*, comes first: Sha(K) <= Sha(S) for K <= S (see
     finite_support_bound), so when Sha(S) is zero every Sha(K) is zero, with
     an empty support set, and shares the parts of Sha(S)."""
     S = model.support_bound
-    key = T & S
     parts = model._kernels.get(key)
     if parts is None and key != S:
         top = _sha_parts(model, S)
@@ -175,12 +182,24 @@ class Verdict:
 def verdict(model: PlaceModel, queries) -> Verdict:
     """hasse <=> Sha(empty) = 0; strong_hasse <=> Sha(all labels) = 0 (the
     cyclic-restriction reduction); T-singular <=> the support set of Sha(T)
-    meets T, i.e. some member restricts nontrivially at a place of T."""
-    keys = [tuple(sorted(str(x) for x in T)) for T in queries]
-    shas = {T: sha_of_model(model, T) for T in
-            dict.fromkeys([frozenset(), model.labels] + [frozenset(k) for k in keys])}
+    meets T, i.e. some member restricts nontrivially at a place of T.
+
+    Each T is answered from K = T & S: Sha(T) = Sha(K) (see
+    finite_support_bound), and the support set of Sha(K) lies inside K, so
+    inside T.  Hence T is singular iff Sha(K) has a nonempty support set,
+    and each distinct K takes one Sha group and at most one witness search."""
+    S = model.support_bound
+    keys = []
+    for T in queries:
+        key = tuple(sorted(map(str, T)))
+        _check_labels(model, key)
+        keys.append((key, S.intersection(key)))
+    shas = {}
+    for K in dict.fromkeys([frozenset(), S] + [K for _, K in keys]):
+        _, members, support = _sha_parts(model, K)
+        shas[K] = ShaGroup(members.ambient, members, K, support)
     sha_empty = shas[frozenset()]
-    sha_all = shas[model.labels]
+    sha_all = shas[S]
     hasse = sha_empty.is_trivial()
     strong = sha_all.is_trivial()
     witnesses = []
@@ -192,9 +211,12 @@ def verdict(model: PlaceModel, queries) -> Verdict:
                                    sha_empty.members.coordinate_subgroup)
     if strong != (hasse and nonsingular):
         raise SelfCheckError("verdict invariant violated")
+    found = {}
     singular_results = []
-    for key in keys:
-        wit = _singular_witness(model, shas[frozenset(key)])
+    for key, K in keys:
+        if K not in found:
+            found[K] = _singular_witness(model, shas[K])
+        wit = found[K]
         singular_results.append((key, wit is not None))
         if wit is not None:
             witnesses.append(("t_singular", key, wit))
@@ -207,13 +229,13 @@ def _nonzero_witness(sha: ShaGroup) -> CocycleClass:
 
 
 def _singular_witness(model: PlaceModel, sha: ShaGroup) -> CocycleClass | None:
-    """Lexicographically least member of Sha(T) restricting nontrivially at
-    some place of T, or None.  Only places in support_set & T are tested:
-    the support holds every place where some generator, so some member, does."""
-    places = sha.support_set & sha.excluded
-    if not places:
+    """Lexicographically least member of Sha(K) restricting nontrivially at
+    some place of K, or None.  Only the places in support_set are tested:
+    the support holds every place where some generator, so some member,
+    does, and it lies inside K (see finite_support_bound)."""
+    if not sha.support_set:
         return None
-    targets = [elems for label, elems in model.designated if label in places]
+    targets = [elems for label, elems in model.designated if label in sha.support_set]
     hits = (c for coords, c in sha.members.all_classes()
             if not all(sha.ambient.vanishes_on(elems, [coords]) for elems in targets))
     return min(hits, key=CocycleClass.flat, default=None)
@@ -239,6 +261,13 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
     misses S; when the model satisfies the Hasse principle, Sha(T) = 0 for
     every such T.  Every Sha(T) of the model is one of the 2^|S| groups
     Sha(K), K <= S.
+
+    The support set of Sha(K), the labels where some member restricts
+    nontrivially, lies inside K.  Every member of Sha(K) restricts trivially
+    at a label outside K: at a trivial subgroup every class does, at a
+    nontrivial cyclic one it meets the generic condition, and a label in
+    S - K imposes its own condition on Sha(K).  So T is singular iff Sha(T & S)
+    has a nonempty support set (verdict).
     """
     return model.support_bound
 

@@ -15,6 +15,8 @@ elements; the program checks them on a generating set.  Cyclic subgroups
 are closures here, where the program walks the powers of each element.
 The built-in H1 check and the canonical representatives are recomputed
 here element by element, where the program sums tables of basis images.
+The verdicts on a place model are read here from one Sha(T) per queried
+T, where the program reads them from one Sha(K) per K = T & S.
 """
 
 from __future__ import annotations
@@ -232,6 +234,35 @@ def _reduced_multiples(roots: tuple, p: int, k: int) -> frozenset:
         x3 = (lam * lam - a2 - 2 * x) % p
         return x3, (lam * (x - x3) - y) % p
     return frozenset(map(double, _reduced_multiples(roots, p, k - 1)))
+
+
+def verdict_by_queries(model, queries) -> tuple:
+    """(t_singular, witnesses) of models.verdict, from one Sha(T) per query:
+    the Hasse witnesses are the least nonzero members of Sha(empty) and
+    Sha(all labels), and the T-singular witness is the least member of Sha(T)
+    restricting nontrivially at some place of support_set & T."""
+    from locglob.models import sha_of_model
+
+    def least(sha, keep):
+        return min((c for coords, c in sha.members.all_classes() if keep(coords)),
+                   key=CocycleClass.flat, default=None)
+    witnesses = []
+    for kind, T in (("hasse", frozenset()), ("strong_hasse", model.labels)):
+        sha = sha_of_model(model, T)
+        if not sha.is_trivial():
+            witnesses.append((kind, (), least(sha, any)))
+    t_singular = []
+    for T in queries:
+        key = tuple(sorted(str(x) for x in T))
+        sha = sha_of_model(model, key)
+        targets = [elems for label, elems in model.designated
+                   if label in sha.support_set & sha.excluded]
+        wit = least(sha, lambda coords: not all(sha.ambient.vanishes_on(elems, [coords])
+                                                for elems in targets))
+        t_singular.append((key, wit is not None))
+        if wit is not None:
+            witnesses.append(("t_singular", key, wit))
+    return tuple(t_singular), tuple(witnesses)
 
 
 def matrix_is_automorphism(mat, space: FinAb) -> bool:

@@ -205,6 +205,14 @@ def mu8_seven_label_model():
     return parse_model(load_document(path))
 
 
+def _two_full_v4_model():
+    """V4 acting trivially on Z/2 with two labels carrying the whole group:
+    S = {u, v} and H1_* = 0."""
+    v4 = v4_trivial_z2_model()
+    return PlaceModel(v4.module, {"u": (0, 1, 2, 3), "v": (0, 1, 2, 3), "w": (0, 1)},
+                      frozenset())
+
+
 def _sha_by_full_list(model, T):
     """Coordinates of Sha(T) from every condition that defines it: each
     nontrivial cyclic subgroup, found by generating one from every element,
@@ -276,11 +284,8 @@ def test_sha_matches_its_own_stacked_kernel(monkeypatch):
         kernels.append(sets)
         return restriction_kernel(h, sets)
     monkeypatch.setattr(locglob.models, "restriction_kernel", spy)
-    v4 = v4_trivial_z2_model()
-    two_full = PlaceModel(v4.module, {"u": (0, 1, 2, 3), "v": (0, 1, 2, 3), "w": (0, 1)},
-                          frozenset())
     paths = []
-    for model in [v4, two_full] + seeded_models():
+    for model in [v4_trivial_z2_model(), _two_full_v4_model()] + seeded_models():
         labels = sorted(model.labels)
         queries = [frozenset(c) for r in range(len(labels) + 1)
                    for c in combinations(labels, r)]
@@ -447,3 +452,97 @@ def test_finite_support_bound_matches_generated_subgroups():
         assert finite_support_bound(model) == want
         bounds.add(bool(want))
     assert bounds == {True, False}
+
+
+def test_verdict_per_k_matches_the_per_query_oracle(monkeypatch):
+    # verdict answers every T from K = T & S; its singular flags and
+    # witnesses equal those of one Sha(T) per query, over every label subset
+    # queried once in order, again reversed with each set's labels reversed,
+    # and repeated; the support set of every Sha(K) lies inside K, and each
+    # distinct K reaches the witness search at most once per verdict
+    import locglob.models
+    from search_oracles import verdict_by_queries
+    searched = []
+    search = locglob.models._singular_witness
+
+    def spy(model, sha):
+        searched.append(sha.excluded)
+        return search(model, sha)
+    monkeypatch.setattr(locglob.models, "_singular_witness", spy)
+    singular = []
+    for model in [mu8_seven_label_model(), v4_trivial_z2_model(),
+                  _two_full_v4_model()] + seeded_models():
+        labels = sorted(model.labels)
+        subsets = [c for r in range(len(labels) + 1) for c in combinations(labels, r)]
+        queries = subsets + [c[::-1] for c in reversed(subsets)] + subsets
+        searched.clear()
+        v = verdict(model, queries)
+        assert (v.t_singular, v.witnesses) == verdict_by_queries(model, queries)
+        S = finite_support_bound(model)
+        assert len(searched) == len(set(searched))
+        assert set(searched) == {S & frozenset(c) for c in subsets}
+        for r in range(len(S) + 1):
+            for K in combinations(sorted(S), r):
+                assert sha_of_model(model, K).support_set <= frozenset(K)
+        singular += [value for _, value in v.t_singular]
+    assert singular.count(True) >= 100 and singular.count(False) >= 1000
+
+
+def test_verdict_names_the_first_query_with_unknown_labels():
+    # messages taken from the per-query path; queries before the first
+    # offending one are valid, and later ones are never read
+    _, _, model = mu8_q_model()
+    for queries, message in [
+            ([{"2"}, {"x", "b"}, {"c"}], "unknown labels in T: ['b', 'x']"),
+            ([set(), {"inf", "2", "9"}, {"a"}], "unknown labels in T: ['9']"),
+            ([{"2"}, {"2", "inf"}, ["zz", 2], {"yy", "2"}], "unknown labels in T: ['zz']")]:
+        with pytest.raises(InputError) as err:
+            verdict(model, queries)
+        assert str(err.value) == message
+
+
+def test_place_model_messages():
+    # messages taken from the label loop before its subgroup shortcut
+    module, _, _ = mu8_q_model()
+    for designated, message in [
+            ((("2", (0, 1)), ("2", (0,))), "duplicate place label '2'"),
+            ({2: (0,), "2": (0, 1)}, "duplicate place label '2'"),
+            ((("x", (0, 1, 2)), ("x", (0,))), "duplicate place label 'x'"),
+            ({"x": (0, 1, 2)}, "designated set at 'x' is not a subgroup"),
+            ({"a": (0, 1), "b": (1, 2)}, "designated set at 'b' is not a subgroup"),
+            ({"b": (0, 1), "a": (0, 1, 2)}, "designated set at 'a' is not a subgroup"),
+            ({"a": (0, 1, 2), "b": (0, 3, 1)}, "designated set at 'a' is not a subgroup")]:
+        with pytest.raises(InputError) as err:
+            PlaceModel(module, designated, frozenset())
+        assert str(err.value) == message
+
+
+def test_subgroup_shortcut_matches_the_all_pairs_predicate():
+    # PlaceModel accepts {0}, the whole group and the cyclic subgroups
+    # without the closure test: on every subset holding 0 of the C4, V4 and
+    # S3 tables it accepts exactly the subgroups, and S holds the label
+    # exactly when its subgroup is neither trivial nor cyclic, the whole
+    # non-cyclic group included
+    from locglob.groups import symmetric_group_3
+    from search_oracles import cyclic_subgroups_by_closure, is_subgroup_all_pairs
+    kinds = []
+    for grp in (cyclic_group(4), klein_four_group(), symmetric_group_3()):
+        module = trivial_action_module(grp, FinAb((2,)))
+        cyclic = {z.elements for z in cyclic_subgroups_by_closure(grp)}
+        rest = range(1, grp.order)
+        for r in range(grp.order):
+            for elems in combinations(rest, r):
+                elems = (0,) + elems
+                if not is_subgroup_all_pairs(grp, elems):
+                    with pytest.raises(InputError) as err:
+                        PlaceModel(module, {"x": elems, "y": (0,)}, frozenset())
+                    assert str(err.value) == "designated set at 'x' is not a subgroup"
+                    kinds.append("refused")
+                    continue
+                model = PlaceModel(module, {"x": elems, "y": (0,)}, frozenset())
+                in_s = elems not in cyclic
+                assert finite_support_bound(model) == (frozenset({"x"}) if in_s else frozenset())
+                kinds.append((len(elems) == grp.order, in_s))
+    # the whole group is in S for V4 and S3 and out of it for C4
+    assert kinds.count((True, True)) == 2 and kinds.count((True, False)) == 1
+    assert kinds.count((False, False)) == 11 and kinds.count("refused") == 34

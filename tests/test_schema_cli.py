@@ -164,6 +164,54 @@ def test_action_check_names_the_first_failing_pair():
     assert outcomes[None] >= 100 and len(outcomes) >= 8     # 7 distinct first pairs
 
 
+def test_incompatible_matrix_check_names_the_first_element():
+    # each distinct matrix is checked once; a repeated incompatible matrix
+    # is named at its first element, as by the check of every element
+    from locglob.abelian import FinAb
+    from locglob.gmodules import GModule
+    from locglob.groups import cyclic_group
+    ident, c = ((1, 0), (0, 1)), ((1, 0), (2, 1))
+    a, b = ((1, 0), (1, 1)), ((1, 0), (3, 1))       # 1 and 3 do not map Z/2 to Z/4
+    for act, g in [((ident, ident, a, b, a, b), 2), ((ident, b, a, b, a, ident), 1),
+                   ((ident, c, c, a, c, a), 3), ((a, ident, a, ident, a, ident), 0)]:
+        with pytest.raises(InputError) as err:
+            GModule(cyclic_group(6), FinAb((2, 4)), act)
+        assert str(err.value) == "action matrix %d is not compatible with the moduli" % g
+
+
+def test_repeated_matrices_keep_the_first_failing_pair():
+    # on a trivial action and on actions through a C2 quotient, whose
+    # matrices repeat, every action with one matrix replaced by another
+    # automorphism names the same first (g, s) as the products of all pairs
+    from locglob.abelian import FinAb
+    from locglob.gmodules import GModule
+    from locglob.groups import cyclic_group, klein_four_group, symmetric_group_3
+    from search_oracles import first_non_homomorphic_pair
+    # sign of S3 (0, 1, 2 even), V4 -> C2 killing element 1, C4 -> C2
+    cases = [(cyclic_group(4), FinAb((5,)), (1, 1, 1, 1)),
+             (symmetric_group_3(), FinAb((3,)), (1, 1, 1, 1, 1, 1)),
+             (symmetric_group_3(), FinAb((5,)), (1, 1, 1, -1, -1, -1)),
+             (klein_four_group(), FinAb((5,)), (1, 1, -1, -1)),
+             (cyclic_group(4), FinAb((5,)), (1, -1, 1, -1)),
+             (cyclic_group(6), FinAb((7,)), (1, -1, 1, -1, 1, -1))]
+    firsts = set()
+    for group, space, signs in cases:
+        n = space.invariant_factors[0]
+        act = tuple(((x,),) for x in signs)
+        GModule(group, space, act)
+        for g in range(1, group.order):
+            for unit in range(1, n):
+                if (unit - signs[g]) % n == 0:
+                    continue
+                mutated = act[:g] + (((unit,),),) + act[g + 1:]
+                want = first_non_homomorphic_pair(group, space, mutated)
+                with pytest.raises(InputError) as err:
+                    GModule(group, space, mutated)
+                assert str(err.value) == "action is not a homomorphism at (%d, %d)" % want
+                firsts.add(want)
+    assert firsts == {(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (4, 1)}
+
+
 def test_parse_curve_and_point():
     curve = parse_curve("-15,5,10")
     assert curve.roots == (-15, 5, 10)
@@ -284,6 +332,16 @@ def test_unknown_subcommand():
 
 def test_hasse_unknown_query_label(mu8_file):
     assert run_cli("hasse", "--input", mu8_file, "--t", "9").returncode == 2
+
+
+def test_hasse_names_the_first_query_with_unknown_labels(monkeypatch):
+    # the message of the per-query path: the first offending query, its
+    # unknown labels sorted, and nothing on stdout
+    monkeypatch.chdir(REPO)
+    out = run_cli("hasse", "--input", "sample_inputs/mu8.json",
+                  "--t", "2", "--t", "zz,yy", "--t", "qq")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: unknown labels in T: ['yy', 'zz']\n"
 
 
 def test_trivial_module_document(tmp_path):
@@ -564,6 +622,20 @@ def test_v4_trivial_z2_report_is_pinned(monkeypatch, capsys):
     with open(os.path.join(REPO, "tests", "data", "v4_trivial_z2_hasse.json")) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == 0
+
+
+def test_v4_z8_two_full_labels_report_is_pinned(monkeypatch, capsys):
+    """The JSON hasse report on V4 acting on Z/8 by the units, with the whole
+    group at p0 and p2, byte for byte: S = {p0, p2} and Sha(S) != 0, and the
+    queries repeat {p0, p2}, once with its labels reversed."""
+    from locglob.cli import main
+    monkeypatch.chdir(REPO)
+    code = main(["hasse", "--input", "tests/data/v4_z8_two_full_labels.json",
+                 "--t", "p0,p2", "--t", "p2,p0", "--t", "p1", "--t", "p0,p2",
+                 "--t", "p3,p2,p0", "--t", "p0", "--t", "p2", "--t", "", "--format", "json"])
+    with open(os.path.join(REPO, "tests", "data", "v4_z8_two_full_labels_hasse.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert code == 1
 
 
 def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
