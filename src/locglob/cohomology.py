@@ -2,16 +2,18 @@
 
 A 1-cocycle is determined by its values on a generating set; the cocycle
 identity becomes a linear system over Z with per-row moduli, solved by
-Smith normal form.  Instances whose priced check work is small are
-cross-checked against the enumeration of Z1 and B1 over M in
-`oracles.brute_force_h1`; representatives are made canonical against a
-table of all coboundaries.  Both tables are sums of the images of the basis
-of M.
+Smith normal form, and H1 is that solution lattice modulo the coboundary
+lattice.  Instances whose priced check work is small are cross-checked
+against the enumeration of Z1 and B1 over M in `oracles.brute_force_h1`;
+representatives are made canonical against a table of all coboundaries.
 
-A restriction kernel that is zero, as H1_* usually is, is decided by one
-rank over F_p per prime p of the exponent of H1, with no Smith normal form:
-a finite abelian group is zero iff it has no element of prime order
-(Cauchy), and |G| kills H1, so those primes divide |G|.
+Restriction to a subgroup Z needs no H1(Z, M): a class restricts to a
+coboundary iff its values on generators of Z lie in the coboundary lattice
+of Z (Brown, Cohomology of Groups).  A restriction kernel that is zero, as
+H1_* usually is, is decided by one rank over F_p per prime p of the
+exponent of H1, with no Smith normal form: a finite abelian group is zero
+iff it has no element of prime order (Cauchy), and |G| kills H1, so those
+primes divide |G|.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .abelian import (FinAb, Subgroup, linear_table, subgroup_from_generators,
 from .errors import InputError, SelfCheckError
 from .gmodules import GModule
 from .groups import cyclic_subgroups
-from .linalg import LatticeQuotient, kernel_mod_lattice, lattice_quotient
+from .linalg import (LatticeQuotient, columns_matrix, kernel_mod_lattice,
+                     lattice_quotient, mat_vec, smith_normal_form)
 
 BRUTE_FORCE_LIMIT = 2 ** 23
 _CANONICAL_LIMIT = 4096
@@ -67,6 +70,10 @@ class CocycleClass:
     def flat(self) -> tuple:
         return tuple(x for v in self.values for x in v)
 
+    def stacked(self, elements) -> list[int]:
+        """The values at the listed elements, concatenated."""
+        return [x for g in elements for x in self.values[g]]
+
     def add(self, other: "CocycleClass") -> "CocycleClass":
         space = self.module.space
         return CocycleClass._unchecked(self.module,
@@ -106,7 +113,7 @@ class H1Group:
     representatives: tuple
     generators: tuple = field(repr=False)          # generating set of G used
     quotient: LatticeQuotient | None = field(repr=False)
-    # element tuple of Z -> restriction(Z); shared through _H1_CACHE
+    # element tuple of Z -> (rows, moduli) of restriction(Z); shared through _H1_CACHE
     _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -116,18 +123,12 @@ class H1Group:
     def is_trivial(self) -> bool:
         return self.structure.invariant_factors == ()
 
-    def _generator_values(self, c: CocycleClass) -> list[int]:
-        out = []
-        for s in self.generators:
-            out.extend(c.values[s])
-        return out
-
     def coordinates_of(self, c: CocycleClass) -> tuple:
         if c.module != self.module:
             raise InputError("cocycle belongs to a different module")
         if self.quotient is None:
             return ()
-        return self.quotient.coordinates(self._generator_values(c))
+        return self.quotient.coordinates(c.stacked(self.generators))
 
     def is_coboundary(self, c: CocycleClass) -> bool:
         return all(x == 0 for x in self.coordinates_of(c))
@@ -147,26 +148,30 @@ class H1Group:
 
     def restriction(self, elements) -> tuple:
         """The restriction map H1(G, M) -> H1(Z, M) to the subgroup Z with
-        the given element set, as (rows, moduli): row i . x mod moduli[i] is
-        coordinate i of the image of the class with coordinates x.
-        Computed once per subgroup; H1(Z, M) and its built-in check run even
-        when H1(G, M) is trivial."""
+        the given element set, as (rows, moduli): class x restricts to a
+        coboundary iff row_i . x = 0 mod moduli[i] for every i.  A cocycle
+        does iff its values v on the greedy generators of Z lie in the
+        coboundary lattice Y of Z (`_coboundary_lattice`), that is iff
+        (P v)_i = 0 mod d_i for the Smith normal form P*Y*Q = D.  Rows that
+        vanish on every class are dropped.  Computed once per subgroup."""
         elems = tuple(sorted(set(elements)))
-        cached = self._restrictions.get(elems)
-        if cached is None:
-            hz = h1(self.module.restrict(elems))
-            cols = [hz.coordinates_of(CocycleClass._unchecked(
-                        hz.module, tuple(rep.values[e] for e in elems)))
-                    for rep in self.representatives]
-            moduli = hz.structure.invariant_factors
-            cached = tuple(tuple(col[i] for col in cols)
-                           for i in range(len(moduli))), moduli
-            self._restrictions[elems] = cached
-        return cached
+        if elems not in self._restrictions:
+            gens = self.module.group.subgroup_generators(elems)
+            if gens is None:
+                raise InputError("element set is not closed under the group operation")
+            snf = smith_normal_form(columns_matrix(_coboundary_lattice(self.module, gens),
+                                                   len(gens) * self.module.space.rank))
+            cols = [mat_vec(snf.p, rep.stacked(gens)) for rep in self.representatives]
+            live = [(tuple(v % t for v in row), t) for row, t in zip(zip(*cols), snf.d)
+                    if any(v % t for v in row)]
+            self._restrictions[elems] = tuple(r for r, _ in live), tuple(t for _, t in live)
+        return self._restrictions[elems]
 
     def vanishes_on(self, elements, classes) -> bool:
         """Whether every listed class (a coordinate vector) restricts to a
         coboundary on the subgroup with the given element set."""
+        if not classes:
+            return True
         rows, moduli = self.restriction(elements)
         return all(sum(a * v for a, v in zip(row, x)) % t == 0
                    for x in classes for row, t in zip(rows, moduli))
@@ -174,14 +179,7 @@ class H1Group:
 
 def _expand_from_generator_values(module: GModule, exprs, x):
     """Full value map of the cocycle with generator values x (stacked)."""
-    space = module.space
-    r = space.rank
-    vals = []
-    for g in range(module.group.order):
-        mat = exprs[g]
-        vals.append(space.reduce([sum(mat[i][j] * x[j] for j in range(len(x)))
-                                  for i in range(r)]))
-    return tuple(vals)
+    return tuple(module.space.reduce(mat_vec(mat, x)) for mat in exprs)
 
 
 def _expression_matrices(module: GModule, gens):
@@ -260,21 +258,7 @@ def h1(module: GModule) -> H1Group:
 
     x_gens = kernel_mod_lattice(rows, moduli, n_unknowns)
 
-    y_gens = []
-    for j in range(r):
-        basis = [1 if t == j else 0 for t in range(r)]
-        vec = []
-        for s in gens:
-            a = module.action[s]
-            vec.extend(a[i][j] - basis[i] for i in range(r))
-        y_gens.append(vec)
-    for si in range(k):
-        for j in range(r):
-            vec = [0] * n_unknowns
-            vec[si * r + j] = d[j]
-            y_gens.append(vec)
-
-    quo = lattice_quotient(x_gens, y_gens, n_unknowns)
+    quo = lattice_quotient(x_gens, _coboundary_lattice(module, gens), n_unknowns)
     structure = FinAb(quo.invariant_factors)
 
     reps = []
@@ -303,6 +287,18 @@ def h1(module: GModule) -> H1Group:
 
     _H1_CACHE[module] = out
     return out
+
+
+def _coboundary_lattice(module: GModule, gens) -> list:
+    """Generators of the lattice of the values (s.e - e)_s in Z^(k r) of the
+    coboundaries on the k generators s, and of the relations of M: the
+    images of the basis vectors e_j, then d_j at each coordinate j of each s."""
+    r, d = module.space.rank, module.space.invariant_factors
+    n = len(gens) * r
+    return ([[module.action[s][i][j] - (i == j) for s in gens for i in range(r)]
+             for j in range(r)]
+            + [[d[j] * (t == si * r + j) for t in range(n)]
+               for si in range(len(gens)) for j in range(r)])
 
 
 def _check_work(module: GModule, k: int) -> int:
@@ -391,7 +387,7 @@ def restriction_kernel(h: H1Group, element_sets) -> Subgroup:
     divides |G|, since |G| kills H1 (Brown, Cohomology of Groups, III.10.2),
     so its primes come by trial division.  Otherwise the kernel is solved
     modulo the row moduli."""
-    if h.is_trivial():      # no H1(Z, M) is computed for a trivial H1
+    if h.is_trivial():
         return trivial_subgroup(h.structure)
     rows = []
     moduli = []

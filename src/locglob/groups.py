@@ -41,7 +41,7 @@ class GroupTable:
         for g in range(m):
             if 0 not in t[g]:
                 raise InputError("element %d has no right inverse" % g)
-        object.__setattr__(self, "_gens", self._greedy_generators(range(m)))
+        object.__setattr__(self, "_gens", self.subgroup_generators(range(m)))
         for a in self._gens:
             for x in range(m):
                 if tuple(t[t[x][a]]) != tuple(map(t[x].__getitem__, t[a])):
@@ -87,14 +87,16 @@ class GroupTable:
         multiplication by its greedy generators is the subgroup they
         generate, so the set is one exactly when it holds 0 and that closure
         never leaves it; the greedy choice makes it reach every element."""
-        es = set(elements)
-        return 0 in es and self._greedy_generators(es) is not None
+        return self.subgroup_generators(elements) is not None
 
-    def _greedy_generators(self, elements) -> tuple | None:
-        """The greedy generators of a set holding 0: in ascending order,
-        each element that the ones before it do not reach from 0 by right
-        multiplication.  None as soon as that closure leaves the set."""
+    def subgroup_generators(self, elements) -> tuple | None:
+        """The greedy generators of the subgroup with the given element set:
+        in ascending order, each element that the ones before it do not
+        reach from 0 by right multiplication.  None if the set lacks 0 or
+        as soon as that closure leaves the set."""
         es = set(elements)
+        if 0 not in es:
+            return None
         gens, have = [], {0}
         for g in sorted(es):
             if g in have:

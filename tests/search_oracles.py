@@ -17,6 +17,9 @@ The built-in H1 check and the canonical representatives are recomputed
 here element by element, where the program sums tables of basis images.
 The verdicts on a place model are read here from one Sha(T) per queried
 T, where the program reads them from one Sha(K) per K = T & S.
+Restriction to a subgroup Z is read here through H1(Z, M) of the
+restricted module, where the program reads it off the coboundary lattice
+of Z's generators.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import gcd, isclose, sqrt
 
 from locglob.abelian import FinAb, apply_matrix, matrix_is_compatible
 from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
-from locglob.cohomology import CocycleClass, coboundary
+from locglob.cohomology import CocycleClass, coboundary, h1, restrict_class
 from locglob.elliptic import CurvePoint, halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
@@ -263,6 +266,16 @@ def verdict_by_queries(model, queries) -> tuple:
         if wit is not None:
             witnesses.append(("t_singular", key, wit))
     return tuple(t_singular), tuple(witnesses)
+
+
+def restriction_through_subgroup_h1(h, elements) -> tuple:
+    """(rows, moduli) of the restriction H1(G, M) -> H1(Z, M) to the
+    subgroup Z with the given element set, by H1 of the restricted module:
+    row i . x mod moduli[i] is coordinate i of the image of class x."""
+    hz = h1(h.module.restrict(elements))
+    cols = [hz.coordinates_of(restrict_class(rep, elements)) for rep in h.representatives]
+    moduli = hz.structure.invariant_factors
+    return tuple(tuple(col[i] for col in cols) for i in range(len(moduli))), moduli
 
 
 def matrix_is_automorphism(mat, space: FinAb) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from math import gcd
 
@@ -15,11 +16,12 @@ from locglob.gmodules import (GModule, dual_module,
                               mu8_klein_model, trivial_action_module,
                               trivial_character, CyclotomicData)
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
-                            klein_four_group, symmetric_group_3, trivial_group)
+                            klein_four_group, subgroup_table, symmetric_group_3,
+                            trivial_group)
 from locglob.linalg import kernel_mod_lattice
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
 from search_oracles import (cyclic_h1_profile, is_action, is_character, is_cocycle,
-                            matrix_is_automorphism)
+                            matrix_is_automorphism, restriction_through_subgroup_h1)
 
 from families import all_actions, lemma_consistency_family
 
@@ -612,3 +614,67 @@ def test_ill_defined_restriction_rows_are_refused(monkeypatch):
         monkeypatch.setattr(H1Group, "restriction", lambda self, elems: (((1,),), moduli))
         with pytest.raises(SelfCheckError, match="do not define a map"):
             restriction_kernel(h, [(0, 1)])
+
+
+def _kernel_of_rows(h, rows, moduli):
+    return subgroup_from_generators(h.structure, kernel_mod_lattice(
+        [list(row) for row in rows], list(moduli), len(h.structure.invariant_factors)))
+
+
+def test_restriction_rows_match_the_subgroup_h1_reference():
+    # the rows read off the coboundary lattice of Z's generators cut out the
+    # kernel that H1(Z, M) of the restricted module cuts out, on every
+    # cyclic and designated subgroup one by one and on all of them at once,
+    # and class by class where H1 is small; nonzero kernels, proper and
+    # whole, occur
+    from families import mu8_q_model, seeded_models, v4_trivial_z2_model
+    from locglob.models import _subgroups_equal
+    from locglob.schema import load_document, parse_model
+    v4_z8 = parse_model(load_document(os.path.join(
+        os.path.dirname(__file__), "data", "v4_z8_two_full_labels.json")))
+    cases = [(m.module, list(m.cyclic) + [elems for _, elems in m.designated])
+             for m in seeded_models() + [mu8_q_model()[2], v4_trivial_z2_model(), v4_z8]]
+    for _, module in itertools.islice(lemma_consistency_family(6, 16), 0, None, 8):
+        grp = module.group
+        cases.append((module, [z.elements for z in cyclic_subgroups(grp)]
+                      + [tuple(range(grp.order))]))
+    kernels = {"zero": 0, "proper": 0, "whole": 0}
+    for module, subgroups in cases:
+        h = h1(module)
+        if h.is_trivial():
+            continue
+        all_rows, all_moduli = [], []
+        for elems in sorted(set(subgroups)):
+            rows, moduli = restriction_through_subgroup_h1(h, elems)
+            all_rows.extend(rows)
+            all_moduli.extend(moduli)
+            want = _kernel_of_rows(h, rows, moduli)
+            assert _subgroups_equal(_kernel_of_rows(h, *h.restriction(elems)), want)
+            assert _subgroups_equal(restriction_kernel(h, [elems]), want)
+            kernels["zero" if want.order == 1 else
+                    "whole" if want.order == h.order else "proper"] += 1
+            if h.order <= 64:
+                for x in h.structure.elements():
+                    assert h.vanishes_on(elems, [x]) == want.contains(x)
+        assert _subgroups_equal(restriction_kernel(h, sorted(set(subgroups))),
+                                _kernel_of_rows(h, all_rows, all_moduli))
+    assert min(kernels.values()) >= 200, kernels
+
+
+def test_restriction_refuses_a_set_that_is_not_a_subgroup():
+    # with subgroup_table's message, for a set without 0 too, even though
+    # the greedy generators of {1} close up inside {0, 1}
+    module, _ = mu8_klein_model()
+    h = h1(module)
+    assert h.structure.invariant_factors == (2,)
+    grp = module.group
+    for elems in ((0, 1, 2), (1,), (2, 3), ()):
+        assert grp.subgroup_generators(elems) is None and not grp.is_subgroup(elems)
+        with pytest.raises(InputError) as want:
+            subgroup_table(grp, elems)
+        for call in (lambda: h.restriction(elems), lambda: h.vanishes_on(elems, [(1,)])):
+            with pytest.raises(InputError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+    # with no class to test, nothing is restricted
+    assert h.vanishes_on((0, 1, 2), []) and (0, 1, 2) not in h._restrictions

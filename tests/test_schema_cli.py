@@ -703,6 +703,8 @@ _PINNED_REPORTS = [
     (["power", "--a", "16", "--n", "8", "--p", "2"], "power_16_8_2.txt", 1),
     (list(_DZ) + ["--k", "2", "--place", "2"], "ec_div_dz_k2_place_2.txt", 1),
     (["reproduce", "--format", "json"], "reproduce.json", 0),
+    (["h1star", "--input", "tests/data/v4_z4_squared.json", "--format", "json"],
+     "v4_z4_squared_h1star.json", 0),
 ]
 
 
@@ -710,8 +712,10 @@ _PINNED_REPORTS = [
                          ids=[name.rsplit(".", 1)[0] for _, name, _ in _PINNED_REPORTS])
 def test_reports_are_pinned(monkeypatch, capsys, argv, expected, code):
     """One report of each remaining subcommand, byte for byte, with its
-    exit status."""
+    exit status.  H1_* of V4 on (Z/4)^2 is (Z/2)^2, so its printed
+    representatives depend on the basis of the restriction kernel."""
     from locglob.cli import main
+    monkeypatch.chdir(REPO)
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
     assert main(argv) == code
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
@@ -792,3 +796,23 @@ def test_subcommands_load_only_their_modules(args, expected):
                           capture_output=True, text=True)
     loaded = set(proc.stderr.strip().splitlines()[-1].split())
     assert loaded == expected
+
+
+@pytest.mark.parametrize("args,code", [
+    (["hasse", "--input", "sample_inputs/mu8.json"], 1),
+    (["h1star", "--input", "tests/data/cyclic_400.json"], 0),
+], ids=["hasse", "h1star"])
+def test_restriction_restricts_no_module(monkeypatch, capsys, args, code):
+    """Restriction to a subgroup is read off the coboundary lattice of its
+    generators: hasse and h1star build no restricted module."""
+    import locglob.cohomology as cohomology
+    from locglob.cli import main
+    from locglob.gmodules import GModule
+
+    def refuse(*_):
+        raise AssertionError("GModule.restrict was called")
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    monkeypatch.setattr(GModule, "restrict", refuse)
+    assert main(args) == code
+    assert capsys.readouterr().err == ""
