@@ -130,13 +130,13 @@ class Subgroup:
     factor form; quotient tracks span(generators + ambient relations) over
     the ambient relations, which is exactly the subgroup.  Its numerator is
     the integer lift of the subgroup, so membership tests and intersections
-    are read from it; it is None for the trivial ambient group.
+    are read from it; it is None for the zero subgroup.
     """
 
     ambient: FinAb
     generators: tuple
     structure: FinAb
-    _quotient: LatticeQuotient
+    _quotient: LatticeQuotient | None
 
     @property
     def order(self) -> int:
@@ -144,7 +144,9 @@ class Subgroup:
 
     def contains(self, vec) -> bool:
         target = self.ambient.reduce(vec)
-        return self._quotient is None or self._quotient.contains(target)
+        if self._quotient is None:
+            return not any(target)
+        return self._quotient.contains(target)
 
     def elements(self):
         seen = {self.ambient.zero()}
@@ -161,7 +163,7 @@ class Subgroup:
     def structure_generator(self, k: int) -> tuple:
         """Ambient element generating the k-th cyclic factor of the subgroup."""
         if self._quotient is None:
-            raise InputError("trivial ambient group has no structure generators")
+            raise InputError("the zero subgroup has no structure generators")
         return self.ambient.reduce(self._quotient.representative(k))
 
 
@@ -170,9 +172,9 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     the integer lifts: solve B_a u = B_b w and project."""
     if a.ambient != b.ambient:
         raise InputError("subgroups live in different ambient groups")
+    if a._quotient is None or b._quotient is None:
+        return trivial_subgroup(a.ambient)
     n = a.ambient.rank
-    if n == 0:
-        return a
     basis_a = a._quotient.basis
     basis_b = b._quotient.basis
     stacked = [list(ra) + [-x for x in rb] for ra, rb in zip(basis_a, basis_b)]
@@ -181,17 +183,8 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def trivial_subgroup(ambient: FinAb) -> Subgroup:
-    """The zero subgroup, with no Smith normal form: its integer lift is the
-    relation lattice diag(d), whose coordinates are x_i / d_i and in which
-    every class is zero."""
-    n = ambient.rank
-    if n == 0:
-        return Subgroup(ambient, (), FinAb(()), None)
-    d = ambient.invariant_factors
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    basis = tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n))
-    quo = LatticeQuotient(ident, d, ident, (1,) * n, (), basis, ())
-    return Subgroup(ambient, (), FinAb(()), quo)
+    """The zero subgroup: no generators and no integer lift."""
+    return Subgroup(ambient, (), FinAb(()), None)
 
 
 def subgroup_from_generators(ambient: FinAb, generators) -> Subgroup:

@@ -113,8 +113,10 @@ class H1Group:
     representatives: tuple
     generators: tuple = field(repr=False)          # generating set of G used
     quotient: LatticeQuotient | None = field(repr=False)
-    # element tuple of Z -> (rows, moduli) of restriction(Z); shared through _H1_CACHE
+    # element tuple of Z -> (rows, moduli) of restriction(Z), and H1_*
+    # (h1_star): computed once per H1 and shared through _H1_CACHE
     _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
+    _star: H1Subgroup | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -476,7 +478,10 @@ def subgroup_to_h1subgroup(h: H1Group, sub: Subgroup) -> H1Subgroup:
 
 def h1_star(module: GModule) -> H1Subgroup:
     """Tate's group: classes restricting to coboundaries on every cyclic
-    subgroup."""
+    subgroup.  Computed once per H1 and kept on it; it is also Sha(S) of
+    every place model over the module (`models._sha_parts`)."""
     h = h1(module)
-    sets = [z.elements for z in cyclic_subgroups(module.group) if z.order > 1]
-    return joint_restriction_kernel(h, sets)
+    if h._star is None:
+        sets = [z.elements for z in cyclic_subgroups(module.group) if z.order > 1]
+        object.__setattr__(h, "_star", joint_restriction_kernel(h, sets))
+    return h._star

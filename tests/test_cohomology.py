@@ -581,28 +581,37 @@ def test_rank_test_matches_the_snf_kernel_on_random_maps():
 def test_rank_test_matches_the_snf_kernel_on_every_restriction(monkeypatch):
     # every restriction_kernel call of h1_star and of verdict over every
     # label subset, on the seeded models and on V4 acting trivially on Z/2,
-    # takes the rank test's verdict, which the Smith-form kernel confirms;
-    # zero and nonzero kernels both occur
+    # and the kernels on each nontrivial cyclic subgroup, on all of them
+    # together and on the whole group over the small exhaustive family, take
+    # the rank test's verdict, which the Smith-form kernel confirms; zero and
+    # nonzero kernels both occur among the distinct inputs
     from families import seeded_models, v4_trivial_z2_model
     from locglob.models import verdict
     real = cohomology._injective_on_torsion
-    calls = []
+    calls = {}
 
     def spy(rows, moduli, factors):
         out = real(rows, moduli, factors)
-        calls.append((rows, moduli, factors, out))
+        calls[repr((rows, moduli, factors))] = (rows, moduli, factors, out)
         return out
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
     monkeypatch.setattr(cohomology, "_injective_on_torsion", spy)
     for model in seeded_models() + [v4_trivial_z2_model()]:
         h1_star(model.module)
         labels = sorted(model.labels)
         verdict(model, [frozenset(c) for r in range(len(labels) + 1)
                         for c in itertools.combinations(labels, r)])
+    for _, module in lemma_consistency_family(4, 8):
+        h = h1(module)
+        grp = module.group
+        cyclic = [z.elements for z in cyclic_subgroups(grp) if z.order > 1]
+        for sets in [[z] for z in cyclic] + [cyclic, [tuple(range(grp.order))]]:
+            restriction_kernel(h, sets)
     outcomes = {True: 0, False: 0}
-    for rows, moduli, factors, injective in calls:
+    for rows, moduli, factors, injective in calls.values():
         assert injective == _kernel_is_zero_by_snf(rows, moduli, factors)
         outcomes[injective] += 1
-    assert outcomes[True] >= 80 and outcomes[False] >= 30
+    assert outcomes[True] >= 80 and outcomes[False] >= 30, outcomes
 
 
 def test_ill_defined_restriction_rows_are_refused(monkeypatch):

@@ -1,10 +1,14 @@
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import locglob.cohomology
+import locglob.groups
+import locglob.models
 from locglob.abelian import FinAb
 from locglob.cohomology import (CocycleClass, h1, h1_star, restriction_kernel,
                                 subgroup_to_h1subgroup)
@@ -113,8 +117,10 @@ def test_restriction_rows_match_cocycle_restriction():
 
 
 def test_model_kernels_do_not_depend_on_call_order():
-    # verdict, finite_support_bound and sha_of_model share one instance's
-    # Sha(T) kernels; fresh instances called in the reverse order agree
+    # verdict, finite_support_bound and sha_of_model read Sha(S) from the
+    # H1_* kept on the module's H1, whichever call comes first, and compute
+    # any other Sha(K) per call; fresh instances called in the reverse order
+    # agree
     rng = random.Random(41)
     for _ in range(20):
         model = random_place_model(rng)
@@ -272,23 +278,32 @@ def _witnesses_by_stacked_kernel(model, shas):
     return tuple(out)
 
 
+def _spy_on_kernels(monkeypatch) -> list:
+    """The element sets of every joint_restriction_kernel call, whether
+    h1_star (in cohomology) or _sha_parts (in models) makes it."""
+    calls = []
+    real = locglob.cohomology.joint_restriction_kernel
+
+    def spy(h, sets):
+        calls.append(sets)
+        return real(h, sets)
+    for mod in (locglob.cohomology, locglob.models):
+        monkeypatch.setattr(mod, "joint_restriction_kernel", spy)
+    return calls
+
+
 def test_sha_matches_its_own_stacked_kernel(monkeypatch):
     # Sha(T) of every label subset T has the order, coordinates and support
     # set of its own stacked kernel, and verdict the witnesses read off
     # those; a zero Sha(S) with S nonempty takes one kernel, where each K <= S
     # takes its own when Sha(S) is nonzero, and both occur
-    import locglob.models
-    kernels = []
-
-    def spy(h, sets):
-        kernels.append(sets)
-        return restriction_kernel(h, sets)
-    monkeypatch.setattr(locglob.models, "restriction_kernel", spy)
+    kernels = _spy_on_kernels(monkeypatch)
     paths = []
     for model in [v4_trivial_z2_model(), _two_full_v4_model()] + seeded_models():
         labels = sorted(model.labels)
         queries = [frozenset(c) for r in range(len(labels) + 1)
                    for c in combinations(labels, r)]
+        monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
         kernels.clear()
         v = verdict(model, queries)
         S = finite_support_bound(model)
@@ -312,14 +327,9 @@ def test_sha_matches_its_own_stacked_kernel(monkeypatch):
 def test_verdict_computes_one_kernel_per_subset_of_s(monkeypatch):
     # all 128 label subsets of the seven-label model meet S = {2} in one of
     # two ways, so verdict needs two restriction kernels
-    import locglob.models
     model = mu8_seven_label_model()
-    calls = []
-
-    def spy(h, sets):
-        calls.append(sets)
-        return restriction_kernel(h, sets)
-    monkeypatch.setattr(locglob.models, "restriction_kernel", spy)
+    monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
+    calls = _spy_on_kernels(monkeypatch)
     labels = sorted(model.labels)
     queries = [frozenset(c) for r in range(len(labels) + 1) for c in combinations(labels, r)]
     v = verdict(model, queries)
@@ -328,6 +338,61 @@ def test_verdict_computes_one_kernel_per_subset_of_s(monkeypatch):
     assert v.hasse and not v.strong_hasse
     assert [T for T, singular in v.t_singular if singular] == [
         key for key in map(tuple, map(sorted, queries)) if "2" in key]
+
+
+def _modules_op(doc, reverse=False):
+    """One op of the modules benchmark: parse the document, then h1, h1_star
+    and verdict over every label subset, or the three in the reverse order."""
+    model = parse_model(doc)
+    labels = sorted(model.labels)
+    queries = [frozenset(c) for r in range(len(labels) + 1) for c in combinations(labels, r)]
+    if reverse:
+        v = verdict(model, queries)
+        star = h1_star(model.module)
+        return h1(model.module), star, v
+    return h1(model.module), h1_star(model.module), verdict(model, queries)
+
+
+def test_a_modules_op_takes_h1_star_once_per_h1(monkeypatch):
+    # h1_star and Sha(S) share one kernel over the cyclic subgroups; the same
+    # document parsed again takes none and walks the cyclic subgroups once,
+    # in PlaceModel; mu8 has a nonzero Sha(S) = H1_*, so its Sha(empty)
+    # takes one more kernel each time, the V4 model on Z/2 none
+    root = os.path.dirname(os.path.dirname(__file__))
+    cases = [(os.path.join(root, "sample_inputs", "mu8.json"), 1),
+             (os.path.join(root, "tests", "data", "v4_trivial_z2.json"), 0)]
+    kernels, walks = [], []
+    real_kernel = locglob.cohomology.restriction_kernel
+    real_walk = locglob.groups.cyclic_subgroups
+
+    def kernel_spy(h, sets):
+        kernels.append(list(sets))
+        return real_kernel(h, sets)
+
+    def walk_spy(group):
+        walks.append(group)
+        return real_walk(group)
+    for path, others in cases:
+        doc = load_document(path)
+        cyclic = list(parse_model(doc).cyclic)
+        monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
+        want = _modules_op(doc, reverse=True)
+        monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
+        with monkeypatch.context() as m:
+            # every binding of either function, wherever it was imported
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("locglob."):
+                    for key, value in list(vars(mod).items()):
+                        for real, spy in ((real_kernel, kernel_spy), (real_walk, walk_spy)):
+                            if value is real:
+                                m.setattr(mod, key, spy)
+            for first in (True, False):
+                kernels.clear()
+                walks.clear()
+                assert _modules_op(doc) == want
+                assert kernels.count(cyclic) == (1 if first else 0), path
+                assert len(kernels) == int(first) + others, path
+                assert len(walks) == (2 if first else 1), path
 
 
 def test_hasse_failure_with_cyclic_decomposition_everywhere():
