@@ -9,11 +9,7 @@ representatives are made canonical against a table of all coboundaries.
 
 Restriction to a subgroup Z needs no H1(Z, M): a class restricts to a
 coboundary iff its values on generators of Z lie in the coboundary lattice
-of Z (Brown, Cohomology of Groups).  A restriction kernel that is zero, as
-H1_* usually is, is decided by one rank over F_p per prime p of the
-exponent of H1, with no Smith normal form: a finite abelian group is zero
-iff it has no element of prime order (Cauchy), and |G| kills H1, so those
-primes divide |G|.
+of Z (Brown, Cohomology of Groups).
 """
 
 from __future__ import annotations
@@ -112,7 +108,7 @@ class H1Group:
     structure: FinAb
     representatives: tuple
     generators: tuple = field(repr=False)          # generating set of G used
-    quotient: LatticeQuotient | None = field(repr=False)
+    quotient: LatticeQuotient = field(repr=False)
     # element tuple of Z -> (rows, moduli) of restriction(Z), and H1_*
     # (h1_star): computed once per H1 and shared through _H1_CACHE
     _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
@@ -128,8 +124,6 @@ class H1Group:
     def coordinates_of(self, c: CocycleClass) -> tuple:
         if c.module != self.module:
             raise InputError("cocycle belongs to a different module")
-        if self.quotient is None:
-            return ()
         return self.quotient.coordinates(c.stacked(self.generators))
 
     def is_coboundary(self, c: CocycleClass) -> bool:
@@ -216,7 +210,8 @@ _H1_CACHE: dict = {}
 
 
 def h1(module: GModule) -> H1Group:
-    """H1(G, M) = Z1/B1 by Smith normal form on the lifted cocycle system.
+    """H1(G, M) = Z1/B1 by Smith normal form on the lifted cocycle system,
+    also when it has no unknowns (the trivial group or the zero module).
 
     When |G| > 1 and the work of the enumeration check, as priced by
     `_check_work` for the k generators, is at most BRUTE_FORCE_LIMIT, the
@@ -234,11 +229,6 @@ def h1(module: GModule) -> H1Group:
     gens = grp.generating_set()
     k = len(gens)
     n_unknowns = k * r
-
-    if n_unknowns == 0:
-        out = H1Group(module, FinAb(()), (), gens, None)
-        _H1_CACHE[module] = out
-        return out
 
     exprs = _expression_matrices(module, gens)
 
@@ -380,15 +370,10 @@ class H1Subgroup:
 
 def restriction_kernel(h: H1Group, element_sets) -> Subgroup:
     """Coordinates of the classes whose restriction to each listed subgroup
-    is a coboundary.
-
-    A zero kernel is decided without a Smith normal form: it is zero iff it
-    holds no element of prime order (Cauchy), iff the stacked restriction
-    x -> (row_i . x mod t_i) is injective on the p-torsion H1[p] for every
-    prime p of the exponent of H1 (`_injective_on_torsion`).  The exponent
-    divides |G|, since |G| kills H1 (Brown, Cohomology of Groups, III.10.2),
-    so its primes come by trial division.  Otherwise the kernel is solved
-    modulo the row moduli."""
+    is a coboundary: the kernel of x -> (row_i . x mod t_i) on
+    H1 = + Z/s_j, solved modulo the row moduli.  The stacked rows must
+    define a map on H1, row_ij * s_j = 0 mod t_i for every entry; otherwise
+    SelfCheckError is raised."""
     if h.is_trivial():
         return trivial_subgroup(h.structure)
     rows = []
@@ -398,67 +383,10 @@ def restriction_kernel(h: H1Group, element_sets) -> Subgroup:
         rows.extend(r)
         moduli.extend(m)
     factors = h.structure.invariant_factors
-    if _injective_on_torsion(rows, moduli, factors):
-        return trivial_subgroup(h.structure)
+    if any(a * s % t for row, t in zip(rows, moduli) for a, s in zip(row, factors)):
+        raise SelfCheckError("restriction rows do not define a map on H1")
     return subgroup_from_generators(h.structure,
                                     kernel_mod_lattice(rows, moduli, len(factors)))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    """The primes of n by trial division; n divides |G| here, so is small."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _injective_on_torsion(rows, moduli, factors) -> bool:
-    """Whether x -> (row_i . x mod t_i) is injective on H1 = + Z/s_j, by one
-    rank over F_p per prime p of the exponent s_last.  H1[p] has the F_p
-    basis (s_j/p) e_j for p | s_j; the image of (s_j/p) e_j in Z/t_i lies in
-    the p-torsion, which is 0 when p does not divide t_i and (t_i/p) F_p
-    when it does.  The map is injective on H1[p] iff the F_p matrix of these
-    images has full column rank.  An image outside the p-torsion means the
-    rows are not a well-defined map, and raises SelfCheckError."""
-    for p in _prime_divisors(factors[-1]):
-        lifts = [(j, s // p) for j, s in enumerate(factors) if s % p == 0]
-        mat = []
-        for row, t in zip(rows, moduli):
-            step = t // p if t % p == 0 else t
-            images = [row[j] * c % t for j, c in lifts]
-            if any(v % step for v in images):
-                raise SelfCheckError("restriction rows do not define a map on H1")
-            if step < t:
-                mat.append([v // step for v in images])
-        if not _full_column_rank(mat, len(lifts), p):
-            return False
-    return True
-
-
-def _full_column_rank(mat, ncols: int, p: int) -> bool:
-    """Whether the matrix over F_p with ncols columns has rank ncols, by
-    elimination column by column."""
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] % p), None)
-        if piv is None:
-            return False
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        top = [v * inv % p for v in mat[rank]]
-        for i in range(rank + 1, len(mat)):
-            f = mat[i][c]
-            if f % p:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], top)]
-        rank += 1
-    return True
 
 
 def joint_restriction_kernel(h: H1Group, element_sets) -> H1Subgroup:
