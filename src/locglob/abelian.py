@@ -6,34 +6,33 @@ chains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import add, mod
 
 from .errors import InputError, SelfCheckError
 from .linalg import (LatticeQuotient, identity_matrix, integer_kernel,
                      kernel_mod_lattice, lattice_quotient, mat_vec)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FinAb:
+class FinAb(Value):
     """Finite abelian group  Z/d1 x ... x Z/dr  with d1 | d2 | ... | dr.
 
     Elements are integer tuples reduced componentwise mod the invariant
     factors.  The empty sequence is the trivial group.
     """
 
-    invariant_factors: tuple
+    __slots__ = _compare = ("invariant_factors",)
 
-    def __post_init__(self):
-        d = self.invariant_factors
-        object.__setattr__(self, "invariant_factors", tuple(int(x) for x in d))
-        for x in self.invariant_factors:
+    def __init__(self, invariant_factors):
+        d = tuple(int(x) for x in invariant_factors)
+        for x in d:
             if x < 2:
                 raise InputError("invariant factors must be >= 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(d, d[1:]):
             if b % a:
                 raise InputError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "invariant_factors", d)
 
     @property
     def rank(self) -> int:
@@ -122,8 +121,7 @@ def linear_table(space: FinAb, images, moduli) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """Subgroup of a FinAb ambient group, with structure and a solver.
 
     generators are ambient elements; structure is the subgroup in invariant
@@ -133,10 +131,14 @@ class Subgroup:
     are read from it; it is None for the zero subgroup.
     """
 
-    ambient: FinAb
-    generators: tuple
-    structure: FinAb
-    _quotient: LatticeQuotient | None
+    __slots__ = _compare = ("ambient", "generators", "structure", "_quotient")
+
+    def __init__(self, ambient: FinAb, generators: tuple, structure: FinAb,
+                 _quotient: LatticeQuotient | None):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "_quotient", _quotient)
 
     @property
     def order(self) -> int:
@@ -202,28 +204,28 @@ def subgroup_from_generators(ambient: FinAb, generators) -> Subgroup:
 # pairings and annihilators
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Value):
     """Bilinear pairing A x A -> Z/exponent given by an integer matrix.
 
     value(x, y) = x^T M y  mod exponent.  Well-definedness requires
     M[i][j] * d_i == M[i][j] * d_j == 0 mod exponent.
     """
 
-    space: FinAb
-    matrix: tuple
+    __slots__ = _compare = ("space", "matrix")
 
-    def __post_init__(self):
-        n = self.space.exponent
-        d = self.space.invariant_factors
-        r = self.space.rank
-        m = self.matrix
+    def __init__(self, space: FinAb, matrix: tuple):
+        n = space.exponent
+        d = space.invariant_factors
+        r = space.rank
+        m = matrix
         if len(m) != r or any(len(row) != r for row in m):
             raise InputError("pairing matrix has wrong shape")
         for i in range(r):
             for j in range(r):
                 if (m[i][j] * d[i]) % n or (m[i][j] * d[j]) % n:
                     raise InputError("pairing matrix is not well defined")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "matrix", matrix)
 
     def value(self, x, y) -> int:
         n = self.space.exponent
@@ -267,8 +269,7 @@ def annihilator(pairing: Pairing, gens) -> Subgroup:
         space, kernel_mod_lattice(rows, [space.exponent] * len(rows), r))
 
 
-@dataclass(frozen=True)
-class ChainDuality:
+class ChainDuality(Value):
     """Output of orthogonal_complement_chain.
 
     a1_perp and a2_perp are the annihilators of A1 and A2 inside the
@@ -278,10 +279,15 @@ class ChainDuality:
     verified elementwise to be a bijection onto those characters.
     """
 
-    a1_perp: Subgroup
-    a2_perp: Subgroup
-    quotient_order: int
-    iso_table: tuple   # ((perp-class rep, tuple of values on A2 elements), ...)
+    __slots__ = _compare = ("a1_perp", "a2_perp", "quotient_order", "iso_table")
+
+    def __init__(self, a1_perp: Subgroup, a2_perp: Subgroup, quotient_order: int,
+                 iso_table: tuple):
+        object.__setattr__(self, "a1_perp", a1_perp)
+        object.__setattr__(self, "a2_perp", a2_perp)
+        object.__setattr__(self, "quotient_order", quotient_order)
+        # ((perp-class rep, tuple of values on A2 elements), ...)
+        object.__setattr__(self, "iso_table", iso_table)
 
 
 def orthogonal_complement_chain(a3: FinAb, a1_gens, a2_gens,

@@ -14,7 +14,6 @@ of Z (Brown, Cohomology of Groups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import add, mod
 
@@ -25,34 +24,34 @@ from .gmodules import GModule
 from .groups import cyclic_subgroups
 from .linalg import (LatticeQuotient, columns_matrix, kernel_mod_lattice,
                      lattice_quotient, mat_vec, smith_normal_form)
+from .value import Value
 
 BRUTE_FORCE_LIMIT = 2 ** 23
 _CANONICAL_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class CocycleClass:
+class CocycleClass(Value):
     """A 1-cocycle: values f(g) with f(gh) = f(g) + g.f(h), f(1) = 0.
     Construction checks the identity for generators h only; by induction on
     h = h's, as for GModule, f(gh) = f(gh') + gh'.f(s) = f(g) + g.f(h)."""
 
-    module: GModule
-    values: tuple
+    __slots__ = _compare = ("module", "values")
 
-    def __post_init__(self):
-        m = self.module.group.order
-        space = self.module.space
-        vals = tuple(space.reduce(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, module: GModule, values: tuple):
+        m = module.group.order
+        space = module.space
+        vals = tuple(space.reduce(v) for v in values)
         if len(vals) != m:
             raise InputError("need one value per group element")
         if vals[0] != space.zero():
             raise InputError("cocycle must vanish at the identity")
         for g in range(m):
-            for s in self.module.group.generating_set():
-                gs = self.module.group.mul(g, s)
-                if vals[gs] != space.add(vals[g], self.module.act(g, vals[s])):
+            for s in module.group.generating_set():
+                gs = module.group.mul(g, s)
+                if vals[gs] != space.add(vals[g], module.act(g, vals[s])):
                     raise InputError("cocycle identity fails at (%d, %d)" % (g, s))
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def _unchecked(cls, module, values):
@@ -96,23 +95,28 @@ def coboundary(module: GModule, elem) -> CocycleClass:
                                          for g in range(module.group.order)))
 
 
-@dataclass(frozen=True)
-class H1Group:
+class H1Group(Value):
     """H1(G, M) in invariant-factor form with explicit representatives.
 
     coordinates_of maps any cocycle to its class; a cocycle maps to the zero
     tuple exactly when it is a coboundary.
     """
 
-    module: GModule
-    structure: FinAb
-    representatives: tuple
-    generators: tuple = field(repr=False)          # generating set of G used
-    quotient: LatticeQuotient = field(repr=False)
-    # element tuple of Z -> (rows, moduli) of restriction(Z), and H1_*
-    # (h1_star): computed once per H1 and shared through _H1_CACHE
-    _restrictions: dict = field(default_factory=dict, repr=False, compare=False)
-    _star: H1Subgroup | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("module", "structure", "representatives", "generators", "quotient",
+                 "_restrictions", "_star")
+    _compare = ("module", "structure", "representatives", "generators", "quotient")
+
+    def __init__(self, module: GModule, structure: FinAb, representatives: tuple,
+                 generators: tuple, quotient: LatticeQuotient):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "generators", generators)    # generating set of G used
+        object.__setattr__(self, "quotient", quotient)
+        # element tuple of Z -> (rows, moduli) of restriction(Z), and H1_*
+        # (h1_star): computed once per H1 and shared through _H1_CACHE
+        object.__setattr__(self, "_restrictions", {})
+        object.__setattr__(self, "_star", None)
 
     @property
     def order(self) -> int:
@@ -338,15 +342,19 @@ def restrict_class(c: CocycleClass, elements) -> CocycleClass:
     return CocycleClass._unchecked(sub_mod, tuple(c.values[e] for e in elems))
 
 
-@dataclass(frozen=True)
-class H1Subgroup:
+class H1Subgroup(Value):
     """A subgroup of an H1Group with explicit cocycle representatives."""
 
-    ambient: H1Group
-    structure: FinAb
-    coordinate_generators: tuple
-    representatives: tuple
-    coordinate_subgroup: Subgroup
+    __slots__ = _compare = ("ambient", "structure", "coordinate_generators",
+                            "representatives", "coordinate_subgroup")
+
+    def __init__(self, ambient: H1Group, structure: FinAb, coordinate_generators: tuple,
+                 representatives: tuple, coordinate_subgroup: Subgroup):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "coordinate_generators", coordinate_generators)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "coordinate_subgroup", coordinate_subgroup)
 
     @property
     def order(self) -> int:

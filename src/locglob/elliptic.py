@@ -33,31 +33,29 @@ cap applies nowhere else: not at p = 2, at a bad prime, over R or over Q.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError, PrecisionError
 from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
                      rational_nth_root)
+from .value import Value
 
 _MAX_PRECISION = 4096
 MAX_K = 600                 # deepest 2-power divisibility decided
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Value):
     """y^2 = (x - e1)(x - e2)(x - e3) with distinct rational roots."""
 
-    e1: Fraction
-    e2: Fraction
-    e3: Fraction
+    __slots__ = _compare = ("e1", "e2", "e3")
 
-    def __post_init__(self):
-        for name in ("e1", "e2", "e3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if len({self.e1, self.e2, self.e3}) != 3:
+    def __init__(self, e1: Fraction, e2: Fraction, e3: Fraction):
+        roots = (Fraction(e1), Fraction(e2), Fraction(e3))
+        if len(set(roots)) != 3:
             raise InputError("curve roots must be pairwise distinct")
+        for name, e in zip(self._compare, roots):
+            object.__setattr__(self, name, e)
 
     @property
     def roots(self) -> tuple:
@@ -99,16 +97,18 @@ class Curve:
                                     for e in sorted(self.roots)]
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Value):
     """Affine point or the point at infinity.  Coordinates are Fractions
     (global), or PadicNumbers (finite place); floats appear only in the
     halves that halve_point returns at the real place, for display, and are
     never accepted as input."""
 
-    x: object
-    y: object
-    infinity: bool = False
+    __slots__ = _compare = ("x", "y", "infinity")
+
+    def __init__(self, x, y, infinity: bool = False):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "infinity", infinity)
 
     def __str__(self):
         if self.infinity:

@@ -4,7 +4,6 @@ characters, duals, and the central-homothety criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -12,10 +11,10 @@ from .abelian import FinAb, apply_matrix, matrix_is_compatible
 from .errors import InputError, SelfCheckError
 from .groups import GroupTable, subgroup_table
 from .linalg import identity_matrix, mat_mod, scalar_matrix
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(Value):
     """A FinAb space with a G-action by automorphisms.
 
     action[g] is an integer matrix (tuple of row tuples) acting on column
@@ -28,25 +27,24 @@ class GModule:
     rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
     """
 
-    group: GroupTable
-    space: FinAb
-    action: tuple
+    __slots__ = _compare = ("group", "space", "action")
 
-    def __post_init__(self):
-        m = self.group.order
-        if len(self.action) != m:
+    def __init__(self, group: GroupTable, space: FinAb, action: tuple):
+        m = group.order
+        if len(action) != m:
             raise InputError("need one action matrix per group element")
-        act = tuple(tuple(tuple(map(int, row)) for row in mat)
-                    for mat in self.action)
+        act = tuple(tuple(tuple(map(int, row)) for row in mat) for mat in action)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "action", act)
-        d = self.space.invariant_factors
+        d = space.invariant_factors
         red = {}            # each distinct matrix, checked once and reduced
         for g, mat in enumerate(act):
             if mat not in red:
-                if not matrix_is_compatible(mat, self.space):
+                if not matrix_is_compatible(mat, space):
                     raise InputError("action matrix %d is not compatible with the moduli" % g)
                 red[mat] = mat_mod(mat, d)
-        if red[act[0]] != mat_mod(identity_matrix(self.space.rank), d):
+        if red[act[0]] != mat_mod(identity_matrix(space.rank), d):
             raise InputError("identity element must act trivially")
         # number the distinct reduced matrices; ids[g] is that of action[g]
         index = {}
@@ -55,12 +53,12 @@ class GModule:
         # = 0 mod d_i, so changing b[k][j] by a multiple of d_k leaves row i
         # of a b unchanged mod d_i.  products[i][j] numbers the product of
         # reduced matrix i by generator j, None if it is no action matrix.
-        gens = self.group.generating_set()
+        gens = group.generating_set()
         cols = [tuple(zip(*red[act[s]])) for s in gens]
         products = [[index.get(tuple(tuple([sum(map(mul, row, col)) % di for col in cs])
                                      for row, di in zip(rows, d)))
                      for cs in cols] for rows in index]
-        for g, row in enumerate(self.group.table):
+        for g, row in enumerate(group.table):
             prod = products[ids[g]]
             for j, s in enumerate(gens):
                 if prod[j] != ids[row[s]]:
@@ -76,19 +74,18 @@ class GModule:
         return GModule(sub, self.space, act)
 
 
-@dataclass(frozen=True)
-class CyclotomicData:
+class CyclotomicData(Value):
     """A character from the group to the units mod n (multiplicative);
     validate checks chi(gs) = chi(g) chi(s) for generators s, as GModule."""
 
-    modulus: int
-    character: tuple   # character[g] is a unit mod modulus
+    __slots__ = _compare = ("modulus", "character")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, character: tuple):
+        if modulus < 1:
             raise InputError("character modulus must be >= 1")
-        object.__setattr__(self, "character",
-                           tuple(int(c) % self.modulus for c in self.character))
+        object.__setattr__(self, "modulus", modulus)
+        # character[g] is a unit mod modulus
+        object.__setattr__(self, "character", tuple(int(c) % modulus for c in character))
 
     def validate(self, group: GroupTable):
         if len(self.character) != group.order:

@@ -7,13 +7,11 @@ generating set S (Light's test), at |S| * m^2 table reads instead of m^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InputError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(Value):
     """Construction checks shape, the identity 0, right inverses (read by inv)
     and associativity; gh = e = hk gives g = g(hk) = (gh)k = k: two-sided.
     Associativity is Light's test, (xa)y = x(ay) for a in the generating set
@@ -22,13 +20,14 @@ class GroupTable:
     is a product (...(0 s1) ...) sk, since the greedy set takes every element
     that the generators before it do not reach from 0."""
 
-    order: int
-    table: tuple   # table[g][h] = index of g*h
-    _gens: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("order", "table", "_gens")
+    _compare = ("order", "table")
 
-    def __post_init__(self):
-        m = self.order
-        t = self.table
+    def __init__(self, order: int, table: tuple):
+        m = order
+        t = table          # t[g][h] = index of g*h
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
         if m < 1:
             raise InputError("group order must be >= 1")
         if len(t) != m or any(len(row) != m for row in t):
@@ -115,13 +114,15 @@ class GroupTable:
         return tuple(gens)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Value):
     """A cyclic subgroup given by its sorted element set and the least
     element that generates it."""
 
-    elements: tuple
-    generator: int
+    __slots__ = _compare = ("elements", "generator")
+
+    def __init__(self, elements: tuple, generator: int):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generator", generator)
 
     @property
     def order(self):

@@ -16,9 +16,8 @@ product, reduction mod the invariant factors) serve the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SelfCheckError
+from .value import Value
 
 
 def scalar_matrix(c: int, n: int) -> list[list[int]]:
@@ -99,16 +98,18 @@ class _SnfState:
             row[i] += c * row[j]
 
 
-@dataclass(frozen=True)
-class Snf:
+class Snf(Value):
     """p * a * q is the m x n matrix with d on its diagonal and zeros
     elsewhere; p, q are unimodular, d has min(m, n) entries with
     0 <= d[i] | d[i+1], and rank counts its nonzero entries."""
 
-    d: tuple
-    p: tuple
-    q: tuple
-    rank: int
+    __slots__ = _compare = ("d", "p", "q", "rank")
+
+    def __init__(self, d: tuple, p: tuple, q: tuple, rank: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "rank", rank)
 
 
 def _freeze(mat):
@@ -201,8 +202,7 @@ def columns_matrix(vectors, n) -> list[list[int]]:
     return [[v[i] for v in vectors] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(Value):
     """Structure of X / Y for full-rank lattices Y <= X <= Z^n.
 
     basis is the n x n matrix B = (A*Q)[:, :n] whose columns are a basis of
@@ -215,13 +215,18 @@ class LatticeQuotient:
     the k-th standard generator.
     """
 
-    x_p: tuple
-    x_d: tuple
-    w_p: tuple
-    factors_all: tuple      # all diagonal entries of D_W
-    invariant_factors: tuple
-    basis: tuple
-    representatives: tuple
+    __slots__ = _compare = ("x_p", "x_d", "w_p", "factors_all", "invariant_factors",
+                            "basis", "representatives")
+
+    def __init__(self, x_p: tuple, x_d: tuple, w_p: tuple, factors_all: tuple,
+                 invariant_factors: tuple, basis: tuple, representatives: tuple):
+        object.__setattr__(self, "x_p", x_p)
+        object.__setattr__(self, "x_d", x_d)
+        object.__setattr__(self, "w_p", w_p)
+        object.__setattr__(self, "factors_all", factors_all)    # all diagonal entries of D_W
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "representatives", representatives)
 
     def contains(self, vec) -> bool:
         """Whether vec lies in the numerator lattice X."""

@@ -10,9 +10,6 @@ conditions, labeled places their designated subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
 # h1 is not called here: perfbench's tracer test checks that it rebinds models.h1
 from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1, h1_star,  # noqa: F401
@@ -20,10 +17,10 @@ from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1, h1_star,  # noqa
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
 from .groups import cyclic_subgroups
+from .value import Value
 
 
-@dataclass(frozen=True)
-class PlaceModel:
+class PlaceModel(Value):
     """Finite Galois module plus designated decomposition data.
 
     designated maps place labels to subgroups (element tuples) of the
@@ -31,56 +28,58 @@ class PlaceModel:
     most 2.
     """
 
-    module: GModule
-    designated: tuple      # sorted ((label, elements), ...)
-    archimedean: frozenset
-    labels: frozenset = field(init=False, repr=False, compare=False)
-    # element tuples of the nontrivial cyclic subgroups (the generic places)
-    cyclic: tuple = field(init=False, repr=False, compare=False)
-    # S: the labels whose designated subgroup is neither trivial nor cyclic
-    # (finite_support_bound)
-    support_bound: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("module", "designated", "archimedean", "labels", "cyclic", "support_bound")
+    _compare = ("module", "designated", "archimedean")
 
-    def __post_init__(self):
-        pairs = (self.designated.items() if isinstance(self.designated, dict)
-                 else self.designated)
-        object.__setattr__(self, "designated",
-                           tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs)))
-        object.__setattr__(self, "archimedean", frozenset(str(x) for x in self.archimedean))
-        grp = self.module.group
+    def __init__(self, module: GModule, designated, archimedean):
+        pairs = designated.items() if isinstance(designated, dict) else designated
+        # sorted ((label, elements), ...)
+        designated = tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs))
+        archimedean = frozenset(str(x) for x in archimedean)
+        grp = module.group
         cyclic = tuple(z.elements for z in cyclic_subgroups(grp) if z.order > 1)
         # sets known to be subgroups skip the closure test of is_subgroup
         known = set(cyclic)
         accepted = known | {(0,), tuple(range(grp.order))}
         labels = set()
-        for label, elems in self.designated:
+        for label, elems in designated:
             if label in labels:
                 raise InputError("duplicate place label %r" % label)
             labels.add(label)
             if elems not in accepted and not grp.is_subgroup(elems):
                 raise InputError("designated set at %r is not a subgroup" % label)
-        object.__setattr__(self, "labels", frozenset(labels))
-        subgroups = dict(self.designated)
-        for label in self.archimedean:
+        subgroups = dict(designated)
+        for label in archimedean:
             if label not in labels:
                 raise InputError("archimedean label %r has no designated subgroup" % label)
             if len(subgroups[label]) > 2:
                 raise InputError("archimedean place %r must have order <= 2" % label)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "designated", designated)
+        object.__setattr__(self, "archimedean", archimedean)
+        object.__setattr__(self, "labels", frozenset(labels))
+        # element tuples of the nontrivial cyclic subgroups (the generic places)
         object.__setattr__(self, "cyclic", cyclic)
-        # the whole group is in S unless it is cyclic, so S reads known alone
+        # S: the labels whose designated subgroup is neither trivial nor
+        # cyclic (finite_support_bound); the whole group is in S unless it
+        # is cyclic, so S reads known alone
         object.__setattr__(self, "support_bound", frozenset(
-            label for label, elems in self.designated
+            label for label, elems in designated
             if len(elems) > 1 and elems not in known))
 
 
-@dataclass(frozen=True)
-class ShaGroup:
+class ShaGroup(Value):
     """Sha(V, T) for V = H1(G, M): classes trivial at every place outside T."""
 
-    ambient: H1Group
-    members: H1Subgroup
-    excluded: frozenset        # the set T
-    support_set: frozenset     # labels where some member restricts nontrivially
+    __slots__ = _compare = ("ambient", "members", "excluded", "support_set")
+
+    def __init__(self, ambient: H1Group, members: H1Subgroup, excluded: frozenset,
+                 support_set: frozenset):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "excluded", excluded)  # the set T
+        # labels where some member restricts nontrivially
+        object.__setattr__(self, "support_set", support_set)
 
     @property
     def order(self) -> int:
@@ -150,8 +149,7 @@ def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
     return a.order == b.order and all(b.contains(g) for g in a.generators)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Definition-style verdicts for a model, with failure witnesses.
 
     strong_hasse implies hasse, and strong_hasse holds exactly when hasse
@@ -159,10 +157,13 @@ class Verdict:
     internally.
     """
 
-    hasse: bool
-    strong_hasse: bool
-    t_singular: tuple      # ((sorted label tuple, bool), ...)
-    witnesses: tuple       # ((kind, labels, CocycleClass), ...)
+    __slots__ = _compare = ("hasse", "strong_hasse", "t_singular", "witnesses")
+
+    def __init__(self, hasse: bool, strong_hasse: bool, t_singular: tuple, witnesses: tuple):
+        object.__setattr__(self, "hasse", hasse)
+        object.__setattr__(self, "strong_hasse", strong_hasse)
+        object.__setattr__(self, "t_singular", t_singular)  # ((sorted label tuple, bool), ...)
+        object.__setattr__(self, "witnesses", witnesses)    # ((kind, labels, CocycleClass), ...)
 
     def singular(self, T) -> bool:
         key = tuple(sorted(str(x) for x in T))
@@ -269,12 +270,15 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
 # weak approximation verdicts (Corollary-style, dual side)
 
 
-@dataclass(frozen=True)
-class WeakApproxVerdict:
-    surjective: bool
-    reason: str
-    dual: GModule
-    witnesses: tuple    # ((place string, target, constructed rational), ...)
+class WeakApproxVerdict(Value):
+    __slots__ = _compare = ("surjective", "reason", "dual", "witnesses")
+
+    def __init__(self, surjective: bool, reason: str, dual: GModule, witnesses: tuple):
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "dual", dual)
+        # ((place string, target, constructed rational), ...)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def weak_approx_verdict(model: PlaceModel, chi: CyclotomicData, T) -> WeakApproxVerdict:
@@ -317,6 +321,8 @@ def _parse_places(model: PlaceModel, T):
 
 
 def _local_square_class_generators(place: Place):
+    from fractions import Fraction
+
     from .arith import legendre_symbol
     if place.is_real:
         return [Fraction(-1)]
@@ -330,6 +336,8 @@ def _local_square_class_generators(place: Place):
 
 
 def _square_class_witnesses(places):
+    from fractions import Fraction
+
     from .padics import square_class_approximate
     for v0 in places:
         for gen in _local_square_class_generators(v0):

@@ -11,20 +11,21 @@ Nothing here decides an answer.  Oracles that only the tests read live in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mod
 
 from .abelian import linear_table
 from .errors import InputError, SelfCheckError
 from .gmodules import GModule
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BruteH1:
-    order: int
-    torsion_counts: dict      # k -> number of classes killed by k
-    cocycles: tuple | None    # value-index tuples, only kept when asked
+class BruteH1(Value):
+    __slots__ = _compare = ("order", "torsion_counts", "cocycles")
+
+    def __init__(self, order: int, torsion_counts: dict, cocycles: tuple | None):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "torsion_counts", torsion_counts)  # k -> classes killed by k
+        object.__setattr__(self, "cocycles", cocycles)  # value-index tuples, only kept when asked
 
 
 def brute_force_h1(module: GModule, keep_cocycles: bool = False) -> BruteH1:
@@ -208,6 +209,7 @@ def hilbert_symbol_search(a, b, p: int) -> int:
     satisfies the Hensel lifting bound, so existence is equivalent to
     solvability over Q_p.  Quadratic in p^3.
     """
+    from fractions import Fraction
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:

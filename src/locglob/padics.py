@@ -11,7 +11,6 @@ therefore exact, with no precision horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -19,21 +18,22 @@ from . import DEFAULT_PRECISION
 from .arith import (factorize, int_valuation, is_prime, legendre_symbol,
                     rational_unit_mod, rational_valuation, sqrt_mod_prime)
 from .errors import InputError, PrecisionError, SelfCheckError
+from .value import Value
 
 _EXACT = 10 ** 9            # precision sentinel for exact zero
 _MIN_MARGIN = 8             # verdicts this close to the horizon are retried
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of Q: a finite prime or the real place (prime None)."""
 
-    prime: int | None
+    __slots__ = _compare = ("prime",)
 
-    def __post_init__(self):
-        if self.prime is not None:
-            if self.prime < 2 or not is_prime(self.prime):
-                raise InputError("finite place must be a prime: %r" % (self.prime,))
+    def __init__(self, prime: int | None):
+        if prime is not None:
+            if prime < 2 or not is_prime(prime):
+                raise InputError("finite place must be a prime: %r" % (prime,))
+        object.__setattr__(self, "prime", prime)
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -72,8 +72,7 @@ def parse_rational(text) -> Fraction:
         raise InputError("cannot parse rational %r" % (text,)) from None
 
 
-@dataclass(frozen=True)
-class PadicNumber:
+class PadicNumber(Value):
     """p^valuation * unit with unit invertible mod p^precision.
 
     unit == 0 encodes a zero; then `precision` is the absolute exponent to
@@ -82,19 +81,18 @@ class PadicNumber:
     arithmetic tracks it pessimistically.
     """
 
-    prime: int
-    valuation: int
-    unit: int
-    precision: int
+    # no __slots__: _unchecked fills the instance dict in one update
+    _compare = ("prime", "valuation", "unit", "precision")
 
-    def __post_init__(self):
-        if self.unit:
-            mod = self.prime ** self.precision
-            object.__setattr__(self, "unit", self.unit % mod)
-            if self.unit % self.prime == 0:
+    def __init__(self, prime: int, valuation: int, unit: int, precision: int):
+        if unit:
+            unit %= prime ** precision
+            if unit % prime == 0:
                 raise InputError("unit part is divisible by p")
-        if self.precision < 1:
+        if precision < 1:
             raise PrecisionError("p-adic precision exhausted")
+        self.__dict__.update(prime=prime, valuation=valuation, unit=unit,
+                             precision=precision)
 
     # -- constructors
 
@@ -114,7 +112,7 @@ class PadicNumber:
     @classmethod
     def _unchecked(cls, p: int, v: int, u: int, precision: int) -> "PadicNumber":
         # internal fast path for nonzero arithmetic results: it skips
-        # __post_init__ and the frozen __setattr__, so the caller guarantees
+        # __init__'s checks, so the caller guarantees
         # 0 < u < p^precision, u prime to p, and precision >= 1 (a zero
         # result goes through zero(), whose precision check can raise)
         obj = object.__new__(cls)
@@ -507,11 +505,13 @@ def hilbert_symbol(a, b, place: Place) -> int:
     return -1 if e % 2 else 1
 
 
-@dataclass(frozen=True)
-class ProductReport:
-    places: tuple
-    symbols: tuple
-    product: int
+class ProductReport(Value):
+    __slots__ = _compare = ("places", "symbols", "product")
+
+    def __init__(self, places: tuple, symbols: tuple, product: int):
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "product", product)
 
 
 def product_formula_check(a, b) -> ProductReport:
@@ -612,12 +612,15 @@ GW_SWEEP_BOUND = 1000
 GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
 
 
-@dataclass(frozen=True)
-class GwDecision:
-    kernel_order: int
-    witness: Fraction | None
-    two_power: int          # r with n = 2^r * odd
-    checked_places: int
+class GwDecision(Value):
+    __slots__ = _compare = ("kernel_order", "witness", "two_power", "checked_places")
+
+    def __init__(self, kernel_order: int, witness: Fraction | None, two_power: int,
+                 checked_places: int):
+        object.__setattr__(self, "kernel_order", kernel_order)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "two_power", two_power)    # r with n = 2^r * odd
+        object.__setattr__(self, "checked_places", checked_places)
 
 
 def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -42,11 +41,13 @@ QUAD_TRIPLE = ((Fraction(0), Fraction(1)),
                (Fraction(0), Fraction(-5)))
 
 
-@dataclass
 class Item:
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def _odd_primes(bound):

@@ -28,13 +28,14 @@ ignore them unchecked.  Only `parse_chi` reads and validates them.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InputError
 
 # each parser imports the types it builds, so a command loads only those
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .elliptic import Curve, CurvePoint
     from .gmodules import CyclotomicData, GModule
     from .groups import GroupTable
@@ -194,6 +195,7 @@ def parse_quadratics(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def format_rational(q: Fraction) -> str:
+    from fractions import Fraction
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

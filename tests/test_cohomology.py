@@ -18,7 +18,7 @@ from locglob.gmodules import (GModule, dual_module,
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
                             klein_four_group, subgroup_table, symmetric_group_3,
                             trivial_group)
-from locglob.linalg import kernel_mod_lattice
+from locglob.linalg import LatticeQuotient, kernel_mod_lattice
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
 from search_oracles import (cyclic_h1_profile, is_action, is_character, is_cocycle,
                             matrix_is_automorphism, restriction_through_subgroup_h1)
@@ -550,13 +550,13 @@ def test_canonical_representatives_match_the_enumeration():
 def test_h1_check_catches_a_wrong_invariant_factor(monkeypatch, group):
     # a Smith-form quotient that reports one invariant factor too big gives
     # a structure of the wrong order, and the built-in check refuses it
-    import dataclasses
     real = cohomology.lattice_quotient
 
     def wrong(*args):
         quo = real(*args)
         factors = quo.invariant_factors[:-1] + (2 * quo.invariant_factors[-1],)
-        return dataclasses.replace(quo, invariant_factors=factors)
+        return LatticeQuotient(quo.x_p, quo.x_d, quo.w_p, quo.factors_all, factors,
+                               quo.basis, quo.representatives)
     monkeypatch.setattr(cohomology, "_H1_CACHE", {})
     monkeypatch.setattr(cohomology, "lattice_quotient", wrong)
     mod = trivial_action_module(group, FinAb((2,)))
@@ -583,7 +583,6 @@ def test_restriction_kernel_matches_enumeration_on_random_maps(monkeypatch):
     # generators, so the two are equal, and on at most 64 elements the
     # membership test agrees member by member.  One entry changed to a
     # non-multiple leaves the map ill defined, and it is refused
-    import dataclasses
     np = pytest.importorskip("numpy")
     rng = random.Random(19)
     base = h1(trivial_action_module(cyclic_group(2), FinAb((2,))))
@@ -593,7 +592,8 @@ def test_restriction_kernel_matches_enumeration_on_random_maps(monkeypatch):
         moduli = [t for _ in range(rng.randint(1, 3))
                   for t in _random_chain(rng, rng.randint(1, 2))]
         rows = [[rng.randrange(t) * (t // gcd(t, s)) % t for s in factors] for t in moduli]
-        h = dataclasses.replace(base, structure=FinAb(factors))
+        h = H1Group(base.module, FinAb(factors), base.representatives, base.generators,
+                    base.quotient)
         monkeypatch.setattr(H1Group, "restriction", lambda self, elems: (rows, moduli))
         got = restriction_kernel(h, [()])
         members = np.indices(factors).reshape(len(factors), -1)

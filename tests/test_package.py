@@ -2,6 +2,7 @@
 public name resolves on first use to the object its home module defines."""
 
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -59,3 +60,29 @@ def test_import_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == ["locglob"]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_DZ = ("--curve=-15,5,10", "--point", "1561/144,19459/1728")
+_NO_CODEGEN = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("args,absent", [
+    (("h1", "--input", "sample_inputs/mu8.json"), _NO_CODEGEN + ("fractions",)),
+    (("hasse", "--input", "sample_inputs/mu8.json"), _NO_CODEGEN + ("fractions",)),
+    (("power", "--a", "16", "--n", "8", "--p", "7"), _NO_CODEGEN),
+    (("ec-div", *_DZ, "--k", "2", "--place", "3"), _NO_CODEGEN),
+], ids=["h1", "hasse", "power", "ec-div"])
+def test_command_loads_no_class_code_generator(args, absent):
+    # defining a value class generates no code, so no command imports
+    # dataclasses or inspect (with ast, dis and tokenize under it) at a cold
+    # start; h1 and hasse build no Fraction, so they load no fractions
+    code = ("import sys\n"
+            "from locglob.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "sys.stderr.write(' '.join(sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         cwd=ROOT, check=True)
+    loaded = set(out.stderr.split())
+    assert "locglob.cli" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))

@@ -772,9 +772,9 @@ def test_reproduce_tampered_golden(tmp_path):
 
 
 _BASE = {"locglob", "locglob.cli", "locglob.errors"}
-_LOCAL = _BASE | {"locglob.schema", "locglob.padics", "locglob.arith"}
+_LOCAL = _BASE | {"locglob.schema", "locglob.padics", "locglob.arith", "locglob.value"}
 _H1 = _BASE | {"locglob.schema", "locglob.groups", "locglob.abelian", "locglob.linalg",
-               "locglob.gmodules", "locglob.cohomology", "locglob.oracles"}
+               "locglob.gmodules", "locglob.cohomology", "locglob.oracles", "locglob.value"}
 _FOOTPRINT = ("import sys\n"
               "from locglob.cli import main\n"
               "main(sys.argv[1:])\n"

@@ -71,3 +71,28 @@ def test_object_new_only_in_the_arithmetic_constructors():
              for line, where in _object_new_sites(ast.parse(path.read_text()))
              if (path.name, where) not in _OBJECT_NEW_ALLOWED]
     assert found == []
+
+
+def _imported_modules(tree):
+    """(line, name) for each module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.lineno, node.module
+
+
+def test_imported_modules_finder():
+    tree = ast.parse("import a.b, c\nfrom d import e\nfrom . import f\nfrom .g import h\n")
+    assert list(_imported_modules(tree)) == [(1, "a.b"), (1, "c"), (2, "d")]
+
+
+def test_no_module_imports_dataclasses():
+    # value classes derive from value.Value, whose equality and hash are
+    # closures, so no command pays for generating class code at import
+    found = ["%s:%d: imports %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _imported_modules(ast.parse(path.read_text()))
+             if name.split(".")[0] == "dataclasses"]
+    assert found == []
