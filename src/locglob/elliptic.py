@@ -5,7 +5,8 @@ divisibility.
 The square test: P lies in 2E(K) iff x(P) - e_i is a square in K for each
 root e_i, zero counting as a square (Knapp, Elliptic Curves, Thm 4.2;
 Silverman, AEC, X.1.4).  It decides k = 1 for a rational point exactly,
-with no embedding: by is_nth_power at a finite place and by an exact
+with no embedding: by residues mod p at a good odd prime (the depth cap
+below), by is_nth_power at p = 2 and at a bad prime, and by an exact
 rational root over Q.  It also decides the last level of every deeper
 descent, so a k-deep descent halves k - 1 times.
 
@@ -28,6 +29,15 @@ VII.2.1-2).  So P lies in 2^k E(Q_p) iff its reduction lies in
 points (Hasse; AEC, V.1.1), so its 2-part has exponent at most 2^(s_p)
 (see _depth_cap) and every k >= s_p gives the verdict of k = s_p.  The
 cap applies nowhere else: not at p = 2, at a bad prime, over R or over Q.
+At k = 1 the same reduction decides a rational P from residues mod p: P
+reduces to the origin when p divides the denominator of x(P), and E_1 is
+2-divisible; otherwise P~ lies in 2E~(F_p) iff each x~ - e~_i is zero or
+a square mod p (Knapp, Thm 4.2, over F_p), which Euler's criterion
+decides.  No p-adic number is built.
+
+Curve membership: for rational coordinates the equation, times its
+denominators, is one integer identity (Curve.contains); p-adic points
+compare to their precision.
 """
 
 from __future__ import annotations
@@ -86,11 +96,21 @@ class Curve(Value):
         return p
 
     def contains(self, p: "CurvePoint") -> bool:
+        """Whether P satisfies the equation.  For rational x = a/b, y = c/d
+        and roots e_i = n_i/m_i this is one integer identity, the equation
+        times d^2 prod(b m_i): c^2 prod(b m_i) == d^2 prod(a m_i - n_i b).
+        p-adic coordinates compare to their precision."""
         if p.infinity:
             return True
-        lhs = p.y * p.y
-        rhs = self.rhs(p.x)
-        return _is_zero(lhs - rhs)
+        x, y = p.x, p.y
+        if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+            a, b = x.numerator, x.denominator
+            lhs, rhs = y.numerator ** 2, y.denominator ** 2
+            for e in self.roots:
+                lhs *= b * e.denominator
+                rhs *= a * e.denominator - e.numerator * b
+            return lhs == rhs
+        return _is_zero(y * y - self.rhs(x))
 
     def two_torsion(self) -> list:
         return [self.infinity()] + [CurvePoint(e, Fraction(0), False)
@@ -337,16 +357,17 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     same verdict for every k >= 1.
 
     Finite places and Q.  At a good odd prime p (every root p-integral,
-    the roots distinct mod p) k is first capped at s_p, which is exact
-    because E_1 is uniquely 2-divisible and the reduced group has at most
-    p + 1 + 2 sqrt(p) points (module docstring); p = 2, bad primes and Q
-    are not capped.  Then k = 1 on a rational point is the square test on
-    x(P) - e_i, exact and without an embedding.  Otherwise the descent is
-    depth-first over one field that embeds the curve once per precision
-    attempt (a point is 2^k-divisible iff some half is
-    2^(k-1)-divisible): halves are taken one at a time, each verified by
-    doubling before the descent uses it, and the descent stops at the first
-    half that descends.  The last level is the square test, so a k-deep
+    the roots distinct mod p; _good_residues) k is first capped at s_p,
+    which is exact because E_1 is uniquely 2-divisible and the reduced
+    group has at most p + 1 + 2 sqrt(p) points (module docstring); p = 2,
+    bad primes and Q are not capped.  Then k = 1 on a rational point is
+    the square test on x(P) - e_i, exact and without an embedding: on
+    residues mod p at a good odd prime (_halvable_mod_p), by _is_square
+    elsewhere.  Otherwise the descent is depth-first over one field that
+    embeds the curve once per precision attempt (a point is 2^k-divisible
+    iff some half is 2^(k-1)-divisible): halves are taken one at a time,
+    each verified by doubling before the descent uses it, and the descent
+    stops at the first half that descends.  The last level is the square test, so a k-deep
     descent halves k - 1 times.  A PrecisionError anywhere retries the
     whole descent at doubled precision.
     """
@@ -357,8 +378,12 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
         return True
     if place is not None and place.is_real:
         return p.x >= max(curve.roots)
-    k = min(k, _depth_cap(curve, place))
+    residues = _good_residues(curve, place)
+    if residues is not None:
+        k = min(k, _depth_cap(place.prime))
     if k == 1 and isinstance(p.x, (int, Fraction)):
+        if residues is not None:
+            return _halvable_mod_p(p.x, residues, place.prime)
         return all(_is_square(p.x - e, place) for e in curve.roots)
 
     def attempt(n):
@@ -367,19 +392,46 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     return _at_rising_precision(attempt, precision)
 
 
-def _depth_cap(curve: Curve, place: Place | None) -> int:
-    """s_p = floor(log2(M)), M = ceil((p + 1 + isqrt(4p)) / 2), at a good
-    odd prime p, and MAX_K at every other place (three roots are never
-    distinct mod 2).  The 2-part of E~(F_p) has order 2^a >= 4 (full
+def _good_residues(curve: Curve, place: Place | None) -> tuple | None:
+    """(e_i mod p) at a good odd prime p, where every root is p-integral
+    and the three residues are distinct; None over Q and R, at p = 2 (three
+    residues are never distinct mod 2) and at every bad prime."""
+    if place is None or place.is_real:
+        return None
+    p = place.prime
+    residues = []
+    for e in curve.roots:
+        m = e.denominator
+        if m % p == 0:
+            return None
+        residues.append(e.numerator * pow(m, -1, p) % p)
+    return tuple(residues) if len(set(residues)) == 3 else None
+
+
+def _depth_cap(p: int) -> int:
+    """s_p = floor(log2(M)), M = ceil((p + 1 + isqrt(4p)) / 2), for a good
+    odd prime p.  The 2-part of E~(F_p) has order 2^a >= 4 (full
     2-torsion) dividing #E~(F_p) <= p + 1 + isqrt(4p), so its exponent is
     at most 2^(a - 1) <= M."""
-    if place is None:
-        return MAX_K
-    p = place.prime
-    if (any(e.denominator % p == 0 for e in curve.roots)
-            or len({e.numerator * pow(e.denominator, -1, p) % p for e in curve.roots}) < 3):
-        return MAX_K
     return ((p + 2 + isqrt(4 * p)) // 2).bit_length() - 1
+
+
+def _halvable_mod_p(x, residues: tuple, p: int) -> bool:
+    """Whether the reduction of a rational point with x-coordinate x lies in
+    2E~(F_p), at a good odd prime p with the roots' residues given: a point
+    with p in the denominator of x reduces to the origin; otherwise each
+    x~ - e~_i must be zero or a square mod p (Knapp, Thm 4.2, over F_p),
+    decided by Euler's criterion."""
+    den = x.denominator
+    if den % p == 0:
+        return True
+    xbar = x.numerator * pow(den, -1, p)
+    half = (p - 1) // 2
+    for e in residues:
+        c = (xbar - e) % p
+        if c and pow(c, half, p) != 1:
+            return False
+    return True
 
 
 def _is_square(c, place: Place | None) -> bool:

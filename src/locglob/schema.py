@@ -28,11 +28,13 @@ ignore them unchecked.  Only `parse_chi` reads and validates them.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
 from .errors import InputError
 
-# each parser imports the types it builds, so a command loads only those
+# annotation-only imports, never executed (type checkers read the block by
+# its name): each parser imports the types it builds, so a command loads
+# only those, and no command loads typing
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -325,7 +325,7 @@ def test_divisibility_at_good_primes_matches_the_reduced_group():
     verdicts = set()
     for curve, points in cases:
         for p in _good_odd_primes(curve, 200):
-            cap = elliptic._depth_cap(curve, Place.finite(p))
+            cap = elliptic._depth_cap(p)
             for pt in points:
                 for k in range(1, cap + 4):
                     got = divisible_by_2k(curve, pt, k, Place.finite(p))
@@ -334,6 +334,106 @@ def test_divisibility_at_good_primes_matches_the_reduced_group():
                         mismatches.append((curve, pt, p, k))
     assert mismatches == []
     assert verdicts == {(deep, v) for deep in (True, False) for v in (True, False)}
+
+
+def _reduction_kind(curve, pt, p):
+    """How a rational point reduces mod p: to the origin, to a 2-torsion
+    point, to an affine point with some x - e_i = 0 mod p but y != 0 (a
+    zero residue that is not 2-torsion over Q), or generically."""
+    if pt.x.denominator % p == 0:
+        return "origin"
+    if pt.y == 0:
+        return "torsion"
+    if any((pt.x - e).numerator % p == 0 for e in curve.roots):
+        return "zero residue"
+    return "generic"
+
+
+def test_residue_test_matches_the_square_test_and_the_reduced_group():
+    # k = 1 on a rational point at a good odd prime reads residues mod p;
+    # the p-adic square test and the enumerated E~(F_p) must agree with it
+    from search_oracles import reduced_divisible_by_2k
+    rng = random.Random(2511)
+    torsion = DZ.two_torsion()[1:]
+    cases = [(DZ, [DZ_P, scalar_mul(DZ, 2, DZ_P), scalar_mul(DZ, 3, DZ_P)]
+              + [group_law(DZ, DZ_P, t) for t in torsion] + torsion)]
+    for _ in range(2):
+        curve, q = _curve_through_a_point(rng)
+        cases.append((curve, [q, scalar_mul(curve, 3, q)] + curve.two_torsion()[1:]))
+    assert [_reduction_kind(DZ, DZ_P, p) for p in (3, 11, 29, 61, 7)] == [
+        "origin", "zero residue", "zero residue", "zero residue", "generic"]
+    mismatches = []
+    verdicts = set()
+    kinds = set()
+    for curve, points in cases:
+        for p in _good_odd_primes(curve, 200):
+            place = Place.finite(p)
+            for pt in points:
+                got = divisible_by_2k(curve, pt, 1, place)
+                squares = all(elliptic._is_square(pt.x - e, place) for e in curve.roots)
+                if not got == squares == reduced_divisible_by_2k(curve, pt, 1, p):
+                    mismatches.append((curve, pt, p))
+                verdicts.add(got)
+                kinds.add(_reduction_kind(curve, pt, p))
+    assert mismatches == []
+    assert verdicts == {True, False}
+    assert kinds == {"origin", "torsion", "zero residue", "generic"}
+
+
+def test_residue_test_calls_no_power_test(monkeypatch):
+    # k = 1 at a good odd prime decides mod p; p = 2 and the bad prime 5
+    # still take the p-adic square test
+    def refuse(*args):
+        raise RuntimeError("is_nth_power called")
+    monkeypatch.setattr(elliptic, "is_nth_power", refuse)
+    answers = {divisible_by_2k(DZ, DZ_P, 1, Place.finite(p))
+               for p in _good_odd_primes(DZ, 200)}
+    assert answers == {True}
+    for p in (2, 5):
+        with pytest.raises(RuntimeError, match="is_nth_power called"):
+            divisible_by_2k(DZ, DZ_P, 1, Place.finite(p))
+
+
+def _multiples(curve, pt, count):
+    """pt, 2 pt, ..., count pt, stopping before the origin."""
+    out = [pt]
+    while len(out) < count:
+        nxt = group_law(curve, out[-1], pt)
+        if nxt.infinity:
+            break
+        out.append(nxt)
+    return out
+
+
+def test_contains_is_the_curve_equation():
+    # Curve.contains clears denominators into one integer identity; it must
+    # agree with y^2 == rhs(x) in Fractions on and off the curve
+    rng = random.Random(4099)
+    cases = [(curve, _multiples(curve, pt, 20)) for curve, pt in
+             [(DZ, DZ_P)] + [_dz_scaled(u) for u in SCALES]]
+    while sum(len(points) for _, points in cases) < 1000:
+        curve, q = _curve_through_a_point(rng)
+        cases.append((curve, _multiples(curve, q, 12)
+                      + [group_law(curve, q, t) for t in curve.two_torsion()[1:]]))
+    on = off = 0
+    for curve, points in cases:
+        for pt in points:
+            for q in (pt, CurvePoint(pt.x, pt.y + 1), CurvePoint(pt.x + Fraction(1, 7), pt.y)):
+                equation = q.y * q.y == curve.rhs(q.x)
+                assert curve.contains(q) == equation, (curve, q)
+                on += q is pt
+                off += not equation
+    assert on >= 1000 and off == 2 * on
+    # int coordinates: (1, 24) halves DZ_P, and (30, -150) is another half
+    for x, y, want in ((1, 24, True), (30, -150, True), (10, 0, True),
+                       (1, 25, False), (2, 0, False)):
+        assert DZ.contains(CurvePoint(x, y)) == want, (x, y)
+    # p-adic halves still compare to their precision
+    for p in (3, 5, 17):
+        halves = halve_point(DZ, DZ_P, Place.finite(p))
+        assert halves and all(DZ.contains(h) for h in halves)
+    with pytest.raises(InputError, match="^point is not on the curve$"):
+        DZ.point(Fraction(1561, 144), Fraction(1))
 
 
 def test_precision_below_one_is_an_input_error():

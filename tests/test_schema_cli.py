@@ -702,6 +702,9 @@ _PINNED_REPORTS = [
     (["quadroots", "--quadratics", "0,1;0,5;0,-5", "--place", "2"], "quadroots_2.txt", 1),
     (["power", "--a", "16", "--n", "8", "--p", "2"], "power_16_8_2.txt", 1),
     (list(_DZ) + ["--k", "2", "--place", "2"], "ec_div_dz_k2_place_2.txt", 1),
+    # P + (-15, 0): a k = 1 sweep with both verdicts, reducing to the origin at 61
+    (["ec-div", "--curve=-15,5,10", "--point=16185/3721,-1914000/226981", "--k", "1",
+      "--sweep", "997", "--format", "json"], "ec_div_dz_plus_t_k1_sweep_997.json", 1),
     (["reproduce", "--format", "json"], "reproduce.json", 0),
     (["h1star", "--input", "tests/data/v4_z4_squared.json", "--format", "json"],
      "v4_z4_squared_h1star.json", 0),

@@ -96,3 +96,14 @@ def test_no_module_imports_dataclasses():
              for line, name in _imported_modules(ast.parse(path.read_text()))
              if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_no_module_imports_typing():
+    # annotations are strings under `from __future__ import annotations`,
+    # so annotation-only imports sit under a local TYPE_CHECKING = False
+    # and no command pays for importing typing
+    found = ["%s:%d: imports %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _imported_modules(ast.parse(path.read_text()))
+             if name.split(".")[0] == "typing"]
+    assert found == []
