@@ -5,7 +5,9 @@ Every decision procedure gets a subcommand; reports go to standard output
 means all internal checks passed, 1 a mathematical finding of failure
 (non-power, non-divisible point, rootless quadratic family, failed
 principle, reproduction mismatch), 2 invalid input, 3 an internal failure
-(a self-check disagreed or p-adic precision ran out).  Reports are byte
+(a self-check disagreed, p-adic precision ran out, or any other exception
+escaped a handler).  A run that exits 2 or 3 writes one line to standard
+error and nothing to standard output.  Reports are byte
 deterministic for fixed inputs and flags; timings are printed only with
 --timings so determinism survives."""
 
@@ -40,10 +42,11 @@ def _report(args, inputs, results, checks, elapsed) -> int:
     if args.timings:
         doc["elapsed_ms"] = int(elapsed * 1000)
     if args.format == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        for line in _text_lines(doc, ""):
-            sys.stdout.write(line + "\n")
+        text = "".join(line + "\n" for line in _text_lines(doc, ""))
+    # one write of a finished text: a failure while formatting writes nothing
+    sys.stdout.write(text)
     return 0 if passed == len(checks) else 1
 
 
@@ -168,6 +171,10 @@ def main(argv=None) -> int:
         return 2
     except (PrecisionError, SelfCheckError) as exc:
         sys.stderr.write("internal failure: %s\n" % exc)
+        return 3
+    except Exception as exc:        # an engine failure, never a finding
+        message = " ".join(("%s: %s" % (type(exc).__name__, exc)).split())
+        sys.stderr.write("internal failure: %s\n" % message)
         return 3
 
 

@@ -37,7 +37,9 @@ decides.  No p-adic number is built.
 
 Curve membership: for rational coordinates the equation, times its
 denominators, is one integer identity (Curve.contains); p-adic points
-compare to their precision.
+compare to their precision.  A point that Curve.point built keeps the
+curve object that checked it, and is not checked again against that
+object: a sweep over many places checks its point once.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ MAX_K = 600                 # deepest 2-power divisibility decided
 
 
 class Curve(Value):
-    """y^2 = (x - e1)(x - e2)(x - e3) with distinct rational roots."""
+    """y^2 = (x - e1)(x - e2)(x - e3) with distinct rational roots.  The
+    roots are also kept as integer pairs (numerator, denominator), which
+    `contains` and the residue test read."""
 
-    __slots__ = _compare = ("e1", "e2", "e3")
+    __slots__ = ("e1", "e2", "e3", "_pairs")
+    _compare = ("e1", "e2", "e3")
 
     def __init__(self, e1: Fraction, e2: Fraction, e3: Fraction):
         roots = (Fraction(e1), Fraction(e2), Fraction(e3))
@@ -66,6 +71,8 @@ class Curve(Value):
             raise InputError("curve roots must be pairwise distinct")
         for name, e in zip(self._compare, roots):
             object.__setattr__(self, name, e)
+        object.__setattr__(self, "_pairs",
+                           tuple((e.numerator, e.denominator) for e in roots))
 
     @property
     def roots(self) -> tuple:
@@ -90,9 +97,14 @@ class Curve(Value):
         return CurvePoint(None, None, True)
 
     def point(self, x, y) -> "CurvePoint":
+        """The affine point (x, y), checked to lie on this curve.  The point
+        records this curve object as the one that checked it, so that
+        `divisible_by_2k` and `halve_point` on this same object (not merely
+        an equal curve) do not check it again."""
         p = CurvePoint(x, y, False)
         if not self.contains(p):
             raise InputError("point is not on the curve")
+        object.__setattr__(p, "_checked_by", self)
         return p
 
     def contains(self, p: "CurvePoint") -> bool:
@@ -106,9 +118,9 @@ class Curve(Value):
         if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
             a, b = x.numerator, x.denominator
             lhs, rhs = y.numerator ** 2, y.denominator ** 2
-            for e in self.roots:
-                lhs *= b * e.denominator
-                rhs *= a * e.denominator - e.numerator * b
+            for n, m in self._pairs:
+                lhs *= b * m
+                rhs *= a * m - n * b
             return lhs == rhs
         return _is_zero(y * y - self.rhs(x))
 
@@ -121,14 +133,17 @@ class CurvePoint(Value):
     """Affine point or the point at infinity.  Coordinates are Fractions
     (global), or PadicNumbers (finite place); floats appear only in the
     halves that halve_point returns at the real place, for display, and are
-    never accepted as input."""
+    never accepted as input.  `_checked_by` is the curve object whose
+    `Curve.point` checked the point, or None."""
 
-    __slots__ = _compare = ("x", "y", "infinity")
+    __slots__ = ("x", "y", "infinity", "_checked_by")
+    _compare = ("x", "y", "infinity")
 
     def __init__(self, x, y, infinity: bool = False):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "infinity", infinity)
+        object.__setattr__(self, "_checked_by", None)
 
     def __str__(self):
         if self.infinity:
@@ -272,12 +287,16 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
 
 def _check_input(curve: Curve, p: CurvePoint, place: Place | None,
                  precision: int) -> None:
+    """Refuse a precision below 1, a point that is not rational at the real
+    place, and a point off the curve.  Membership is tested unless the point
+    came from `Curve.point` of this very curve object (an equal curve built
+    separately does not count), which checked it already."""
     if precision < 1:
         raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
     if (place is not None and place.is_real and not p.infinity
             and not isinstance(p.x, (int, Fraction))):
         raise InputError("the real place takes a point with rational coordinates")
-    if not curve.contains(p):
+    if p._checked_by is not curve and not curve.contains(p):
         raise InputError("point is not on the curve")
 
 
@@ -400,11 +419,10 @@ def _good_residues(curve: Curve, place: Place | None) -> tuple | None:
         return None
     p = place.prime
     residues = []
-    for e in curve.roots:
-        m = e.denominator
+    for n, m in curve._pairs:
         if m % p == 0:
             return None
-        residues.append(e.numerator * pow(m, -1, p) % p)
+        residues.append(n * pow(m, -1, p) % p)
     return tuple(residues) if len(set(residues)) == 3 else None
 
 

@@ -11,6 +11,7 @@ therefore exact, with no precision horizon.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -21,6 +22,12 @@ from .errors import InputError, PrecisionError, SelfCheckError
 from .value import Value
 
 _EXACT = 10 ** 9            # precision sentinel for exact zero
+# Python writes an int in decimal only below 10^D, D its
+# sys.get_int_max_str_digits(): 4,300 by default, and 0 (or no such function,
+# before 3.10.7) for no limit, where 4,300 is kept.  The p-adic units and the
+# Grunwald-Wang witness the package prints stay below _DIGIT_BOUND.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
+_DIGIT_BOUND = 10 ** _DIGITS
 _MIN_MARGIN = 8             # verdicts this close to the horizon are retried
 
 
@@ -248,8 +255,12 @@ class PadicNumber(Value):
         return diff.is_zero
 
     def __str__(self):
+        """Raises InputError for a unit of more than _DIGITS decimal digits,
+        which Python does not write."""
         if self.is_zero:
             return "O(%d^%s)" % (self.prime, self.precision if self.precision < _EXACT else "oo")
+        if self.unit >= _DIGIT_BOUND:
+            raise _long_unit(self.prime)
         return "%d^%d * (%d + O(%d^%d))" % (self.prime, self.valuation,
                                             self.unit, self.prime, self.precision)
 
@@ -346,7 +357,15 @@ def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
     """A witness root when is_nth_power holds: a PadicNumber at the stated
     precision (finite v) or a float (real place, where a and the re-powered
     root must be nonzero floats), verified by re-powering; None when the
-    power test fails."""
+    power test fails.
+
+    At a finite place InputError refuses a modulus p^precision of more than
+    ROOT_MODULUS_BITS bits, and a root whose unit has more than _DIGITS
+    decimal digits (it could not be printed).  A unit that prints is below
+    _DIGIT_BOUND <= p^k, so it is the root mod p^k: the root is lifted to
+    precision min(precision, k), and above k that residue is the answer
+    exactly when it solves x^n = a mod p^(precision + v_p(n)) (for x = root
+    + e with v_p(e) > v_p(n), v_p(x^n - root^n) = v_p(e) + v_p(n))."""
     a = Fraction(a)
     if a == 0 or n < 1 or precision < 1:
         raise InputError("invalid root request")
@@ -368,29 +387,50 @@ def nth_root(a, n: int, place: Place, precision: int = DEFAULT_PRECISION):
             raise SelfCheckError("re-powered real root does not match the input")
         return root
     p = place.prime
+    b = p.bit_length()
+    # p^precision >= 2^((b - 1) precision): a large precision is refused
+    # before the power is built
+    if ((b - 1) * precision >= ROOT_MODULUS_BITS
+            or (p ** precision).bit_length() > ROOT_MODULUS_BITS):
+        raise InputError("a p-adic root is taken modulo p^precision, which must have "
+                         "at most %d bits; got precision %d" % (ROOT_MODULUS_BITS, precision))
     v = rational_valuation(a, p)
     t = int_valuation(n, p)
-    work = precision + 2 * t + 2
-    mod = p ** work
-    u = rational_unit_mod(a, p, mod)
-    x = _unit_nth_root(u, n, p, t, work)
-    root = PadicNumber(p, v // n, x % p ** precision, precision)
-    check = root ** n
-    target = PadicNumber.from_rational(a, p, precision)
-    if not (check - target).is_zero:
+    k = min(precision, -(-_DIGIT_BOUND.bit_length() // (b - 1)))    # p^k > _DIGIT_BOUND
+    work = k + 2 * t + 2
+    x = _unit_nth_root(rational_unit_mod(a, p, p ** work), n, p, t, work) % p ** k
+    if x >= _DIGIT_BOUND:
+        raise _long_unit(p)
+    # re-powering: p^(v/n) x is a root to the stated precision iff
+    # x^n = a / p^v mod p^precision, or mod p^(precision + t) above k
+    mod = p ** (precision + t if k < precision else precision)
+    if v % n or pow(x, n, mod) != rational_unit_mod(a, p, mod):
+        if k < precision:
+            raise _long_unit(p)
         raise SelfCheckError("re-powered root does not match the input")
-    return root
+    return PadicNumber(p, v // n, x, precision)
 
 
+ROOT_MODULUS_BITS = 2 ** 22     # largest p^precision, in bits, that nth_root accepts
 _ROOT_SEED_LIMIT = 2 ** 20     # largest modulus p^(2t+1) swept for a root seed
 
 
-def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
-    """x with x^n == u mod p^work for a unit u known to be an n-th power.
+def _long_unit(p: int) -> InputError:
+    return InputError("the unit of this %d-adic number has more than %d decimal digits, "
+                      "too many to print; take a lower precision" % (p, _DIGITS))
 
-    Digit-by-digit lifting: with f(x) = 0 mod p^j for j >= 2t + 1, the update
-    x += y p^(j-t) with y = -(f(x)/p^j) / (f'(x)/p^t) mod p gains one digit
-    per step, exactly.
+
+def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
+    """x with x^n == u mod p^work for a unit u known to be an n-th power,
+    with t = v_p(n).
+
+    Newton's iteration on f(x) = x^n - u from a root mod p^(2t+1) (mod p
+    when t = 0): v_p(f'(x)) = t, so f(x) = 0 mod p^j with j >= 2t + 1 gives
+    f(x - f(x)/f'(x)) = 0 mod p^(2j - 2t) (Hensel's lemma), by a step of
+    valuation at least j - t >= t + 1.  The iterates therefore approach the
+    one p-adic root within p^-(t+1) of the seed, which digit-by-digit
+    lifting from that seed reaches too, in O(log work) steps instead of
+    O(work).
     """
     from .arith import nth_root_mod_prime
     mod = p ** work
@@ -407,16 +447,15 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
         x = next(x for x in range(1, seed_mod)
                  if x % p and pow(x, n, seed_mod) == u % seed_mod)
         j = 2 * t + 1
-    n0 = n // p ** t
+    pt = p ** t
+    n0 = n // pt
     while j < work:
-        pj1 = p ** (j + 1)
-        fx = (pow(x, n, pj1) - u) % pj1
-        if fx:
-            c = (fx // p ** j) % p
-            d0 = (n0 * pow(x, n - 1, p)) % p
-            y = (-c) * pow(d0, -1, p) % p
-            x = (x + y * p ** (j - t)) % mod
-        j += 1
+        j = min(2 * j - 2 * t, work)
+        q = p ** j
+        xn1 = pow(x, n - 1, q * pt)
+        fx = (xn1 * x - u) % (q * pt)
+        dx = n0 * xn1 % q                       # f'(x) / p^t, a unit
+        x = (x - fx // pt * pow(dx, -1, q)) % q
     if pow(x, n, mod) != u % mod:
         raise SelfCheckError("Hensel lifting failed to converge")
     return x
@@ -632,7 +671,9 @@ def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
     witness 16^(n/8) is checked: an n-th power at every place outside T up
     to the sweep bound and at the real place, not an n-th power in Q
     (exact root test), and an (n/2)-th power in Q.  A sweep bound above
-    GW_SWEEP_LIMIT is refused.
+    GW_SWEEP_LIMIT is refused, and so is an n whose nontrivial kernel has
+    a witness 2^(n/2) of more than _DIGITS decimal digits (n > 28,568 by
+    default).  Every other n is answered without a witness, however large.
     """
     if n < 2:
         raise InputError("n must be >= 2")
@@ -646,6 +687,11 @@ def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:
     r = int_valuation(n, 2)
     if r < 3 or 2 not in T:
         return GwDecision(1, None, r, 0)
+    # 2^(n/2) < _DIGIT_BOUND iff n/2 < its bit length (10^D is no power of 2)
+    limit = _DIGIT_BOUND.bit_length()
+    if n // 2 >= limit:
+        raise InputError("n must be below %d when 8 divides n and 2 is in T, so that "
+                         "the witness 2^(n/2) prints; got %d" % (2 * limit, n))
     witness = Fraction(16) ** (n // 8)
     checked = 0
     for p in range(2, sweep_bound + 1):

@@ -19,7 +19,8 @@ The verdicts on a place model are read here from one Sha(T) per queried
 T, where the program reads them from one Sha(K) per K = T & S.
 Restriction to a subgroup Z is read here through H1(Z, M) of the
 restricted module, where the program reads it off the coboundary lattice
-of Z's generators.
+of Z's generators.  A p-adic n-th root is lifted here one digit at a time,
+where the program takes Newton steps.
 """
 
 from __future__ import annotations
@@ -157,6 +158,23 @@ def is_nth_power_search(a, n: int, p: int) -> bool:
     mod = p ** (2 * int_valuation(n, p) + 1)
     u = rational_unit_mod(a, p, mod)
     return any(pow(x, n, mod) == u for x in range(1, mod) if x % p)
+
+
+def unit_nth_root_by_digits(u: int, n: int, p: int, t: int, work: int) -> int:
+    """x with x^n == u mod p^work, t = v_p(n), lifted one p-adic digit per
+    step from the least root mod p^(2t+1) that is a unit: with f(x) = 0 mod
+    p^j, j >= 2t + 1, the update x += y p^(j-t), y = -(f(x)/p^j) /
+    (f'(x)/p^t) mod p, gains one digit.  The program takes Newton steps
+    from the same seed, which double the digits instead."""
+    seed_mod = p ** (2 * t + 1)
+    x = next(x for x in range(1, seed_mod) if x % p and pow(x, n, seed_mod) == u % seed_mod)
+    n0 = n // p ** t
+    for j in range(2 * t + 1, work):
+        fx = (pow(x, n, p ** (j + 1)) - u) % p ** (j + 1)
+        if fx:
+            y = -(fx // p ** j) * pow(n0 * pow(x, n - 1, p), -1, p) % p
+            x = (x + y * p ** (j - t)) % p ** work
+    return x
 
 
 def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:

@@ -689,3 +689,16 @@ def test_restriction_refuses_a_set_that_is_not_a_subgroup():
             assert str(got.value) == str(want.value)
     # with no class to test, nothing is restricted
     assert h.vanishes_on((0, 1, 2), []) and (0, 1, 2) not in h._restrictions
+
+
+def test_equal_modules_parsed_twice_share_one_h1():
+    # the same document parsed twice gives equal, separate module objects,
+    # which find one H1Group (and so one H1_*) through _H1_CACHE
+    from locglob.schema import load_document, parse_module
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "sample_inputs", "mu8.json")
+    doc = load_document(path)
+    a, b = parse_module(doc), parse_module(doc)
+    assert a == b and a is not b
+    assert h1(a) is h1(b)
+    assert h1_star(a) is h1_star(b)

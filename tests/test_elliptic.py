@@ -436,6 +436,45 @@ def test_contains_is_the_curve_equation():
         DZ.point(Fraction(1561, 144), Fraction(1))
 
 
+def test_a_point_off_the_curve_is_refused_however_it_was_built():
+    # CurvePoint skips the check of Curve.point; divisible_by_2k and
+    # halve_point must still refuse the point, at every kind of place, and
+    # so must an equal curve built separately for a point of another curve
+    off = CurvePoint(DZ_P.x, DZ_P.y + 1)
+    other = Curve(Fraction(-15), Fraction(5), Fraction(11))
+    moved = other.point(Fraction(11), Fraction(0))
+    for place in (Place.finite(2), Place.finite(3), Place.finite(101), Place.real(), None):
+        for p in (off, moved):
+            for k in (1, 2):
+                with pytest.raises(InputError, match="^point is not on the curve$"):
+                    divisible_by_2k(DZ, p, k, place)
+            with pytest.raises(InputError, match="^point is not on the curve$"):
+                halve_point(DZ, p, place)
+
+
+def test_a_point_is_checked_once_by_the_curve_that_built_it(monkeypatch):
+    # Curve.point records the curve object on the point; a sweep over the
+    # places on that object checks membership once, in Curve.point, while an
+    # equal curve built separately, or a point built directly, is checked
+    # again on every call
+    calls = []
+    real = Curve.contains
+    monkeypatch.setattr(Curve, "contains", lambda self, p: calls.append(p) or real(self, p))
+    point = DZ.point(DZ_P.x, DZ_P.y)
+    assert point._checked_by is DZ and point == DZ_P
+    places = [Place.finite(p) for p in PRIMES_200] + [Place.real(), None]
+    verdicts = [divisible_by_2k(DZ, point, k, v) for v in places for k in (1, 2)]
+    halve_point(DZ, point, Place.finite(3))
+    assert len(calls) == 1
+    twin = Curve(*DZ.roots)
+    assert twin == DZ and twin is not DZ
+    bare = CurvePoint(DZ_P.x, DZ_P.y)
+    for curve, p in ((twin, point), (DZ, bare)):
+        calls.clear()
+        assert [divisible_by_2k(curve, p, k, v) for v in places for k in (1, 2)] == verdicts
+        assert len(calls) == 2 * len(places)
+
+
 def test_precision_below_one_is_an_input_error():
     # k = 1 on a rational point takes the square test, which embeds nothing
     for prec in (0, -4):

@@ -243,6 +243,80 @@ def test_nth_root_hensel_at_dividing_prime():
     assert (r ** 3).equals_to_precision(PadicNumber.from_rational(217 ** 3, 3, 24))
 
 
+def test_newton_lifting_reaches_the_root_of_digit_by_digit_lifting():
+    # the seed mod p^(2t+1) fixes one p-adic root; Newton steps and single
+    # digits must both reach it, so they agree mod p^(work - t), beyond the
+    # precision nth_root keeps (work - 2t - 2)
+    from locglob.padics import _unit_nth_root
+    from search_oracles import unit_nth_root_by_digits
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 13])
+        t = rng.choice([0, 0, 1, 2])
+        m = rng.choice([1, 2, 3, 5, 7, 1001])
+        n = p ** t * m
+        if n < 2 or m % p == 0:
+            continue
+        work = rng.randrange(2 * t + 2, 260)
+        u = pow(rng.randrange(1, p ** work, p) or 1, n, p ** work)
+        u = u if u % p else u + 1
+        if not is_nth_power(Fraction(u), n, Place.finite(p)):
+            continue
+        got = _unit_nth_root(u, n, p, t, work)
+        assert pow(got, n, p ** work) == u
+        assert got % p ** (work - t) == unit_nth_root_by_digits(u, n, p, t, work) % p ** (work - t)
+        seen.add((p, t))
+    assert len(seen) >= 12
+
+
+def test_a_root_above_the_print_bound_is_its_short_residue_or_refused(monkeypatch):
+    # with the print bound lowered to 10^30, a precision above k (the least
+    # with p^k above it, by bit lengths) takes the root mod p^k: nth_root
+    # must return the full lift's unit when that is below 10^30 and refuse
+    # it otherwise, also when the root is short mod p^k but long mod
+    # p^precision (base + p^m with k <= m < precision)
+    import locglob.padics as padics
+    from locglob.arith import int_valuation, rational_unit_mod
+    from locglob.padics import _unit_nth_root
+    monkeypatch.setattr(padics, "_DIGIT_BOUND", 10 ** 30)
+    monkeypatch.setattr(padics, "_DIGITS", 30)
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 13])
+        n = rng.choice([1, 2, 3, 5, 8, p, 2 * p, p * p])
+        k = -(-(10 ** 30).bit_length() // (p.bit_length() - 1))
+        prec = rng.randrange(2, 3 * k)
+        base = Fraction(rng.choice([1, 2, 3, 11, -1, -2, 10 ** 12 + 1]),
+                        rng.choice([1, 1, 3, 11]))
+        if rng.random() < 0.3:
+            base += p ** rng.randrange(k, 3 * k)
+        if base == 0 or base.denominator % p == 0 or base.numerator % p == 0:
+            continue
+        a = base ** n * Fraction(p) ** (n * rng.randrange(-2, 3))
+        t = int_valuation(n, p)
+        work = prec + 2 * t + 2
+        full = _unit_nth_root(rational_unit_mod(a, p, p ** work), n, p, t, work) % p ** prec
+        try:
+            got = nth_root(a, n, Place.finite(p), prec)
+        except InputError as exc:
+            assert full >= 10 ** 30 and "more than 30 decimal digits" in str(exc)
+            outcomes.add(("refused", prec > k))
+        else:
+            assert got.unit == full < 10 ** 30 and got.precision == prec
+            outcomes.add(("printed", prec > k))
+    assert outcomes == {("refused", True), ("refused", False),
+                        ("printed", True), ("printed", False)}
+
+
+def test_a_unit_too_long_to_print_is_refused():
+    # Python writes at most 4,300 digits: one more is an InputError
+    assert str(PadicNumber(2, 0, 10 ** 4300 - 1, 14286)).startswith("2^0 * (9999")
+    with pytest.raises(InputError, match="more than 4300 decimal digits"):
+        str(PadicNumber(2, 0, 10 ** 4300 + 1, 14286))
+
+
 # --- Hilbert symbols ------------------------------------------------------
 
 def test_hilbert_examples():

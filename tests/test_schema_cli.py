@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -517,6 +518,148 @@ def test_internal_root_failure_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal failure: internal nth root construction failed\n"
+
+
+@pytest.mark.parametrize("error", [ValueError("no\nluck"), ZeroDivisionError(), KeyError(3)],
+                         ids=["value", "zero-division", "key"])
+def test_any_other_exception_exits_3_with_one_line(monkeypatch, capsys, error):
+    # a last-resort handler: an exception main does not name is an engine
+    # failure, never exit 1 (a finding) and never a traceback
+    import locglob.cli as cli
+
+    def broken(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_gw", broken)
+    assert cli.main(["gw", "--n", "8", "--places", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal failure: %s" % type(error).__name__)
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_report_that_fails_to_format_writes_nothing(monkeypatch, capsys, fmt):
+    # the report is written in one piece once it is formatted, so a failure
+    # half way leaves stdout empty
+    import json as json_module
+
+    import locglob.cli as cli
+    real = cli._text_lines
+
+    def half(obj, prefix):
+        yield next(real(obj, prefix))
+        raise ValueError("cannot format")
+    monkeypatch.setattr(cli, "_text_lines", half)
+    monkeypatch.setattr(json_module, "dumps", lambda *a, **k: 1 / 0)
+    assert cli.main(["gw", "--n", "8", "--places", "2", "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal failure: ")
+
+
+def _main(capsys, *argv):
+    from locglob.cli import main
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == "" and err.count("\n") == 1, err
+    return code, out, err
+
+
+def test_gw_n_is_bounded_only_where_a_witness_is_built(capsys):
+    # 8 | n with 2 in T builds the witness 2^(n/2): n = 28,568 is the last
+    # whose witness has at most 4,300 digits, and above it n is refused at
+    # once, however large; every other n needs no witness and is answered
+    code, out, _ = _main(capsys, "gw", "--n", "28568", "--places", "2")
+    assert code == 0 and "witness: %d\n" % 2 ** 14284 in out
+    assert 2 ** 14284 < 10 ** 4300 < 2 ** 14288
+    for n in (28576, 10 ** 9, 2 ** 40, 10 ** 15):
+        t0 = time.monotonic()
+        code, _, err = _main(capsys, "gw", "--n", str(n), "--places", "2")
+        assert time.monotonic() - t0 < 1.0, n
+        assert code == 2 and err.startswith("error: n must be below 28570"), err
+    for n, places in ((10 ** 9, "3"), (10 ** 9 + 1, "2"), (4 * 10 ** 9 + 4, "2")):
+        code, out, _ = _main(capsys, "gw", "--n", str(n), "--places", places)
+        assert code == 0 and "kernel_order: 1\n" in out and "witness: None\n" in out
+
+
+def test_power_root_prints_a_short_unit_at_any_precision_below_the_work_bound(capsys):
+    # a root whose unit has at most 4,300 digits prints, whatever the
+    # precision, as before: the unit of 2 or 1 at 7 does
+    for a, unit in (("4", 2), ("1", 1)):
+        code, out, _ = _main(capsys, "power", "--a", a, "--n", "2", "--p", "7", "--root",
+                             "--precision", "6000")
+        assert (code, out) == (0, "checks_failed: 0\nchecks_passed: 1\ncommand: power\n"
+                                  "inputs.a: %s\ninputs.n: 2\ninputs.place: 7\n"
+                                  "results.is_power: True\n"
+                                  "results.root: 7^0 * (%d + O(7^6000))\n" % (a, unit))
+    # 2^22 bits is the work bound: 7^1,494,041 has 4,194,304 bits and is
+    # answered, 7^1,494,042 has 4,194,307 and is refused, as is far more
+    from locglob.padics import ROOT_MODULUS_BITS
+    assert (7 ** 1494041).bit_length() == ROOT_MODULUS_BITS < (7 ** 1494042).bit_length()
+    code, out, _ = _main(capsys, "power", "--a", "4", "--n", "2", "--p", "7", "--root",
+                         "--precision", "1494041")
+    assert code == 0 and "(2 + O(7^1494041))" in out
+    for prec in ("1494042", str(10 ** 9), str(10 ** 4000)):
+        t0 = time.monotonic()
+        code, _, err = _main(capsys, "power", "--a", "4", "--n", "2", "--p", "7", "--root",
+                             "--precision", prec)
+        assert prec == "1494042" or time.monotonic() - t0 < 1.0, prec
+        assert code == 2 and "must have at most 4194304 bits" in err, err
+    # without --root the precision is not used, and is not bounded
+    code, _, _ = _main(capsys, "power", "--a", "6", "--n", "3", "--p", "7", "--precision",
+                       str(10 ** 9))
+    assert code == 0
+
+
+def test_power_root_refuses_a_unit_too_long_to_print(capsys):
+    # 7^5088 < 10^4300 < 7^5089: at precision 5,088 every unit prints; above
+    # it the cube root of 6 has a unit of more than 4,300 digits and is
+    # refused, the square root of 16 keeps its short unit 4 ** (1/2) = 2
+    code, out, _ = _main(capsys, "power", "--a", "6", "--n", "3", "--p", "7", "--root",
+                         "--precision", "5088")
+    assert code == 0 and "+ O(7^5088))\n" in out
+    for prec in ("5089", "6000", "1000000"):
+        code, _, err = _main(capsys, "power", "--a", "6", "--n", "3", "--p", "7", "--root",
+                             "--precision", prec)
+        assert code == 2 and "more than 4300 decimal digits" in err, err
+        code, out, _ = _main(capsys, "power", "--a", "16", "--n", "2", "--p", "7", "--root",
+                             "--precision", prec)
+        assert code == 0 and "results.root: 7^0 * (4 + O(7^%s))\n" % prec in out
+
+
+def test_ec_div_halves_too_long_to_print_are_refused(capsys):
+    # the halves of DZ's P at 101 print at precision 2,000 (units below
+    # 101^2000 < 10^4300) and are refused at 3,000, where they crashed
+    argv = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728", "--k", "1",
+            "--place", "101", "--halves", "--precision")
+    code, out, _ = _main(capsys, *argv, "2000")
+    assert code == 0 and out.count("O(101^") == 8
+    for fmt in ("text", "json"):
+        code, _, err = _main(capsys, *argv, "3000", "--format", fmt)
+        assert code == 2 and err == ("error: the unit of this 101-adic number has more than "
+                                     "4300 decimal digits, too many to print; take a lower "
+                                     "precision\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "--n", "28576", "--places", "2"],
+    ["power", "--a", "6", "--n", "3", "--p", "7", "--root", "--precision", "6000"],
+], ids=["gw", "power"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reports_past_the_digit_limit_are_refused_not_crashed(capsys, argv, fmt):
+    code, out, err = _main(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_hilbert_symbol_at_the_real_place(capsys):
+    # a zero argument is refused at the real place too, and a positive
+    # fraction below 1 is not negative: (1/2, -1) is 1 there
+    code, _, err = _main(capsys, "hilbert", "--a", "0", "--b", "5", "--p", "inf")
+    assert code == 2 and err == "error: Hilbert symbol arguments must be nonzero\n"
+    for a, b, want in (("1/2", "-1", 1), ("-1", "1/2", 1), ("-1/2", "-1/3", -1)):
+        code, out, _ = _main(capsys, "hilbert", "--a=" + a, "--b=" + b, "--p", "inf")
+        assert code == 0 and "symbol: %d\n" % want in out, (a, b)
 
 
 def test_lattice_failure_exits_3(monkeypatch, capsys, mu8_file):

@@ -78,9 +78,9 @@ CLASSES = {
     "WeakApproxVerdict": (_weak_approx, ("surjective", "reason", "dual", "witnesses"), ()),
     "BruteH1": (lambda: brute_force_h1(_module(), keep_cocycles=True),
                 ("order", "torsion_counts", "cocycles"), ()),
-    "Curve": (lambda: Curve(-15, 5, 10), ("e1", "e2", "e3"), ()),
+    "Curve": (lambda: Curve(-15, 5, 10), ("e1", "e2", "e3"), ("_pairs",)),
     "CurvePoint": (lambda: Curve(-15, 5, 10).point(Fraction(1561, 144), Fraction(19459, 1728)),
-                   ("x", "y", "infinity"), ()),
+                   ("x", "y", "infinity"), ("_checked_by",)),
 }
 
 # a field holding a dict makes the instance unhashable, as it was before
