@@ -10,8 +10,8 @@ from math import gcd
 from operator import add, mod
 
 from .errors import InputError, SelfCheckError
-from .linalg import (LatticeQuotient, identity_matrix, integer_kernel,
-                     kernel_mod_lattice, lattice_quotient, mat_vec)
+from .linalg import (identity_matrix, integer_kernel, kernel_mod_lattice, lattice_quotient,
+                     mat_vec)
 from .value import Value
 
 
@@ -132,13 +132,6 @@ class Subgroup(Value):
     """
 
     __slots__ = _compare = ("ambient", "generators", "structure", "_quotient")
-
-    def __init__(self, ambient: FinAb, generators: tuple, structure: FinAb,
-                 _quotient: LatticeQuotient | None):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "_quotient", _quotient)
 
     @property
     def order(self) -> int:
@@ -276,18 +269,11 @@ class ChainDuality(Value):
     character group of the ambient space, written in ambient coordinates
     through the perfect pairing.  iso_table witnesses the duality: one row
     per class of A1perp/A2perp carrying the character it induces on A2/A1,
-    verified elementwise to be a bijection onto those characters.
+    verified elementwise to be a bijection onto those characters:
+    ((perp-class rep, tuple of values on A2 elements), ...).
     """
 
     __slots__ = _compare = ("a1_perp", "a2_perp", "quotient_order", "iso_table")
-
-    def __init__(self, a1_perp: Subgroup, a2_perp: Subgroup, quotient_order: int,
-                 iso_table: tuple):
-        object.__setattr__(self, "a1_perp", a1_perp)
-        object.__setattr__(self, "a2_perp", a2_perp)
-        object.__setattr__(self, "quotient_order", quotient_order)
-        # ((perp-class rep, tuple of values on A2 elements), ...)
-        object.__setattr__(self, "iso_table", iso_table)
 
 
 def orthogonal_complement_chain(a3: FinAb, a1_gens, a2_gens,

@@ -21,7 +21,7 @@ from .abelian import (FinAb, Subgroup, linear_table, subgroup_from_generators,
                       trivial_subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import GModule
-from .groups import cyclic_subgroups
+from .groups import generic_places
 from .linalg import (LatticeQuotient, columns_matrix, kernel_mod_lattice,
                      lattice_quotient, mat_vec, smith_normal_form)
 from .value import Value
@@ -348,14 +348,6 @@ class H1Subgroup(Value):
     __slots__ = _compare = ("ambient", "structure", "coordinate_generators",
                             "representatives", "coordinate_subgroup")
 
-    def __init__(self, ambient: H1Group, structure: FinAb, coordinate_generators: tuple,
-                 representatives: tuple, coordinate_subgroup: Subgroup):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "coordinate_generators", coordinate_generators)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "coordinate_subgroup", coordinate_subgroup)
-
     @property
     def order(self) -> int:
         return self.structure.order
@@ -418,6 +410,5 @@ def h1_star(module: GModule) -> H1Subgroup:
     every place model over the module (`models._sha_parts`)."""
     h = h1(module)
     if h._star is None:
-        sets = [z.elements for z in cyclic_subgroups(module.group) if z.order > 1]
-        object.__setattr__(h, "_star", joint_restriction_kernel(h, sets))
+        object.__setattr__(h, "_star", joint_restriction_kernel(h, generic_places(module.group)))
     return h._star

@@ -120,10 +120,6 @@ class SubgroupSpec(Value):
 
     __slots__ = _compare = ("elements", "generator")
 
-    def __init__(self, elements: tuple, generator: int):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generator", generator)
-
     @property
     def order(self):
         return len(self.elements)
@@ -150,6 +146,13 @@ def cyclic_subgroups(group: GroupTable) -> list[SubgroupSpec]:
     out = [SubgroupSpec(elems, gen) for elems, gen in seen.items()]
     out.sort(key=lambda s: (s.order, s.elements))
     return out
+
+
+def generic_places(group: GroupTable) -> tuple:
+    """The element tuples of the nontrivial cyclic subgroups, in the order
+    of cyclic_subgroups: the generic places of every place model over the
+    group, and the subgroups whose restriction kernel is H1_*."""
+    return tuple(z.elements for z in cyclic_subgroups(group) if z.order > 1)
 
 
 def subgroup_table(group: GroupTable, elements) -> GroupTable:

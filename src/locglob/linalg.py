@@ -105,12 +105,6 @@ class Snf(Value):
 
     __slots__ = _compare = ("d", "p", "q", "rank")
 
-    def __init__(self, d: tuple, p: tuple, q: tuple, rank: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "rank", rank)
-
 
 def _freeze(mat):
     return tuple(tuple(row) for row in mat)
@@ -209,24 +203,15 @@ class LatticeQuotient(Value):
     X, from the Snf P*A*Q = D of the generator matrix A of X; B u = x has
     the unique solution u_i = (P x)_i / d_i, read from x_p = P and x_d = d.
     W holds the u of the generators of Y, and its Snf P_W*W*Q_W = D_W gives
-    the class of x as P_W u reduced mod the diagonal.  invariant_factors
-    lists the nontrivial cyclic factors in divisibility order;
+    the class of x as P_W u reduced mod the diagonal; factors_all holds
+    every diagonal entry of D_W.  invariant_factors lists the nontrivial
+    cyclic factors in divisibility order;
     representatives[k] is the vector B * (column of P_W^-1) of X mapping to
     the k-th standard generator.
     """
 
     __slots__ = _compare = ("x_p", "x_d", "w_p", "factors_all", "invariant_factors",
                             "basis", "representatives")
-
-    def __init__(self, x_p: tuple, x_d: tuple, w_p: tuple, factors_all: tuple,
-                 invariant_factors: tuple, basis: tuple, representatives: tuple):
-        object.__setattr__(self, "x_p", x_p)
-        object.__setattr__(self, "x_d", x_d)
-        object.__setattr__(self, "w_p", w_p)
-        object.__setattr__(self, "factors_all", factors_all)    # all diagonal entries of D_W
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "representatives", representatives)
 
     def contains(self, vec) -> bool:
         """Whether vec lies in the numerator lattice X."""

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
 # h1 is not called here: perfbench's tracer test checks that it rebinds models.h1
-from .cohomology import (CocycleClass, H1Group, H1Subgroup, h1, h1_star,  # noqa: F401
+from .cohomology import (CocycleClass, H1Subgroup, h1, h1_star,  # noqa: F401
                          joint_restriction_kernel, subgroup_to_h1subgroup)
 from .errors import InputError, SelfCheckError
 from .gmodules import CyclotomicData, GModule, dual_module
-from .groups import cyclic_subgroups
+from .groups import generic_places
 from .value import Value
 
 
@@ -25,7 +25,7 @@ class PlaceModel(Value):
 
     designated maps place labels to subgroups (element tuples) of the
     module's group; archimedean labels must carry subgroups of order at
-    most 2.
+    most 2.  cyclic holds the generic places (`groups.generic_places`).
     """
 
     __slots__ = ("module", "designated", "archimedean", "labels", "cyclic", "support_bound")
@@ -37,7 +37,7 @@ class PlaceModel(Value):
         designated = tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs))
         archimedean = frozenset(str(x) for x in archimedean)
         grp = module.group
-        cyclic = tuple(z.elements for z in cyclic_subgroups(grp) if z.order > 1)
+        cyclic = generic_places(grp)
         # sets known to be subgroups skip the closure test of is_subgroup
         known = set(cyclic)
         accepted = known | {(0,), tuple(range(grp.order))}
@@ -58,7 +58,6 @@ class PlaceModel(Value):
         object.__setattr__(self, "designated", designated)
         object.__setattr__(self, "archimedean", archimedean)
         object.__setattr__(self, "labels", frozenset(labels))
-        # element tuples of the nontrivial cyclic subgroups (the generic places)
         object.__setattr__(self, "cyclic", cyclic)
         # S: the labels whose designated subgroup is neither trivial nor
         # cyclic (finite_support_bound); the whole group is in S unless it
@@ -69,17 +68,11 @@ class PlaceModel(Value):
 
 
 class ShaGroup(Value):
-    """Sha(V, T) for V = H1(G, M): classes trivial at every place outside T."""
+    """Sha(V, T) for V = H1(G, M): classes trivial at every place outside T.
+    excluded is the set T; support_set holds the labels where some member
+    restricts nontrivially."""
 
     __slots__ = _compare = ("ambient", "members", "excluded", "support_set")
-
-    def __init__(self, ambient: H1Group, members: H1Subgroup, excluded: frozenset,
-                 support_set: frozenset):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "excluded", excluded)  # the set T
-        # labels where some member restricts nontrivially
-        object.__setattr__(self, "support_set", support_set)
 
     @property
     def order(self) -> int:
@@ -127,9 +120,10 @@ def _sha_parts(model: PlaceModel, key: frozenset) -> tuple:
 
     Sha(S) is cut out by the cyclic subgroups alone, so it is Tate's H1_*,
     which `h1_star` computes once per H1 from the same subgroups in the same
-    order, so with the same representatives.  Sha(K) <= Sha(S) for K <= S
-    (see finite_support_bound), so when Sha(S) is zero every Sha(K) is zero;
-    only a nonzero Sha(S) takes a kernel of its own for each K != S."""
+    order (`groups.generic_places`), so with the same representatives.
+    Sha(K) <= Sha(S) for K <= S (see finite_support_bound), so when Sha(S)
+    is zero every Sha(K) is zero; only a nonzero Sha(S) takes a kernel of
+    its own for each K != S."""
     S = model.support_bound
     members = h1_star(model.module)
     if key != S and not members.is_trivial():
@@ -154,16 +148,11 @@ class Verdict(Value):
 
     strong_hasse implies hasse, and strong_hasse holds exactly when hasse
     holds and no queried-or-possible T is singular; both are enforced
-    internally.
+    internally.  t_singular is ((sorted label tuple, bool), ...) and
+    witnesses is ((kind, labels, CocycleClass), ...).
     """
 
     __slots__ = _compare = ("hasse", "strong_hasse", "t_singular", "witnesses")
-
-    def __init__(self, hasse: bool, strong_hasse: bool, t_singular: tuple, witnesses: tuple):
-        object.__setattr__(self, "hasse", hasse)
-        object.__setattr__(self, "strong_hasse", strong_hasse)
-        object.__setattr__(self, "t_singular", t_singular)  # ((sorted label tuple, bool), ...)
-        object.__setattr__(self, "witnesses", witnesses)    # ((kind, labels, CocycleClass), ...)
 
     def singular(self, T) -> bool:
         key = tuple(sorted(str(x) for x in T))
@@ -271,14 +260,9 @@ def finite_support_bound(model: PlaceModel) -> frozenset:
 
 
 class WeakApproxVerdict(Value):
-    __slots__ = _compare = ("surjective", "reason", "dual", "witnesses")
+    """witnesses is ((place string, target, constructed rational), ...)."""
 
-    def __init__(self, surjective: bool, reason: str, dual: GModule, witnesses: tuple):
-        object.__setattr__(self, "surjective", surjective)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "dual", dual)
-        # ((place string, target, constructed rational), ...)
-        object.__setattr__(self, "witnesses", witnesses)
+    __slots__ = _compare = ("surjective", "reason", "dual", "witnesses")
 
 
 def weak_approx_verdict(model: PlaceModel, chi: CyclotomicData, T) -> WeakApproxVerdict:

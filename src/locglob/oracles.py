@@ -20,12 +20,10 @@ from .value import Value
 
 
 class BruteH1(Value):
-    __slots__ = _compare = ("order", "torsion_counts", "cocycles")
+    """torsion_counts maps k to the number of classes killed by k; cocycles
+    holds value-index tuples when asked for, and is else None."""
 
-    def __init__(self, order: int, torsion_counts: dict, cocycles: tuple | None):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "torsion_counts", torsion_counts)  # k -> classes killed by k
-        object.__setattr__(self, "cocycles", cocycles)  # value-index tuples, only kept when asked
+    __slots__ = _compare = ("order", "torsion_counts", "cocycles")
 
 
 def brute_force_h1(module: GModule, keep_cocycles: bool = False) -> BruteH1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import DEFAULT_PRECISION
-from .arith import (factorize, int_valuation, is_prime, legendre_symbol,
+from .arith import (factorize, int_valuation, is_prime, legendre_symbol, nth_root_mod_prime,
                     rational_unit_mod, rational_valuation, sqrt_mod_prime)
 from .errors import InputError, PrecisionError, SelfCheckError
 from .value import Value
@@ -432,7 +432,6 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
     lifting from that seed reaches too, in O(log work) steps instead of
     O(work).
     """
-    from .arith import nth_root_mod_prime
     mod = p ** work
     if t == 0:
         x = nth_root_mod_prime(u % p, n, p)
@@ -547,11 +546,6 @@ def hilbert_symbol(a, b, place: Place) -> int:
 class ProductReport(Value):
     __slots__ = _compare = ("places", "symbols", "product")
 
-    def __init__(self, places: tuple, symbols: tuple, product: int):
-        object.__setattr__(self, "places", places)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "product", product)
-
 
 def product_formula_check(a, b) -> ProductReport:
     """Hilbert symbols of (a, b) at every place where they can be -1.
@@ -652,14 +646,9 @@ GW_SWEEP_LIMIT = 10 ** 6        # largest sweep bound gw_decision accepts
 
 
 class GwDecision(Value):
-    __slots__ = _compare = ("kernel_order", "witness", "two_power", "checked_places")
+    """two_power is r with n = 2^r * odd."""
 
-    def __init__(self, kernel_order: int, witness: Fraction | None, two_power: int,
-                 checked_places: int):
-        object.__setattr__(self, "kernel_order", kernel_order)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "two_power", two_power)    # r with n = 2^r * odd
-        object.__setattr__(self, "checked_places", checked_places)
+    __slots__ = _compare = ("kernel_order", "witness", "two_power", "checked_places")
 
 
 def gw_decision(n: int, T, sweep_bound: int = GW_SWEEP_BOUND) -> GwDecision:

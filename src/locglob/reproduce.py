@@ -25,6 +25,7 @@ from .oracles import duplication_x
 from .padics import (Place, gw_decision, hilbert_symbol, is_nth_power,
                      product_formula_check)
 from .schema import format_rational
+from .value import Value
 
 WANG_SWEEP = 10 ** 4
 EC_SWEEP = 997
@@ -41,13 +42,8 @@ QUAD_TRIPLE = ((Fraction(0), Fraction(1)),
                (Fraction(0), Fraction(-5)))
 
 
-class Item:
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+class Item(Value):
+    __slots__ = _compare = ("name", "ok", "detail")
 
 
 def _odd_primes(bound):

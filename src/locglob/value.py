@@ -1,10 +1,11 @@
 """The base of the package's immutable value classes.
 
-A subclass names its compared fields in `_compare` and sets every field in
-its own `__init__` with object.__setattr__.  Equality and hashing are two
-closures over one attrgetter, made once when the class is defined: no
-source is generated or compiled, and no module beyond `operator` is
-imported.
+A subclass names its compared fields in `_compare`.  One that only stores
+them defines no `__init__` and is built positionally, in `_compare` order;
+one that checks its input or derives fields sets each in its own `__init__`
+with object.__setattr__.  Constructor, equality and hashing are closures
+made once per class: no source is generated or compiled, and no module
+beyond `operator` is imported.
 """
 
 from operator import attrgetter
@@ -39,6 +40,22 @@ class Value:
 
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__
+        if "__init__" in cls.__dict__:
+            return
+        # each slot's own setter passes the frozen __setattr__ by, with no
+        # object.__setattr__ lookup per field
+        setters = tuple(getattr(cls, name).__set__ for name in names)
+
+        def __init__(self, *values):
+            if len(values) != len(setters):
+                raise TypeError("%s() takes %d fields (%s), %d given" % (
+                    cls.__qualname__, len(setters), ", ".join(names), len(values)))
+            i = 0
+            for put in setters:     # an index walk: zip would make a pair per field
+                put(self, values[i])
+                i += 1
+
+        cls.__init__ = __init__
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -56,3 +73,4 @@ class Value:
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self._compare))
+

@@ -6,7 +6,7 @@ from search_oracles import group_table_checks
 
 from locglob.errors import InputError
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
-                            direct_product, klein_four_group, subgroup_table,
+                            direct_product, generic_places, klein_four_group, subgroup_table,
                             symmetric_group_3, trivial_group, unit_group_mod)
 
 
@@ -245,3 +245,17 @@ def test_subgroup_test_by_closure_matches_all_pairs():
         outcomes[is_subgroup_all_pairs(group, elems)] += 1
         assert group.is_subgroup(elems) == is_subgroup_all_pairs(group, elems)
     assert outcomes == {True: 54, False: 218}
+
+
+def test_generic_places_are_the_nontrivial_cyclic_subgroups_in_order():
+    # place models and h1_star both read this tuple, so Sha(S) and H1_*
+    # cut by the same subgroups in the same order
+    from locglob.abelian import FinAb
+    from locglob.gmodules import trivial_action_module
+    from locglob.models import PlaceModel
+    for group in (trivial_group(), cyclic_group(8), klein_four_group(), symmetric_group_3(),
+                  direct_product(cyclic_group(2), cyclic_group(4))):
+        places = generic_places(group)
+        assert places == tuple(z.elements for z in cyclic_subgroups(group) if z.order > 1)
+        model = PlaceModel(trivial_action_module(group, FinAb((2,))), {}, ())
+        assert model.cyclic == places

@@ -107,3 +107,102 @@ def test_no_module_imports_typing():
              for line, name in _imported_modules(ast.parse(path.read_text()))
              if name.split(".")[0] == "typing"]
     assert found == []
+
+
+def _compare_fields(cls):
+    """The names a class body assigns to _compare, or None."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_compare" for t in stmt.targets):
+            return tuple(ast.literal_eval(stmt.value))
+    return None
+
+
+def _stored_field(stmt, self_name, params):
+    """The field a statement sets on self to one of the parameters, by
+    object.__setattr__ or by assignment, or None."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        func, args = stmt.value.func, stmt.value.args
+        if (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+                and isinstance(func.value, ast.Name) and func.value.id == "object"
+                and len(args) == 3 and isinstance(args[0], ast.Name)
+                and args[0].id == self_name and isinstance(args[1], ast.Constant)
+                and isinstance(args[2], ast.Name) and args[2].id in params):
+            return args[1].value
+    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == self_name and isinstance(stmt.value, ast.Name)
+                and stmt.value.id in params):
+            return target.attr
+    return None
+
+
+def _store_only_inits(tree):
+    """(line, class name) for each __init__ of a Value subclass whose body,
+    docstring aside, only stores the _compare fields from its parameters,
+    in _compare order."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "Value" for b in cls.bases)):
+            continue
+        names = _compare_fields(cls)
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__" and names):
+                continue
+            body = fn.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            self_name, *params = [a.arg for a in fn.args.args]
+            stored = [_stored_field(stmt, self_name, params) for stmt in body]
+            if stored == list(names):
+                yield fn.lineno, cls.name
+
+
+def test_store_only_init_finder():
+    tree = ast.parse(
+        "class A(Value):\n"
+        "    __slots__ = _compare = ('x', 'y')\n"
+        "    def __init__(self, x, y):\n"
+        "        '''doc'''\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        object.__setattr__(self, 'y', y)\n"
+        "class B(Value):\n"
+        "    _compare = ('x', 'y')\n"
+        "    def __init__(self, x, y):\n"
+        "        object.__setattr__(self, 'y', y)\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "class C(Value):\n"
+        "    _compare = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        if x < 0:\n"
+        "            raise InputError('x')\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "class D(Value):\n"
+        "    __slots__ = _compare = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "class E:\n"
+        "    _compare = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "class F(Value):\n"
+        "    _compare = ('x',)\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'x', tuple(x))\n"
+        "class G(Value):\n"
+        "    __slots__ = ('x', 'y')\n"
+        "    _compare = ('x',)\n"
+        "    def __init__(self, x, y):\n"
+        "        object.__setattr__(self, 'x', x)\n"
+        "        object.__setattr__(self, 'y', y)\n")
+    assert list(_store_only_inits(tree)) == [(3, "A"), (20, "D")]
+
+
+def test_no_value_class_writes_a_store_only_init():
+    # value.Value builds the positional constructor of a class that only
+    # stores its _compare fields, so such a class declares them once
+    found = ["%s:%d: %s.__init__ only stores its fields" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _store_only_inits(ast.parse(path.read_text()))]
+    assert found == []

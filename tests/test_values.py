@@ -1,7 +1,9 @@
 """Value semantics of the package's immutable classes: equal arguments
 give equal instances with equal hashes, every compared field takes part in
 equality, the cached and derived fields take none, and no field can be
-assigned or deleted once an instance is built."""
+assigned or deleted once an instance is built.  A class that only stores
+its compared fields is built positionally by the constructor Value gives
+it."""
 
 import copy
 import pickle
@@ -20,6 +22,8 @@ from locglob.linalg import lattice_quotient, smith_normal_form
 from locglob.models import PlaceModel, sha_of_model, verdict, weak_approx_verdict
 from locglob.oracles import brute_force_h1
 from locglob.padics import PadicNumber, Place, gw_decision, product_formula_check
+from locglob.reproduce import Item
+from locglob.value import Value
 
 
 def _module():
@@ -81,7 +85,14 @@ CLASSES = {
     "Curve": (lambda: Curve(-15, 5, 10), ("e1", "e2", "e3"), ("_pairs",)),
     "CurvePoint": (lambda: Curve(-15, 5, 10).point(Fraction(1561, 144), Fraction(19459, 1728)),
                    ("x", "y", "infinity"), ("_checked_by",)),
+    "Item": (lambda: Item("mu8 H1_*", True, "order %d" % 4), ("name", "ok", "detail"), ()),
 }
+
+# the classes that only store their compared fields: no __init__ of their
+# own, so Value builds one over _compare
+PLAIN = {"BruteH1", "ChainDuality", "GwDecision", "H1Subgroup", "Item", "LatticeQuotient",
+         "ProductReport", "ShaGroup", "Snf", "Subgroup", "SubgroupSpec", "Verdict",
+         "WeakApproxVerdict"}
 
 # a field holding a dict makes the instance unhashable, as it was before
 UNHASHABLE = {"BruteH1"}
@@ -163,3 +174,59 @@ def test_copy_and_pickle_keep_the_value(build, name):
 def test_repr_names_the_compared_fields():
     assert repr(Place.finite(7)) == "Place(prime=7)"
     assert repr(FinAb((2, 4))) == "FinAb(invariant_factors=(2, 4))"
+
+
+def _built_by_value(cls):
+    return cls.__init__.__qualname__ == "Value.__init_subclass__.<locals>.__init__"
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_only_the_plain_classes_take_the_built_constructor(build, name):
+    assert _built_by_value(type(build(name))) == (name in PLAIN)
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN))
+def test_a_plain_class_is_built_positionally_in_compare_order(build, name):
+    obj = build(name)
+    fields = [getattr(obj, f) for f in CLASSES[name][1]]
+    again = type(obj)(*fields)
+    assert again == obj
+    if name not in UNHASHABLE:
+        assert hash(again) == hash(obj)
+    assert all(getattr(again, f) is v for f, v in zip(CLASSES[name][1], fields))
+    assert repr(again) == repr(obj)
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN))
+def test_a_plain_class_refuses_a_wrong_field_count(build, name):
+    obj = build(name)
+    cls = type(obj)
+    fields = [getattr(obj, f) for f in CLASSES[name][1]]
+    for count in sorted({0, len(fields) - 1, len(fields) + 1}):
+        with pytest.raises(TypeError, match="%s\\(\\) takes %d fields" % (name, len(fields))):
+            cls(*(fields + fields)[:count])
+    with pytest.raises(TypeError):
+        cls(**dict(zip(CLASSES[name][1], fields)))
+
+
+def test_a_class_with_its_own_init_keeps_it():
+    class Pair(Value):
+        __slots__ = _compare = ("a", "b")
+
+    class Checked(Value):
+        __slots__ = _compare = ("a", "b")
+
+        def __init__(self, a, b):
+            if a > b:
+                raise ValueError("a > b")
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+
+    assert _built_by_value(Pair) and not _built_by_value(Checked)
+    assert Pair(2, 1) == Pair(2, 1) != Pair(1, 2)
+    assert (Pair(2, 1).a, Pair(2, 1).b) == (2, 1)
+    assert Checked(1, 2) == Checked(1, 2)
+    with pytest.raises(ValueError):
+        Checked(2, 1)
+    with pytest.raises(TypeError, match="takes 2 fields \\(a, b\\), 3 given"):
+        Pair(1, 2, 3)
