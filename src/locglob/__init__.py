@@ -16,8 +16,7 @@ DEFAULT_PRECISION = 64          # p-adic working precision when none is given
 # home module -> the public names it defines
 _EXPORTS = {
     "abelian": ("FinAb", "Pairing", "orthogonal_complement_chain", "standard_pairing"),
-    "cohomology": ("CocycleClass", "H1Group", "H1Subgroup", "coboundary", "h1", "h1_star",
-                   "restrict_class"),
+    "cohomology": ("CocycleClass", "H1Group", "H1Subgroup", "coboundary", "h1", "h1_star"),
     "elliptic": ("Curve", "CurvePoint", "divisible_by_2k", "group_law", "halve_point",
                  "propagation_check", "quad_local_roots", "scalar_mul"),
     "errors": ("InputError", "PrecisionError", "SelfCheckError"),

@@ -335,13 +335,6 @@ def _canonical_representatives(module: GModule, cocycles) -> tuple:
     return tuple(out)
 
 
-def restrict_class(c: CocycleClass, elements) -> CocycleClass:
-    """Restriction of a cocycle to a subgroup (given by its element set)."""
-    sub_mod = c.module.restrict(elements)
-    elems = tuple(sorted(set(elements)))
-    return CocycleClass._unchecked(sub_mod, tuple(c.values[e] for e in elems))
-
-
 class H1Subgroup(Value):
     """A subgroup of an H1Group with explicit cocycle representatives."""
 

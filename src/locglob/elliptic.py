@@ -53,7 +53,7 @@ from .padics import (DEFAULT_PRECISION, PadicNumber, Place, is_nth_power,
                      rational_nth_root)
 from .value import Value
 
-_MAX_PRECISION = 4096
+_MAX_PRECISION = 4096        # highest working precision, given or retried
 MAX_K = 600                 # deepest 2-power divisibility decided
 
 
@@ -258,9 +258,7 @@ class _Field:
             return rational_nth_root(c, 2)
         if self.place.is_real:
             return None if c < 0 else float(c) ** 0.5
-        if c.is_zero:
-            return c
-        return c.sqrt() if c.is_square() else None
+        return c if c.is_zero else c.sqrt()
 
 
 def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
@@ -287,12 +285,14 @@ def halve_point(curve: Curve, p: CurvePoint, place: Place | None = None,
 
 def _check_input(curve: Curve, p: CurvePoint, place: Place | None,
                  precision: int) -> None:
-    """Refuse a precision below 1, a point that is not rational at the real
-    place, and a point off the curve.  Membership is tested unless the point
-    came from `Curve.point` of this very curve object (an equal curve built
+    """Refuse a precision outside 1.._MAX_PRECISION (the ceiling of the
+    retry ladder), a point that is not rational at the real place, and a
+    point off the curve.  Membership is tested unless the point came from
+    `Curve.point` of this very curve object (an equal curve built
     separately does not count), which checked it already."""
-    if precision < 1:
-        raise InputError("p-adic precision must be >= 1, got %r" % (precision,))
+    if not 1 <= precision <= _MAX_PRECISION:
+        raise InputError("p-adic precision must be between 1 and %d, got %r"
+                         % (_MAX_PRECISION, precision))
     if (place is not None and place.is_real and not p.infinity
             and not isinstance(p.x, (int, Fraction))):
         raise InputError("the real place takes a point with rational coordinates")

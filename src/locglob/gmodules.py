@@ -9,7 +9,7 @@ from operator import mul
 
 from .abelian import FinAb, apply_matrix, matrix_is_compatible
 from .errors import InputError, SelfCheckError
-from .groups import GroupTable, subgroup_table
+from .groups import GroupTable
 from .linalg import identity_matrix, mat_mod, scalar_matrix
 from .value import Value
 
@@ -66,12 +66,6 @@ class GModule(Value):
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)
-
-    def restrict(self, elements) -> "GModule":
-        """Module over a subgroup, its elements reindexed in ascending order."""
-        sub = subgroup_table(self.group, elements)
-        act = tuple(self.action[e] for e in sorted(set(elements)))
-        return GModule(sub, self.space, act)
 
 
 class CyclotomicData(Value):
@@ -175,31 +169,18 @@ def homothety_criterion(module: GModule):
     """
     d = module.space.invariant_factors
     expo = module.space.exponent
-    g_ord = module.group.order
+    r = module.space.rank
     found = None
-    for s in range(g_ord):      # central: commutes with every generator h
+    for s in range(module.group.order):     # central: commutes with every generator h
         if any(module.group.mul(s, h) != module.group.mul(h, s)
                for h in module.group.generating_set()):
             continue
-        mat = module.action[s]
-        r = module.space.rank
         if r == 0:
             found = (s, 0)
             break
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if i != j and mat[i][j] % d[i]:
-                    ok = False
-        if not ok:
-            continue
+        mat = module.action[s]
         m = mat[r - 1][r - 1] % expo
-        for i in range(r):
-            if (mat[i][i] - m) % d[i]:
-                ok = False
-        if not ok:
-            continue
-        if gcd(m - 1, expo) == 1:
+        if mat_mod(mat, d) == mat_mod(scalar_matrix(m, r), d) and gcd(m - 1, expo) == 1:
             found = (s, m)
             break
     if found is None:

@@ -1,8 +1,9 @@
 """Finite groups as explicit multiplication tables.
 
-Index 0 is always the identity.  Every table is validated at construction,
-subgroup tables (subgroup_table) included; associativity is checked on a
-generating set S (Light's test), at |S| * m^2 table reads instead of m^3.
+Index 0 is always the identity.  Every table is validated at construction;
+associativity is checked on a generating set S (Light's test), at
+|S| * m^2 table reads instead of m^3.  A subgroup is an element set of its
+group (is_subgroup, subgroup_generators), never a table of its own.
 """
 
 from __future__ import annotations
@@ -153,17 +154,6 @@ def generic_places(group: GroupTable) -> tuple:
     of cyclic_subgroups: the generic places of every place model over the
     group, and the subgroups whose restriction kernel is H1_*."""
     return tuple(z.elements for z in cyclic_subgroups(group) if z.order > 1)
-
-
-def subgroup_table(group: GroupTable, elements) -> GroupTable:
-    """The multiplication table of a subgroup, elements reindexed 0..k-1
-    in ascending order (identity first)."""
-    elems = tuple(sorted(set(elements)))
-    if not group.is_subgroup(elems):
-        raise InputError("element set is not closed under the group operation")
-    local = {e: i for i, e in enumerate(elems)}
-    table = tuple(tuple(local[group.mul(a, b)] for b in elems) for a in elems)
-    return GroupTable(len(elems), table)
 
 
 # ---------------------------------------------------------------------------

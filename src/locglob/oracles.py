@@ -164,13 +164,15 @@ def _sums(tables, moduli):
             yield x + (i,), tuple(map(mod, map(add, p, c), moduli))
 
 
-def brute_force_is_coboundary(module: GModule, values) -> bool:
-    """Direct search over M for an element with f(g) = g.m - m."""
+def brute_force_is_coboundary(module: GModule, values, elements=None) -> bool:
+    """Direct search over M for an element m with f(g) = g.m - m for every g
+    in elements (every group element by default), values[g] being f(g): on
+    the element set of a subgroup Z this tests the restriction of f to Z."""
     space = module.space
     vals = tuple(space.reduce(v) for v in values)
+    elements = range(module.group.order) if elements is None else elements
     for e in space.elements():
-        if all(vals[g] == space.sub(module.act(g, e), e)
-               for g in range(module.group.order)):
+        if all(vals[g] == space.sub(module.act(g, e), e) for g in elements):
             return True
     return False
 
@@ -290,11 +292,12 @@ def brute_force_h1_star(module: GModule):
     cobs = set()
     for e in elems:
         cobs.add(tuple(index[space.sub(module.act(g, e), e)] for g in range(grp.order)))
-    subs = [(z.elements, module.restrict(z.elements))
-            for z in cyclic_subgroups(grp) if z.order > 1]
-    star = [z for z in data.cocycles
-            if all(brute_force_is_coboundary(sub_mod, [elems[z[g]] for g in sub])
-                   for sub, sub_mod in subs)]
+    subs = [z.elements for z in cyclic_subgroups(grp) if z.order > 1]
+    star = []
+    for z in data.cocycles:
+        values = [elems[i] for i in z]
+        if all(brute_force_is_coboundary(module, values, sub) for sub in subs):
+            star.append(z)
     b1 = len(cobs)
     if len(star) % b1:
         raise SelfCheckError("star cocycles do not tile into classes")

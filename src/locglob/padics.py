@@ -280,43 +280,21 @@ class PadicNumber(Value):
             return self.unit % 8 == 1
         return legendre_symbol(self.unit % p, p) == 1
 
-    def sqrt(self) -> "PadicNumber":
-        """A square root; ValueError if is_square() is false."""
+    def sqrt(self) -> "PadicNumber | None":
+        """A square root, None if is_square() is false.  The unit's root is
+        lifted by _newton_lift from the Tonelli-Shanks root mod p at odd p,
+        and at p = 2 from the root 1 mod 8, where x^2 = u mod 2^n fixes x
+        mod 2^(n-1) only."""
         if not self.is_square():
-            raise InputError("p-adic number is not a square")
-        p = self.prime
+            return None
         if self.is_zero:
             return self
-        n = self.precision
+        p, u, n = self.prime, self.unit, self.precision
         if p == 2:
-            root = _sqrt_unit_2adic(self.unit, n)
-            return PadicNumber(p, self.valuation // 2, root % 2 ** (n - 1), n - 1)
-        root = _sqrt_unit_odd(self.unit, p, n)
+            root = _newton_lift(u, 2, 2, 1, 1, n) % 2 ** (n - 1)
+            return PadicNumber(p, self.valuation // 2, root, n - 1)
+        root = _newton_lift(u, 2, p, 0, sqrt_mod_prime(u % p, p), n)
         return PadicNumber(p, self.valuation // 2, root, n)
-
-
-def _sqrt_unit_odd(u: int, p: int, n: int) -> int:
-    x = sqrt_mod_prime(u % p, p)
-    if x is None:
-        raise InputError("unit is not a square mod p")
-    k = 1
-    mod = p
-    while k < n:
-        k = min(2 * k, n)
-        mod = p ** k
-        # Newton: x <- x - (x^2 - u) / (2x)
-        x = (x - (x * x - u) * pow(2 * x, -1, mod)) % mod
-    return x % p ** n
-
-
-def _sqrt_unit_2adic(u: int, n: int) -> int:
-    if u % 8 != 1:
-        raise InputError("2-adic unit is not a square")
-    x = 1
-    for j in range(3, n):
-        if (x * x - u) % 2 ** (j + 1):
-            x += 2 ** (j - 1)
-    return x % 2 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +400,12 @@ def _long_unit(p: int) -> InputError:
 
 def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
     """x with x^n == u mod p^work for a unit u known to be an n-th power,
-    with t = v_p(n).
-
-    Newton's iteration on f(x) = x^n - u from a root mod p^(2t+1) (mod p
-    when t = 0): v_p(f'(x)) = t, so f(x) = 0 mod p^j with j >= 2t + 1 gives
-    f(x - f(x)/f'(x)) = 0 mod p^(2j - 2t) (Hensel's lemma), by a step of
-    valuation at least j - t >= t + 1.  The iterates therefore approach the
-    one p-adic root within p^-(t+1) of the seed, which digit-by-digit
-    lifting from that seed reaches too, in O(log work) steps instead of
-    O(work).
-    """
-    mod = p ** work
+    with t = v_p(n): a root mod p^(2t+1) (mod p when t = 0), lifted by
+    _newton_lift."""
     if t == 0:
         x = nth_root_mod_prime(u % p, n, p)
         if x is None:
             raise SelfCheckError("power test and root construction disagree")
-        j = 1
     else:
         seed_mod = p ** (2 * t + 1)
         if seed_mod > _ROOT_SEED_LIMIT:
@@ -445,9 +413,23 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
                              "use is_nth_power for the decision alone" % (2 * t + 1))
         x = next(x for x in range(1, seed_mod)
                  if x % p and pow(x, n, seed_mod) == u % seed_mod)
-        j = 2 * t + 1
+    return _newton_lift(u, n, p, t, x, work)
+
+
+def _newton_lift(u: int, n: int, p: int, t: int, x: int, work: int) -> int:
+    """The root mod p^work of x^n = u, for a unit u, t = v_p(n) and
+    work > 2t + 1, from a unit seed x with x^n == u mod p^(2t+1).
+
+    Newton's iteration on f(x) = x^n - u: v_p(f'(x)) = t, so f(x) = 0 mod
+    p^j with j >= 2t + 1 gives f(x - f(x)/f'(x)) = 0 mod p^(2j - 2t)
+    (Hensel's lemma), by a step of valuation at least j - t >= t + 1.  The
+    iterates therefore approach the one p-adic root within p^-(t+1) of the
+    seed, which digit-by-digit lifting from that seed reaches too, in
+    O(log work) steps instead of O(work).
+    """
     pt = p ** t
     n0 = n // pt
+    j = 2 * t + 1
     while j < work:
         j = min(2 * j - 2 * t, work)
         q = p ** j
@@ -455,6 +437,7 @@ def _unit_nth_root(u: int, n: int, p: int, t: int, work: int) -> int:
         fx = (xn1 * x - u) % (q * pt)
         dx = n0 * xn1 % q                       # f'(x) / p^t, a unit
         x = (x - fx // pt * pow(dx, -1, q)) % q
+    mod = p ** work
     if pow(x, n, mod) != u % mod:
         raise SelfCheckError("Hensel lifting failed to converge")
     return x

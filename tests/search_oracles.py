@@ -18,9 +18,11 @@ here element by element, where the program sums tables of basis images.
 The verdicts on a place model are read here from one Sha(T) per queried
 T, where the program reads them from one Sha(K) per K = T & S.
 Restriction to a subgroup Z is read here through H1(Z, M) of the
-restricted module, where the program reads it off the coboundary lattice
-of Z's generators.  A p-adic n-th root is lifted here one digit at a time,
-where the program takes Newton steps.
+restricted module (subgroup_table, restrict_module, restrict_class), where
+the program reads it off the coboundary lattice of Z's generators.  A
+p-adic n-th root is lifted here one digit at a time, and a square root by
+the Newton steps of x^2 - u or digit by digit, where the program takes the
+Newton steps of x^n - u for every n.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from fractions import Fraction
 from math import gcd, isclose, sqrt
 
 from locglob.abelian import FinAb, apply_matrix, matrix_is_compatible
-from locglob.arith import int_valuation, rational_unit_mod, rational_valuation
-from locglob.cohomology import CocycleClass, coboundary, h1, restrict_class
+from locglob.arith import int_valuation, rational_unit_mod, rational_valuation, sqrt_mod_prime
+from locglob.cohomology import CocycleClass, coboundary, h1
 from locglob.elliptic import CurvePoint, halve_point
 from locglob.errors import InputError
 from locglob.gmodules import GModule
-from locglob.groups import GroupTable, SubgroupSpec
+from locglob.groups import GroupTable, SubgroupSpec, cyclic_subgroups
 from locglob.linalg import identity_matrix, kernel_mod_lattice, mat_mod, mat_mul
+from locglob.oracles import brute_force_h1, brute_force_is_coboundary
 
 
 def cyclic_h1_profile(module: GModule):
@@ -177,6 +180,34 @@ def unit_nth_root_by_digits(u: int, n: int, p: int, t: int, work: int) -> int:
     return x
 
 
+def sqrt_unit_odd(u: int, p: int, n: int) -> int:
+    """The square root mod p^n of a unit u, p odd, by the Newton steps of
+    x^2 - u from the Tonelli-Shanks root mod p, each doubling the digits."""
+    x = sqrt_mod_prime(u % p, p)
+    if x is None:
+        raise InputError("unit is not a square mod p")
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        mod = p ** k
+        x = (x - (x * x - u) * pow(2 * x, -1, mod)) % mod
+    return x % p ** n
+
+
+def sqrt_unit_2adic(u: int, n: int) -> int:
+    """A square root mod 2^n of x^2 = u mod 2^n, u = 1 mod 8, lifted one
+    binary digit per step from x = 1: x^2 = u mod 2^(j+1) is restored by
+    adding 2^(j-1) when it fails.  The root is 1 mod 4 and fixed mod
+    2^(n-1)."""
+    if u % 8 != 1:
+        raise InputError("2-adic unit is not a square")
+    x = 1
+    for j in range(3, n):
+        if (x * x - u) % 2 ** (j + 1):
+            x += 2 ** (j - 1)
+    return x % 2 ** n
+
+
 def halving_depth(curve, point, k: int, place, fiber_sizes: list) -> int:
     """The largest j <= k with P in 2^j E over the place, by recursion over
     every half, with no early exit: a half of the origin counts as
@@ -286,11 +317,56 @@ def verdict_by_queries(model, queries) -> tuple:
     return tuple(t_singular), tuple(witnesses)
 
 
+def subgroup_table(group: GroupTable, elements) -> GroupTable:
+    """The multiplication table of a subgroup, elements reindexed 0..k-1
+    in ascending order (identity first)."""
+    elems = tuple(sorted(set(elements)))
+    if not group.is_subgroup(elems):
+        raise InputError("element set is not closed under the group operation")
+    local = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(local[group.mul(a, b)] for b in elems) for a in elems)
+    return GroupTable(len(elems), table)
+
+
+def restrict_module(module: GModule, elements) -> GModule:
+    """The module over a subgroup, its elements reindexed in ascending
+    order, through the checking constructors."""
+    sub = subgroup_table(module.group, elements)
+    act = tuple(module.action[e] for e in sorted(set(elements)))
+    return GModule(sub, module.space, act)
+
+
+def restrict_class(c: CocycleClass, elements) -> CocycleClass:
+    """A cocycle restricted to a subgroup (given by its element set), as a
+    cocycle of the restricted module, checked by its constructor."""
+    elems = tuple(sorted(set(elements)))
+    return CocycleClass(restrict_module(c.module, elems), tuple(c.values[e] for e in elems))
+
+
+def h1_star_by_restricted_modules(module: GModule):
+    """(order, witness) as oracles.brute_force_h1_star gives them, with
+    each cyclic restriction tested on the restricted module: a cocycle of
+    the enumeration lies in H1_* when, on every nontrivial cyclic subgroup
+    Z, its values are a coboundary of the module over Z."""
+    space = module.space
+    elems = list(space.elements())
+    subs = [(z.elements, restrict_module(module, z.elements))
+            for z in cyclic_subgroups(module.group) if z.order > 1]
+    star = [tuple(elems[i] for i in z)
+            for z in brute_force_h1(module, keep_cocycles=True).cocycles
+            if all(brute_force_is_coboundary(sub_mod, [elems[z[g]] for g in sub])
+                   for sub, sub_mod in subs)]
+    cobs = {tuple(space.sub(module.act(g, e), e) for g in range(module.group.order))
+            for e in elems}
+    order = len(star) // len(cobs)
+    return order, (min(f for f in star if f not in cobs) if order > 1 else None)
+
+
 def restriction_through_subgroup_h1(h, elements) -> tuple:
     """(rows, moduli) of the restriction H1(G, M) -> H1(Z, M) to the
     subgroup Z with the given element set, by H1 of the restricted module:
     row i . x mod moduli[i] is coordinate i of the image of class x."""
-    hz = h1(h.module.restrict(elements))
+    hz = h1(restrict_module(h.module, elements))
     cols = [hz.coordinates_of(restrict_class(rep, elements)) for rep in h.representatives]
     moduli = hz.structure.invariant_factors
     return tuple(tuple(col[i] for col in cols) for i in range(len(moduli))), moduli

@@ -8,7 +8,7 @@ import pytest
 from locglob.abelian import FinAb, subgroup_from_generators
 from locglob import cohomology, oracles
 from locglob.cohomology import (CocycleClass, H1Group, coboundary, h1, h1_star,
-                                restrict_class, restriction_kernel, zero_cocycle)
+                                restriction_kernel, zero_cocycle)
 from locglob.errors import InputError, SelfCheckError
 from locglob.gmodules import (GModule, dual_module,
                               double_dual_isomorphism, dual_pairing_value,
@@ -16,12 +16,14 @@ from locglob.gmodules import (GModule, dual_module,
                               mu8_klein_model, trivial_action_module,
                               trivial_character, CyclotomicData)
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
-                            klein_four_group, subgroup_table, symmetric_group_3,
+                            klein_four_group, symmetric_group_3,
                             trivial_group)
 from locglob.linalg import LatticeQuotient, kernel_mod_lattice
 from locglob.oracles import brute_force_h1, brute_force_is_coboundary
-from search_oracles import (cyclic_h1_profile, is_action, is_character, is_cocycle,
-                            matrix_is_automorphism, restriction_through_subgroup_h1)
+from search_oracles import (cyclic_h1_profile, h1_star_by_restricted_modules, is_action,
+                            is_character, is_cocycle, matrix_is_automorphism,
+                            restrict_class, restrict_module, restriction_through_subgroup_h1,
+                            subgroup_table)
 
 from families import all_actions, lemma_consistency_family
 
@@ -237,7 +239,7 @@ def test_restrict_class_examples():
     kernel_line = (0, 2)
     res = restrict_class(f, kernel_line)
     assert all(v == (0,) for v in res.values)
-    sub_mod = triv.restrict(kernel_line)
+    sub_mod = restrict_module(triv, kernel_line)
     assert h1(sub_mod).is_coboundary(res)
 
     # the mu8 star class: trivial on every cyclic subgroup, not on the group
@@ -246,7 +248,7 @@ def test_restrict_class_examples():
     for sub in cyclic_subgroups(mod.group):
         if sub.order == 1:
             continue
-        sub_mod = mod.restrict(sub.elements)
+        sub_mod = restrict_module(mod, sub.elements)
         res = restrict_class(rep, sub.elements)
         assert brute_force_is_coboundary(sub_mod, res.values)
         assert h1(sub_mod).is_coboundary(res)
@@ -466,8 +468,8 @@ def test_character_validation_accepts_exactly_the_characters():
 
 
 def test_restriction_equals_the_checked_construction():
-    # GModule.restrict and subgroup_table build their results through the
-    # checking constructors; for every subset of every group of order <= 6,
+    # the reference restriction (restrict_module, subgroup_table) builds its
+    # results through the checking constructors; for every subset of every group of order <= 6,
     # on every module of order <= 8, a subgroup gives the module with the
     # reindexed table and the restricted matrices, and any other subset is
     # refused
@@ -478,12 +480,12 @@ def test_restriction_equals_the_checked_construction():
             elems = (0,) + tuple(g for g, k in zip(range(1, grp.order), keep) if k)
             if not grp.is_subgroup(elems):
                 with pytest.raises(InputError):
-                    module.restrict(elems)
+                    restrict_module(module, elems)
                 continue
             local = {e: i for i, e in enumerate(elems)}
             table = GroupTable(len(elems), tuple(tuple(local[grp.mul(a, b)] for b in elems)
                                                  for a in elems))
-            assert module.restrict(elems) == GModule(table, module.space,
+            assert restrict_module(module, elems) == GModule(table, module.space,
                                                      tuple(module.action[e] for e in elems))
             subgroups += 1
     assert subgroups >= 1000
@@ -672,9 +674,24 @@ def test_restriction_rows_match_the_subgroup_h1_reference():
     assert min(kernels.values()) >= 200, kernels
 
 
+def test_brute_force_h1_star_equals_the_restricted_module_reference():
+    # brute_force_h1_star tests each cyclic restriction on the ambient
+    # module (the elements of Z as the element set of the search); the
+    # reference tests it on the module over Z.  Nontrivial H1_* occur
+    from families import seeded_models
+    modules = list(dict.fromkeys(model.module for model in seeded_models()))
+    orders = set()
+    for module in modules:
+        got = oracles.brute_force_h1_star(module)
+        assert got == h1_star_by_restricted_modules(module)
+        assert got[0] == h1_star(module).order
+        orders.add(got[0])
+    assert len(modules) >= 10 and max(orders) > 1 and 1 in orders
+
+
 def test_restriction_refuses_a_set_that_is_not_a_subgroup():
-    # with subgroup_table's message, for a set without 0 too, even though
-    # the greedy generators of {1} close up inside {0, 1}
+    # with the reference subgroup_table's message, for a set without 0 too,
+    # even though the greedy generators of {1} close up inside {0, 1}
     module, _ = mu8_klein_model()
     h = h1(module)
     assert h.structure.invariant_factors == (2,)

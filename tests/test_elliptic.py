@@ -485,6 +485,44 @@ def test_precision_below_one_is_an_input_error():
             halve_point(DZ, DZ_P, Place.finite(3), prec)
 
 
+def test_precision_above_the_ceiling_is_an_input_error():
+    # 4,096 (_MAX_PRECISION), the top of the retry ladder, is the highest
+    # precision accepted, over every field and on every path
+    assert elliptic._MAX_PRECISION == 4096
+    for k, place in ((2, Place.finite(101)), (1, Place.finite(3)), (1, Place.finite(2)),
+                     (1, None), (2, Place.real())):
+        with pytest.raises(InputError, match="between 1 and 4096, got 4097"):
+            divisible_by_2k(DZ, DZ_P, k, place, 4097)
+        with pytest.raises(InputError, match="between 1 and 4096, got 4097"):
+            halve_point(DZ, DZ_P, place, 4097)
+    assert divisible_by_2k(DZ, DZ_P, 2, Place.finite(101), 4096)
+    assert len(halve_point(DZ, DZ_P, Place.finite(101), 4096)) == 4
+
+
+def test_field_square_roots_decide_each_square_once(monkeypatch):
+    # _Field.sqrt leaves the square test to PadicNumber.sqrt: one is_square
+    # per nonzero p-adic argument, square or not, and none for a zero
+    from locglob.padics import PadicNumber
+    calls = []
+    decide = PadicNumber.is_square
+    monkeypatch.setattr(PadicNumber, "is_square", lambda c: calls.append(c) or decide(c))
+    outcomes = set()
+    root = elliptic._Field.sqrt
+
+    def counted(f, c):
+        before = len(calls)
+        r = root(f, c)
+        if isinstance(c, PadicNumber):
+            assert len(calls) - before == (0 if c.is_zero else 1)
+            outcomes.add(r is None)
+        return r
+    monkeypatch.setattr(elliptic._Field, "sqrt", counted)
+    for p in PRIMES_200[:15]:
+        halve_point(DZ, DZ_P, Place.finite(p))
+        divisible_by_2k(DZ, DZ_P, 3, Place.finite(p))
+    assert outcomes == {False, True}
+
+
 def test_low_starting_precision_rises_to_the_same_verdict():
     # one precision loop per decision: a start far below the horizon must
     # retry the whole descent until it reaches the verdict at 64 digits

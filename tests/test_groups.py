@@ -2,11 +2,11 @@ import itertools
 import random
 
 import pytest
-from search_oracles import group_table_checks
+from search_oracles import group_table_checks, subgroup_table
 
 from locglob.errors import InputError
 from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
-                            direct_product, generic_places, klein_four_group, subgroup_table,
+                            direct_product, generic_places, klein_four_group,
                             symmetric_group_3, trivial_group, unit_group_mod)
 
 

@@ -13,7 +13,6 @@ import locglob
 PUBLIC = {
     "FinAb", "Pairing", "orthogonal_complement_chain", "standard_pairing",
     "CocycleClass", "H1Group", "H1Subgroup", "coboundary", "h1", "h1_star",
-    "restrict_class",
     "Curve", "CurvePoint", "divisible_by_2k", "group_law", "halve_point",
     "propagation_check", "quad_local_roots", "scalar_mul",
     "InputError", "PrecisionError", "SelfCheckError",

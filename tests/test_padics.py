@@ -270,6 +270,48 @@ def test_newton_lifting_reaches_the_root_of_digit_by_digit_lifting():
     assert len(seen) >= 12
 
 
+def test_square_roots_take_the_shared_newton_lift():
+    # PadicNumber.sqrt lifts through _newton_lift.  At odd p, from the
+    # Tonelli-Shanks root mod p, it is the root of the Newton steps of
+    # x^2 - u, and from the least root mod p, the digit-by-digit root.  At
+    # p = 2, from 1, both are the digit-by-digit roots mod 2^(n - 1), which
+    # x^2 = u mod 2^n fixes
+    from locglob.arith import sqrt_mod_prime
+    from locglob.padics import _newton_lift
+    from search_oracles import sqrt_unit_2adic, sqrt_unit_odd, unit_nth_root_by_digits
+    rng = random.Random(28)
+    for p in (2, 3, 5, 101):
+        for _ in range(80):
+            n = rng.randrange(11, 201)
+            v = 2 * rng.randrange(-3, 4)
+            x = rng.randrange(1, p ** n)
+            u = (x if x % p else x + 1) ** 2 % p ** n
+            root = PadicNumber(p, v, u, n).sqrt()
+            assert root.valuation == v // 2
+            if p == 2:
+                want = sqrt_unit_2adic(u, n) % 2 ** (n - 1)
+                assert _newton_lift(u, 2, 2, 1, 1, n) % 2 ** (n - 1) == want
+                assert unit_nth_root_by_digits(u, 2, 2, 1, n) % 2 ** (n - 1) == want
+                assert (root.unit, root.precision) == (want, n - 1)
+                continue
+            want = sqrt_unit_odd(u, p, n)
+            assert _newton_lift(u, 2, p, 0, sqrt_mod_prime(u, p), n) == want
+            least = min(x for x in range(1, p) if (x * x - u) % p == 0)
+            assert (_newton_lift(u, 2, p, 0, least, n)
+                    == unit_nth_root_by_digits(u, 2, p, 0, n))
+            assert (root.unit, root.precision) == (want, n)
+
+
+def test_sqrt_is_none_for_a_non_square():
+    # a unit that is no square mod p (mod 8 at 2) and an odd valuation
+    for q, p in ((5, 2), (3, 2), (2, 2), (2, 3), (3, 5), (7, 7), (2, 101), (Fraction(1, 5), 5)):
+        x = PadicNumber.from_rational(q, p, 40)
+        assert not x.is_square() and x.sqrt() is None
+    assert PadicNumber.zero(3).sqrt() == PadicNumber.zero(3)
+    with pytest.raises(PrecisionError):
+        PadicNumber.zero(3, 20).sqrt()
+
+
 def test_a_root_above_the_print_bound_is_its_short_residue_or_refused(monkeypatch):
     # with the print bound lowered to 10^30, a precision above k (the least
     # with p^k above it, by bit lengths) takes the root mod p^k: nth_root

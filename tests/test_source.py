@@ -206,3 +206,30 @@ def test_no_value_class_writes_a_store_only_init():
              for path in sorted(SRC.glob("*.py"))
              for line, name in _store_only_inits(ast.parse(path.read_text()))]
     assert found == []
+
+
+# restriction to a subgroup is read off the coboundary lattice of its
+# generators (H1Group.restriction); a restricted module, its subgroup table
+# and the restricted cocycle are the reference in tests/search_oracles.py
+_RESTRICTED_MODULE_PATH = {"restrict", "restrict_class", "subgroup_table"}
+
+
+def _definitions(tree):
+    """(line, name) for each function or method a module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, node.name
+
+
+def test_definitions_finder():
+    tree = ast.parse("def f():\n    def g():\n        pass\nclass A:\n"
+                     "    def restrict(self):\n        pass\n")
+    assert sorted(_definitions(tree)) == [(1, "f"), (2, "g"), (5, "restrict")]
+
+
+def test_no_module_builds_a_restricted_module():
+    found = ["%s:%d: defines %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _definitions(ast.parse(path.read_text()))
+             if name in _RESTRICTED_MODULE_PATH]
+    assert found == []
