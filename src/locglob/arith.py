@@ -1,7 +1,8 @@
 """Elementary integer arithmetic: primality, factorization, residues.
 
 Deterministic Miller-Rabin for the range this project cares about, Pollard
-rho for factoring CLI-sized inputs, Tonelli-Shanks square roots.
+rho for factoring CLI-sized inputs, Tonelli-Shanks square roots, and n-th
+roots mod p by one discrete log per prime of gcd(n, p - 1).
 """
 
 from __future__ import annotations
@@ -152,38 +153,48 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _lth_root_mod_prime(a: int, l: int, p: int) -> int | None:
-    """An l-th root of a mod p for prime l, or None if a is not an l-th
-    power.  Adleman-Manders-Miller when l divides p - 1."""
-    a %= p
-    if a == 0:
+def nth_root_mod_prime(u: int, n: int, p: int) -> int | None:
+    """Some x with x^n == u mod p, or None; p prime, p not dividing u.
+
+    With g = gcd(n, p - 1), u is an n-th power iff it is a g-th power.  Its
+    g-th root y is taken in closed form, one Sylow subgroup at a time: for
+    q^e || g and q^s || p - 1, let gen_q = z^((p - 1) / q^s) for the least z
+    that is not a q-th power, and E_q the discrete log of u's Sylow-q part
+    to gen_q (Pohlig-Hellman).  Then y's Sylow-q part is
+    gen_q^((E_q / q^e) * (g / q^e)^-1 mod q^s), and y's part of order prime
+    to g is u's part raised to g^-1.  This is the root that the
+    Adleman-Manders-Miller tower of q-th roots, recombined by a Bezout
+    identity over the prime powers of g, arrives at.  Then
+    x = y^((n/g)^-1 mod (p - 1)/g).
+    """
+    if p == 2:
+        return u % 2
+    u %= p
+    if u == 0:
         return 0
-    if (p - 1) % l:
-        # x -> x^l is a bijection
-        return pow(a, pow(l, -1, p - 1), p)
-    if pow(a, (p - 1) // l, p) != 1:
+    g = math.gcd(n, p - 1)
+    if pow(u, (p - 1) // g, p) != 1:
         return None
-    # p - 1 = l^s * m with l not dividing m
-    m, s = p - 1, 0
-    while m % l == 0:
-        m //= l
-        s += 1
-    big = l ** s
-    alpha = pow(big, -1, m) if m > 1 else 0
-    beta = pow(m, -1, big)
-    # split a into its order-m component and its Sylow-l component
-    comp_m = pow(a, (big * alpha) % (p - 1), p)
-    r1 = pow(comp_m, pow(l, -1, m), p) if m > 1 else 1
-    z = 2
-    while pow(z, (p - 1) // l, p) == 1:
-        z += 1
-    gen = pow(z, m, p)                      # order exactly l^s
-    b = pow(a, (m * beta) % (p - 1), p)     # Sylow-l component
-    e = _pohlig_hellman_prime_power(b, gen, l, s, p)
-    if e % l:
-        return None
-    r2 = pow(gen, e // l, p)
-    return (r1 * r2) % p
+    y, rest = 1, p - 1                      # rest: the part of p - 1 prime to g
+    for q, e in factorize(g).items():
+        s = int_valuation(p - 1, q)
+        qs = q ** s
+        m = (p - 1) // qs
+        rest //= qs
+        z = 2
+        while pow(z, (p - 1) // q, p) == 1:
+            z += 1
+        gen = pow(z, m, p)                  # order exactly q^s
+        log = _pohlig_hellman_prime_power(pow(u, m * pow(m, -1, qs), p), gen, q, s, p)
+        y = y * pow(gen, log // q ** e * pow(g // q ** e, -1, qs), p) % p
+    # u's part prime to g is u^(sylow * (sylow^-1 mod rest)); its g-th root
+    sylow = (p - 1) // rest
+    y = y * pow(u, sylow * pow(sylow * g, -1, rest), p) % p
+    m = (p - 1) // g
+    x = pow(y, pow(n // g, -1, m) if m > 1 else 1, p)
+    if pow(x, n, p) != u:
+        raise SelfCheckError("internal nth root construction failed")
+    return x
 
 
 def _pohlig_hellman_prime_power(b: int, gen: int, l: int, s: int, p: int) -> int:
@@ -201,89 +212,3 @@ def _pohlig_hellman_prime_power(b: int, gen: int, l: int, s: int, p: int) -> int
                 raise SelfCheckError("element is outside the cyclic subgroup")
         e += d * l ** i
     return e
-
-
-def _prime_power_root(a: int, l: int, e: int, p: int) -> int | None:
-    """y with y**(l**e) == a mod p, searching over root-of-unity twists so
-    that a root deeper in the tower is always found when one exists."""
-    if e == 0:
-        return a
-    y = _lth_root_mod_prime(a, l, p)
-    if y is None:
-        return None
-    if e == 1:
-        return y
-    if (p - 1) % l:
-        return _prime_power_root(y, l, e - 1, p)
-    z = 2
-    while pow(z, (p - 1) // l, p) == 1:
-        z += 1
-    zeta = pow(z, (p - 1) // l, p)
-    cand = y
-    for _ in range(l):
-        deeper = _prime_power_root(cand, l, e - 1, p)
-        if deeper is not None:
-            return deeper
-        cand = (cand * zeta) % p
-    return None
-
-
-def _bezout_combination(values: list[int]) -> list[int]:
-    """Coefficients c with sum(c_i * values_i) == gcd(values)."""
-    if not values:
-        raise InputError("empty combination")
-    coeffs = [1]
-    g = values[0]
-    for v in values[1:]:
-        old_g = g
-        g, x, y = _xgcd(old_g, v)
-        coeffs = [c * x for c in coeffs] + [y]
-    return coeffs
-
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def nth_root_mod_prime(u: int, n: int, p: int) -> int | None:
-    """Some x with x^n == u mod p, or None; p prime, p not dividing u.
-
-    Splits g = gcd(n, p - 1) into prime powers, extracts each root in its
-    own Sylow tower, and recombines with a Bezout identity, so no cross
-    prime root-of-unity mismatches can occur.
-    """
-    if p == 2:
-        return u % 2
-    u %= p
-    if u == 0:
-        return 0
-    g = math.gcd(n, p - 1)
-    if pow(u, (p - 1) // g, p) != 1:
-        return None
-    if g == 1:
-        return pow(u, pow(n % (p - 1), -1, p - 1), p)
-    parts = []
-    hs = []
-    for l, e in factorize(g).items():
-        gi = l ** e
-        zi = _prime_power_root(u, l, e, p)
-        if zi is None:
-            raise SelfCheckError("residue test passed but no prime-power root found")
-        parts.append(zi)
-        hs.append(g // gi)
-    cs = _bezout_combination(hs)            # gcd of the h_i is 1
-    y = 1
-    for zi, ci in zip(parts, cs):
-        y = (y * pow(zi, ci, p)) % p
-    # y^g = prod (zi^gi)^(hi ci) = u^(sum hi ci) = u by the Bezout identity
-    m = (p - 1) // g
-    c = pow((n // g) % m, -1, m) if m > 1 else 1
-    x = pow(y, c, p)
-    if pow(x, n, p) != u:
-        raise SelfCheckError("internal nth root construction failed")
-    return x

@@ -147,22 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = subcommand("reproduce", _cmd_reproduce, "run the full example suite",
                    reads_precision=True)
     s.add_argument("--golden", default=None, help="override the golden file")
-    s.add_argument("--oracle", action="store_true",
-                   help="regenerate golden content with the brute-force oracles")
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Its handler returns (inputs, results, checks),
-    or None when it wrote its own output; main times it and writes the
-    report."""
+    """Run one subcommand.  Its handler returns (inputs, results, checks);
+    main times it and writes the report."""
     try:
         args = build_parser().parse_args(argv)
         t0 = time.monotonic()
         found = args.handler(args)
-        if found is None:
-            return 0
         return _report(args, *found, time.monotonic() - t0)
     except SystemExit:              # --help wrote its text
         return 0
@@ -319,10 +314,7 @@ def _cmd_quadroots(args):
 
 
 def _cmd_reproduce(args):
-    from .reproduce import golden_bytes, load_golden, oracle_golden, run_reproduce
-    if args.oracle:
-        sys.stdout.write(golden_bytes(oracle_golden()))
-        return None
+    from .reproduce import load_golden, run_reproduce
     items = run_reproduce(load_golden(args.golden), _precision(args))
     results = {it.name: ("pass" if it.ok else "fail: %s" % (it.detail or "mismatch"))
                for it in items}

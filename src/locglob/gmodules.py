@@ -133,32 +133,6 @@ def dual_module(module: GModule, chi: CyclotomicData) -> GModule:
     return GModule(module.group, FinAb(d), tuple(act))
 
 
-def dual_pairing_value(module: GModule, chi: CyclotomicData, dual_elem, elem) -> int:
-    """Evaluation pairing M^ x M -> Z/n in coordinates."""
-    n = chi.modulus
-    d = module.space.invariant_factors
-    return sum((n // dj) * b * a for dj, b, a in zip(d, dual_elem, elem)) % n
-
-
-def double_dual_isomorphism(module: GModule, chi: CyclotomicData):
-    """The natural isomorphism M -> (M^)^ (evaluation), as a callable.
-
-    In the chosen coordinates evaluation is the identity; this is verified
-    at the matrix level always, and elementwise over every module and group
-    element when |M| <= 512.  Returns the map."""
-    dd = dual_module(dual_module(module, chi), chi)
-    d = module.space.invariant_factors
-    if any(mat_mod(dd.action[g], d) != mat_mod(module.action[g], d)
-           for g in range(module.group.order)):
-        raise SelfCheckError("double dual does not match the module")
-    if module.space.order <= 512:
-        for g in range(module.group.order):
-            for m in module.space.elements():
-                if dd.act(g, m) != module.act(g, m):
-                    raise SelfCheckError("double dual disagrees on an element")
-    return lambda m: module.space.reduce(m)
-
-
 def homothety_criterion(module: GModule):
     """Look for a central element acting as multiplication by m with
     gcd(m - 1, exponent) = 1.

@@ -176,8 +176,6 @@ class PadicNumber(Value):
         if s == 0:
             return PadicNumber.zero(p, v + k)
         shift = int_valuation(s, p)
-        if shift >= k:
-            return PadicNumber.zero(p, v + k)
         return PadicNumber._unchecked(p, v + shift, s // p ** shift, k - shift)
 
     def __add__(self, other):
@@ -239,11 +237,10 @@ class PadicNumber(Value):
         return out
 
     def _truncate_abs(self, abs_prec: int) -> "PadicNumber":
-        """Forget digits above absolute exponent abs_prec."""
+        """Forget the digits of a nonzero number above absolute exponent
+        abs_prec."""
         if abs_prec >= self.abs_known:
             return self
-        if self.is_zero:
-            return PadicNumber.zero(self.prime, abs_prec)
         k = abs_prec - self.valuation
         if k < 1:
             return PadicNumber.zero(self.prime, abs_prec)
@@ -467,8 +464,6 @@ def rational_nth_root(q, n: int) -> Fraction | None:
 
 
 def _int_nth_root(x: int, n: int) -> int | None:
-    if x == 0:
-        return 0
     if n == 1:
         return x
     if n == 2:

@@ -5,8 +5,8 @@ the 16-is-an-8th-power sweep, Hilbert product formulas, the Grunwald-Wang
 decision table, the elliptic 4-divisibility table, the quadratic-root
 criterion, and the level-raising checks.  Hard expectations are asserted
 inline; derived expectations are compared against a checked-in golden file
-whose entries come from the brute-force oracles (regenerate with
---oracle)."""
+whose entries come from the search oracles of the tests (print it with
+`PYTHONPATH=src python tests/search_oracles.py`)."""
 
 from __future__ import annotations
 
@@ -18,10 +18,8 @@ from importlib import resources
 from .arith import is_prime
 from .cohomology import h1, h1_star
 from .elliptic import Curve, divisible_by_2k, halve_point, propagation_check
-from .errors import SelfCheckError
 from .gmodules import mu8_klein_model
 from .models import PlaceModel, sha_of_model, verdict
-from .oracles import duplication_x
 from .padics import (Place, gw_decision, hilbert_symbol, is_nth_power,
                      product_formula_check)
 from .schema import format_rational
@@ -161,48 +159,16 @@ def run_reproduce(golden: dict, precision: int = 64) -> list[Item]:
     return items
 
 
+def duplication_x(curve, x):
+    """x(2Q) from x(Q) by the duplication polynomial, independent of the
+    chord-tangent code path."""
+    a2, a4, a6 = curve.a2, curve.a4, curve.a6
+    num = x ** 4 - 2 * a4 * x * x - 8 * a6 * x + a4 * a4 - 4 * a2 * a6
+    den = 4 * curve.rhs(x)
+    return num / den
+
+
 def quad_ok(p) -> bool:
     from .elliptic import quad_local_roots
     place = Place.real() if p is None else Place.finite(p)
     return quad_local_roots(QUAD_TRIPLE, place)
-
-
-def oracle_golden() -> dict:
-    """Recompute every derived golden entry with the brute-force oracles."""
-    from .oracles import (brute_force_h1, brute_force_h1_star,
-                          hilbert_symbol_search, invariants_from_torsion,
-                          propagation_by_torsion_translates)
-    module, chi, model = mu8_model()
-    brute = brute_force_h1(module)
-    inv = invariants_from_torsion(brute.torsion_counts)
-    star_order, star_witness = brute_force_h1_star(module)
-
-    e = DZ_CURVE
-    p0 = e.point(DZ_POINT_X, DZ_POINT_Y)
-    halves = halve_point(e, p0)
-    for h in halves:
-        if duplication_x(e, h.x) != DZ_POINT_X:
-            raise SelfCheckError("duplication oracle rejects a computed half")
-
-    golden = {
-        "mu8_h1_invariants": list(inv),
-        "mu8_h1_star_order": star_order,
-        "mu8_h1_star_representative": [list(v) for v in star_witness],
-        "mu8_sha_T2_order": star_order,
-        "dz_halves_x": sorted(format_rational(h.x) for h in halves),
-        "dz_propagation_n4_m2_v3":
-            propagation_by_torsion_translates(e, p0, 4, 2, Place.finite(3)),
-        "dz_propagation_n4_m2_v2":
-            propagation_by_torsion_translates(e, p0, 4, 2, Place.finite(2)),
-        "hilbert_3_5": {
-            "2": hilbert_symbol_search(3, 5, 2),
-            "3": hilbert_symbol_search(3, 5, 3),
-            "5": hilbert_symbol_search(3, 5, 5),
-            "inf": 1 if not (3 < 0 and 5 < 0) else -1,
-        },
-    }
-    return golden
-
-
-def golden_bytes(golden: dict) -> str:
-    return json.dumps(golden, indent=2, sort_keys=True) + "\n"

@@ -19,12 +19,12 @@ from locglob.cohomology import h1, h1_star
 from locglob.elliptic import Curve, divisible_by_2k, quad_local_roots
 from locglob.gmodules import homothety_criterion, mu8_klein_model
 from locglob.models import PlaceModel, finite_support_bound, sha_of_model, verdict
-from locglob.oracles import brute_force_h1_star
 from locglob.padics import (Place, gw_decision, is_nth_power, product_formula_check,
                             rational_nth_root, square_class_approximate)
 
 from families import (lemma_consistency_family, random_homothety_module,
                       random_place_model)
+from search_oracles import brute_force_h1_star
 
 ODD_PRIMES_1E4 = [p for p in range(3, 10 ** 4 + 1) if is_prime(p)]
 ODD_PRIMES_997 = [p for p in ODD_PRIMES_1E4 if p <= 997]

@@ -11,7 +11,6 @@ from locglob.cohomology import (CocycleClass, H1Group, coboundary, h1, h1_star,
                                 restriction_kernel, zero_cocycle)
 from locglob.errors import InputError, SelfCheckError
 from locglob.gmodules import (GModule, dual_module,
-                              double_dual_isomorphism, dual_pairing_value,
                               homothety_criterion, homothety_module,
                               mu8_klein_model, trivial_action_module,
                               trivial_character, CyclotomicData)
@@ -19,10 +18,13 @@ from locglob.groups import (GroupTable, cyclic_group, cyclic_subgroups,
                             klein_four_group, symmetric_group_3,
                             trivial_group)
 from locglob.linalg import LatticeQuotient, kernel_mod_lattice
-from locglob.oracles import brute_force_h1, brute_force_is_coboundary
-from search_oracles import (cyclic_h1_profile, h1_star_by_restricted_modules, is_action,
-                            is_character, is_cocycle, matrix_is_automorphism,
-                            restrict_class, restrict_module, restriction_through_subgroup_h1,
+from locglob.oracles import brute_force_h1
+from search_oracles import (brute_force_h1_by_assignments, brute_force_h1_star,
+                            brute_force_is_coboundary, cyclic_h1_profile,
+                            double_dual_isomorphism, dual_pairing_value,
+                            h1_star_by_restricted_modules, is_action, is_character,
+                            is_cocycle, matrix_is_automorphism, restrict_class,
+                            restrict_module, restriction_through_subgroup_h1,
                             subgroup_table)
 
 from families import all_actions, lemma_consistency_family
@@ -127,8 +129,9 @@ def _all_maps_cocycles(mod):
 
 
 def test_generator_enumeration_finds_every_cocycle():
-    # brute_force_h1 enumerates values on the generators only; every map
-    # G -> M must agree with it on the set of cocycles
+    # the assignment walk enumerates values on the generators only; every
+    # map G -> M must agree with it on the set of cocycles, and
+    # brute_force_h1 on their order and torsion counts
     from families import all_actions, lemma_consistency_family
     rng = random.Random(31)
     checked = 0
@@ -142,7 +145,8 @@ def test_generator_enumeration_finds_every_cocycle():
             rng.shuffle(actions)
             for act in actions[:3]:
                 mod = GModule(grp, space, act)
-                cocycles = brute_force_h1(mod, keep_cocycles=True).cocycles
+                brute, cocycles = brute_force_h1_by_assignments(mod)
+                assert brute_force_h1(mod) == brute
                 assert len(set(cocycles)) == len(cocycles)
                 assert set(cocycles) == _all_maps_cocycles(mod)
                 checked += 1
@@ -156,7 +160,7 @@ def test_h1_checks_modules_with_few_generators(monkeypatch):
     mod = trivial_action_module(symmetric_group_3(), FinAb((16,)))
     monkeypatch.setattr(cohomology, "_H1_CACHE", {})
     monkeypatch.setattr(oracles, "brute_force_h1",
-                        lambda module: oracles.BruteH1(3, {}, None))
+                        lambda module: oracles.BruteH1(3, {}))
     with pytest.raises(SelfCheckError):
         h1(mod)
 
@@ -517,15 +521,13 @@ def _edge_modules(rng):
 def test_linear_check_matches_the_assignment_walk():
     # brute_force_h1 sums tables of basis images and joins the last slot
     # by a hash map; walking every assignment of generator values gives the
-    # same order, torsion counts and cocycles on every module of order <= 8
-    # over every group of order <= 6, and on the k = 2 edge modules
-    from search_oracles import brute_force_h1_by_assignments
+    # same order and torsion counts on every module of order <= 8 over
+    # every group of order <= 6, and on the k = 2 edge modules
     rng = random.Random(13)
     checked = 0
     modules = [mod for _, mod in lemma_consistency_family(6, 8)] + _edge_modules(rng)
     for mod in modules:
-        assert (brute_force_h1(mod, keep_cocycles=True)
-                == brute_force_h1_by_assignments(mod, keep_cocycles=True))
+        assert brute_force_h1(mod) == brute_force_h1_by_assignments(mod)[0]
         checked += 1
     assert checked == 265 + 9
 
@@ -682,7 +684,7 @@ def test_brute_force_h1_star_equals_the_restricted_module_reference():
     modules = list(dict.fromkeys(model.module for model in seeded_models()))
     orders = set()
     for module in modules:
-        got = oracles.brute_force_h1_star(module)
+        got = brute_force_h1_star(module)
         assert got == h1_star_by_restricted_modules(module)
         assert got[0] == h1_star(module).order
         orders.add(got[0])

@@ -10,8 +10,9 @@ from locglob.elliptic import (MAX_K, Curve, CurvePoint, divisible_by_2k,
                               group_law, halve_point, negate, points_equal,
                               propagation_check, quad_local_roots, scalar_mul)
 from locglob.errors import InputError
-from locglob.oracles import duplication_x, propagation_by_torsion_translates
 from locglob.padics import Place
+from locglob.reproduce import duplication_x
+from search_oracles import propagation_by_torsion_translates, reduced_divisible_by_2k
 
 DZ = Curve(Fraction(-15), Fraction(5), Fraction(10))
 DZ_P = DZ.point(Fraction(1561, 144), Fraction(19459, 1728))
@@ -582,7 +583,14 @@ def test_propagation_examples():
 
 
 def test_propagation_matches_torsion_translate_oracle():
+    # over divisible_by_2k at every place, and over the reduced group
+    # E~(F_p) at the good primes 3 and 7
     for p in (2, 3, 5, 7):
         direct = propagation_check(DZ, DZ_P, 4, 2, Place.finite(p))
-        oracle = propagation_by_torsion_translates(DZ, DZ_P, 4, 2, Place.finite(p))
+        oracle = propagation_by_torsion_translates(
+            DZ, DZ_P, 4, 2, lambda q, k: divisible_by_2k(DZ, q, k, Place.finite(p)))
         assert direct == oracle, p
+        if p in (3, 7):
+            reduced = propagation_by_torsion_translates(
+                DZ, DZ_P, 4, 2, lambda q, k: reduced_divisible_by_2k(DZ, q, k, p))
+            assert direct == reduced, p

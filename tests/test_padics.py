@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from locglob.arith import is_prime, nth_root_mod_prime
 from locglob.errors import InputError, PrecisionError, SelfCheckError
-from locglob.oracles import hilbert_symbol_search
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
                             nth_root, product_formula_check,
                             square_class_approximate)
-from search_oracles import is_nth_power_search, is_square_mod_prime_brute
+from search_oracles import (hilbert_symbol_search, is_nth_power_search,
+                            is_square_mod_prime_brute, nth_root_mod_prime_by_tower)
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
@@ -235,6 +236,49 @@ def test_nth_root_mod_prime(p, x, n):
     r = nth_root_mod_prime(u, n, p)
     assert r is not None
     assert pow(r, n, p) == u
+
+
+def _same_root_as_the_tower(u, n, p):
+    """The closed-form root equals the tower's, or both are None, and a
+    None is exactly a non-power."""
+    r = nth_root_mod_prime(u, n, p)
+    assert r == nth_root_mod_prime_by_tower(u, n, p), (u, n, p)
+    assert (r is None) == (pow(u, (p - 1) // gcd(n, p - 1), p) != 1), (u, n, p)
+    return r
+
+
+@given(st.sampled_from([p for p in range(3, 500) if is_prime(p)]),
+       st.integers(1, 10 ** 6), st.integers(2, 64), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_nth_root_mod_prime_equals_the_tower_on_draws(p, x, n, power):
+    assume(x % p)
+    _same_root_as_the_tower(pow(x, n, p) if power else x % p, n, p)
+
+
+def test_nth_root_mod_prime_equals_the_tower():
+    # every prime below 500 with n in 2..64, p - 1 and 2(p - 1), on an n-th
+    # power and on random residues, non-powers among them; every residue
+    # where g = gcd(n, p - 1) is composite with q^e || g below q^s || p - 1
+    # (p = 73, 97, 257); and draws at p = 2^61 - 1
+    rng = random.Random(29)
+    roots = nones = 0
+    cases = [(rng.randrange(1, p), n, p) for p in range(3, 500) if is_prime(p)
+             for n in [*range(2, 65), p - 1, 2 * (p - 1)] for _ in range(3)]
+    cases += [(pow(u, n, p), n, p) for u, n, p in cases[::3]]
+    cases += [(u, n, p) for p, ns in ((73, (6, 12, 24, 36)), (97, (6, 12, 24, 48)),
+                                      (257, (4, 16, 48, 96)))
+              for n in ns for u in range(1, p)]
+    big = 2 ** 61 - 1                       # p - 1 = 2 3^2 5^2 7 11 13 31 41 61 151 331 1321
+    for n in (2, 6, 9, 30, 50, 90, 2 * 3 * 5 * 7 * 11 * 13, 3 ** 3 * 5 ** 3 * 31):
+        for _ in range(4):
+            x = rng.randrange(2, big)
+            cases += [(x, n, big), (pow(x, n, big), n, big)]
+    for u, n, p in cases:
+        if _same_root_as_the_tower(u, n, p) is None:
+            nones += 1
+        else:
+            roots += 1
+    assert roots + nones >= 5000 and roots >= 1000 and nones >= 1000, (roots, nones)
 
 
 def test_nth_root_hensel_at_dividing_prime():

@@ -510,10 +510,10 @@ def test_help_exits_0(capsys, argv):
 
 
 def test_internal_root_failure_exits_3(monkeypatch, capsys):
-    # a broken prime-power root fails the final x^n == u check of
+    # a broken discrete log fails the final x^n == u check of
     # nth_root_mod_prime: an engine failure, not an input error
     import locglob.cli as cli
-    monkeypatch.setattr("locglob.arith._prime_power_root", lambda *args: 2)
+    monkeypatch.setattr("locglob.arith._pohlig_hellman_prime_power", lambda *args: 1)
     assert cli.main(["power", "--a", "16", "--n", "8", "--p", "17", "--root"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -1060,12 +1060,12 @@ def test_reproduce_green_and_deterministic():
     assert a.stdout == b.stdout
 
 
-def test_reproduce_oracle_mode_matches_checked_in_golden():
-    out = run_cli("reproduce", "--oracle")
-    assert out.returncode == 0
+def test_oracle_golden_text_equals_the_golden_file():
+    # the search oracles write golden.json byte for byte
     from importlib import resources
-    with resources.files("locglob").joinpath("data/golden.json").open() as fh:
-        assert json.loads(out.stdout) == json.load(fh)
+    from search_oracles import golden_text, oracle_golden
+    golden = resources.files("locglob").joinpath("data/golden.json").read_bytes()
+    assert golden_text(oracle_golden()).encode() == golden
 
 
 def test_reproduce_tampered_golden(tmp_path):

@@ -80,8 +80,7 @@ CLASSES = {
     "Verdict": (lambda: verdict(_model(), [["2"], []]),
                 ("hasse", "strong_hasse", "t_singular", "witnesses"), ()),
     "WeakApproxVerdict": (_weak_approx, ("surjective", "reason", "dual", "witnesses"), ()),
-    "BruteH1": (lambda: brute_force_h1(_module(), keep_cocycles=True),
-                ("order", "torsion_counts", "cocycles"), ()),
+    "BruteH1": (lambda: brute_force_h1(_module()), ("order", "torsion_counts"), ()),
     "Curve": (lambda: Curve(-15, 5, 10), ("e1", "e2", "e3"), ("_pairs",)),
     "CurvePoint": (lambda: Curve(-15, 5, 10).point(Fraction(1561, 144), Fraction(19459, 1728)),
                    ("x", "y", "infinity"), ("_checked_by",)),
