@@ -197,18 +197,37 @@ def nth_root_mod_prime(u: int, n: int, p: int) -> int | None:
     return x
 
 
+_BABY_STEPS = 1 << 16                       # the most entries of a baby-step table
+
+
 def _pohlig_hellman_prime_power(b: int, gen: int, l: int, s: int, p: int) -> int:
-    """Discrete log of b base gen where gen has order l**s mod p."""
-    e = 0
+    """Discrete log of b base gen where gen has order l**s mod p.  Each
+    base-l digit is a log in the subgroup of order l: 0 when its element is
+    1, otherwise found by baby-step giant-step over a table of
+    m = min(ceil(sqrt(l)), _BABY_STEPS) entries, built at the first nonzero
+    digit, and at most ceil(l / m) giant steps: about 2 sqrt(l)
+    multiplications up to l = 2^32, with memory bounded beyond it."""
     gamma = pow(gen, l ** (s - 1), p)       # order l
+    m = min(math.isqrt(l - 1) + 1, _BABY_STEPS)
+    giants = -(-l // m)                     # m * giants >= l
+    baby = None
+    e = 0
     for i in range(s):
-        h = pow(b * pow(gen, -e, p) % p, l ** (s - 1 - i), p)
-        d = 0
-        x = 1
-        while x != h:
-            x = (x * gamma) % p
-            d += 1
-            if d >= l:
-                raise SelfCheckError("element is outside the cyclic subgroup")
-        e += d * l ** i
+        x = pow(b * pow(gen, -e, p) % p, l ** (s - 1 - i), p)
+        if x == 1:
+            continue
+        if baby is None:
+            baby, y = {}, 1
+            for j in range(m):
+                baby[y] = j
+                y = y * gamma % p
+            giant = pow(gamma, -m, p)
+        for step in range(giants):
+            j = baby.get(x)
+            if j is not None:
+                break
+            x = x * giant % p
+        else:
+            raise SelfCheckError("element is outside the cyclic subgroup")
+        e += (step * m + j) * l ** i
     return e

@@ -29,11 +29,14 @@ VII.2.1-2).  So P lies in 2^k E(Q_p) iff its reduction lies in
 points (Hasse; AEC, V.1.1), so its 2-part has exponent at most 2^(s_p)
 (see _depth_cap) and every k >= s_p gives the verdict of k = s_p.  The
 cap applies nowhere else: not at p = 2, at a bad prime, over R or over Q.
-At k = 1 the same reduction decides a rational P from residues mod p: P
-reduces to the origin when p divides the denominator of x(P), and E_1 is
-2-divisible; otherwise P~ lies in 2E~(F_p) iff each x~ - e~_i is zero or
-a square mod p (Knapp, Thm 4.2, over F_p), which Euler's criterion
-decides.  No p-adic number is built.
+The same reduction decides 2-divisibility of a rational P from residues
+mod p (the residue test): P reduces to the origin when p divides the
+denominator of x(P), and E_1 is 2-divisible; otherwise P~ lies in
+2E~(F_p) iff each x~ - e~_i is zero or a square mod p (Knapp, Thm 4.2,
+over F_p), which Euler's criterion decides.  The test gates every k:
+P in 2^k E implies P in 2E, so a P that it refuses is in no 2^k E(Q_p)
+and no p-adic number is built; a P that it accepts is 2-divisible, the
+verdict of k = 1, and for k >= 2 it descends in Q_p.
 
 Curve membership: for rational coordinates the equation, times its
 denominators, is one integer identity (Curve.contains); p-adic points
@@ -379,16 +382,18 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     the roots distinct mod p; _good_residues) k is first capped at s_p,
     which is exact because E_1 is uniquely 2-divisible and the reduced
     group has at most p + 1 + 2 sqrt(p) points (module docstring); p = 2,
-    bad primes and Q are not capped.  Then k = 1 on a rational point is
-    the square test on x(P) - e_i, exact and without an embedding: on
-    residues mod p at a good odd prime (_halvable_mod_p), by _is_square
-    elsewhere.  Otherwise the descent is depth-first over one field that
-    embeds the curve once per precision attempt (a point is 2^k-divisible
-    iff some half is 2^(k-1)-divisible): halves are taken one at a time,
-    each verified by doubling before the descent uses it, and the descent
-    stops at the first half that descends.  The last level is the square test, so a k-deep
-    descent halves k - 1 times.  A PrecisionError anywhere retries the
-    whole descent at doubled precision.
+    bad primes and Q are not capped.  There a rational point then meets
+    the residue test (_halvable_mod_p) for every k: refused, it is in no
+    2^k E; accepted, it is in 2E, the verdict of k = 1.  Elsewhere k = 1 on
+    a rational point is the square test on x(P) - e_i (_is_square).  Both
+    are exact and need no embedding.  Otherwise the descent is
+    depth-first over one field that embeds the curve once per precision
+    attempt (a point is 2^k-divisible iff some half is 2^(k-1)-divisible):
+    halves are taken one at a time, each verified by doubling before the
+    descent uses it, and the descent stops at the first half that
+    descends.  The last level is the square test, so a k-deep descent
+    halves k - 1 times along any branch.  A PrecisionError anywhere
+    retries the whole descent at doubled precision.
     """
     if not 1 <= k <= MAX_K:
         raise InputError("k must be between 1 and %d, got %d" % (MAX_K, k))
@@ -398,11 +403,14 @@ def divisible_by_2k(curve: Curve, p: CurvePoint, k: int,
     if place is not None and place.is_real:
         return p.x >= max(curve.roots)
     residues = _good_residues(curve, place)
+    rational = isinstance(p.x, (int, Fraction))
     if residues is not None:
         k = min(k, _depth_cap(place.prime))
-    if k == 1 and isinstance(p.x, (int, Fraction)):
-        if residues is not None:
-            return _halvable_mod_p(p.x, residues, place.prime)
+        if rational and not _halvable_mod_p(p.x, residues, place.prime):
+            return False
+        if rational and k == 1:
+            return True
+    elif k == 1 and rational:
         return all(_is_square(p.x - e, place) for e in curve.roots)
 
     def attempt(n):

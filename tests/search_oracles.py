@@ -24,7 +24,8 @@ p-adic n-th root is lifted here one digit at a time, and a square root by
 the Newton steps of x^2 - u or digit by digit, where the program takes the
 Newton steps of x^n - u for every n.  An n-th root mod p is taken here by
 the Adleman-Manders-Miller tower of l-th roots and a Bezout recombination,
-where the program takes the same root in closed form.
+with each digit of a discrete log found by a walk, where the program takes
+the same root in closed form and each digit by baby-step giant-step.
 
 The entries of `locglob/data/golden.json` are computed here alone
 (`oracle_golden`); run as a script, this module prints the file byte for
@@ -44,8 +45,8 @@ from fractions import Fraction
 from math import gcd, isclose, sqrt
 
 from locglob.abelian import FinAb, apply_matrix, matrix_is_compatible
-from locglob.arith import (_pohlig_hellman_prime_power, factorize, int_valuation,
-                           rational_unit_mod, rational_valuation, sqrt_mod_prime)
+from locglob.arith import (factorize, int_valuation, rational_unit_mod,
+                           rational_valuation, sqrt_mod_prime)
 from locglob.cohomology import CocycleClass, coboundary, h1
 from locglob.elliptic import CurvePoint, divisible_by_2k, group_law, halve_point
 from locglob.errors import InputError, SelfCheckError
@@ -709,6 +710,25 @@ def nth_root_mod_prime_by_tower(u: int, n: int, p: int) -> int | None:
     return x
 
 
+def discrete_log_by_walk(b: int, gen: int, l: int, s: int, p: int) -> int:
+    """Discrete log of b base gen, where gen has order l**s mod p, one
+    base-l digit at a time, each found by walking the powers of an element
+    of order l; the program takes each digit by baby-step giant-step."""
+    e = 0
+    gamma = pow(gen, l ** (s - 1), p)       # order l
+    for i in range(s):
+        h = pow(b * pow(gen, -e, p) % p, l ** (s - 1 - i), p)
+        d = 0
+        x = 1
+        while x != h:
+            x = (x * gamma) % p
+            d += 1
+            if d >= l:
+                raise SelfCheckError("element is outside the cyclic subgroup")
+        e += d * l ** i
+    return e
+
+
 def _lth_root_mod_prime(a: int, l: int, p: int) -> int | None:
     """An l-th root of a mod p for prime l, or None if a is not an l-th
     power.  Adleman-Manders-Miller when l divides p - 1."""
@@ -736,7 +756,7 @@ def _lth_root_mod_prime(a: int, l: int, p: int) -> int | None:
         z += 1
     gen = pow(z, m, p)                      # order exactly l^s
     b = pow(a, (m * beta) % (p - 1), p)     # Sylow-l component
-    e = _pohlig_hellman_prime_power(b, gen, l, s, p)
+    e = discrete_log_by_walk(b, gen, l, s, p)
     if e % l:
         return None
     r2 = pow(gen, e // l, p)

@@ -395,6 +395,79 @@ def test_residue_test_calls_no_power_test(monkeypatch):
             divisible_by_2k(DZ, DZ_P, 1, Place.finite(p))
 
 
+def _gate_cases():
+    """DZ with P, 3P and the translates P + T, and two seeded curves with a
+    point and its translates: points that the residue test refuses at some
+    good odd primes and accepts at others."""
+    rng = random.Random(3030)
+    torsion = DZ.two_torsion()[1:]
+    cases = [(DZ, [DZ_P, scalar_mul(DZ, 3, DZ_P)] + [group_law(DZ, DZ_P, t) for t in torsion])]
+    for _ in range(2):
+        curve, q = _curve_through_a_point(rng)
+        cases.append((curve, [q] + [group_law(curve, q, t) for t in curve.two_torsion()[1:]]))
+    return cases
+
+
+def test_the_residue_gate_skips_the_descent(monkeypatch):
+    # at a good odd prime a rational point whose reduction is not in
+    # 2E~(F_p) lies in no 2^k E(Q_p): no halving is taken for any k.  p = 2
+    # and the bad prime 5 still descend
+    def refuse(f, p):
+        raise RuntimeError("_halve_affine called")
+    monkeypatch.setattr(elliptic, "_halve_affine", refuse)
+    refused = 0
+    for curve, points in _gate_cases():
+        for p in _good_odd_primes(curve, 200):
+            place = Place.finite(p)
+            for pt in points:
+                if reduced_divisible_by_2k(curve, pt, 1, p):
+                    continue
+                refused += 1
+                for k in range(1, elliptic._depth_cap(p) + 2):
+                    assert divisible_by_2k(curve, pt, k, place) is False, (p, k)
+    assert refused >= 100, refused
+    plus_t = group_law(DZ, DZ_P, DZ.two_torsion()[1])
+    for p in (2, 5):
+        place = Place.finite(p)
+        with pytest.raises(RuntimeError, match="_halve_affine called"):
+            divisible_by_2k(DZ, plus_t, 2, place)
+
+
+def _change_model(curve, pt, u, c):
+    """curve and pt under (x, y) -> (u^2 (x + c), u^3 y), an isomorphism
+    over Q for integers u != 0 and c; the roots move to u^2 (e_i + c)."""
+    moved = Curve(*(u * u * (e + c) for e in curve.roots))
+    return moved, moved.point(u * u * (pt.x + c), u ** 3 * pt.y)
+
+
+def test_divisibility_is_invariant_under_change_of_model():
+    # 2^k-divisibility is a property of the point, not of the model.  The
+    # two least good odd primes of the original model divide one u and are
+    # bad primes of the new model, so there the residue gate of one model
+    # meets the p-adic descent of the other
+    places = [Place.finite(p) for p in PRIMES_200] + [Place.real(), None]
+    mismatches = []
+    compared = 0
+    gate_against_descent = set()
+    for curve, points in _gate_cases():
+        pt = points[0]
+        first, second = _good_odd_primes(curve, 200)[:2]
+        for u, c in ((1, 7), (first * second, -2), (-2, 1)):
+            moved, image = _change_model(curve, pt, u, c)
+            for place in places:
+                crossed = (elliptic._good_residues(curve, place) is not None
+                           and elliptic._good_residues(moved, place) is None)
+                for k in (1, 2, 3):
+                    got = divisible_by_2k(curve, pt, k, place)
+                    compared += 1
+                    if got != divisible_by_2k(moved, image, k, place):
+                        mismatches.append((curve, pt, u, c, place, k))
+                    if crossed:
+                        gate_against_descent.add(got)
+    assert mismatches == []
+    assert compared >= 1000 and gate_against_descent == {True, False}
+
+
 def _multiples(curve, pt, count):
     """pt, 2 pt, ..., count pt, stopping before the origin."""
     out = [pt]

@@ -255,11 +255,16 @@ def test_nth_root_mod_prime_equals_the_tower_on_draws(p, x, n, power):
     _same_root_as_the_tower(pow(x, n, p) if power else x % p, n, p)
 
 
+# primes p with q^2 | p - 1 for a prime q > 1000: p - 1 = m q^2
+_BIG_SYLOW = ((1013, 4), (1019, 6), (1009, 22), (2003, 4))
+
+
 def test_nth_root_mod_prime_equals_the_tower():
     # every prime below 500 with n in 2..64, p - 1 and 2(p - 1), on an n-th
     # power and on random residues, non-powers among them; every residue
     # where g = gcd(n, p - 1) is composite with q^e || g below q^s || p - 1
-    # (p = 73, 97, 257); and draws at p = 2^61 - 1
+    # (p = 73, 97, 257); and draws at p = 2^61 - 1 and at four primes with
+    # q^2 | p - 1 for a prime q > 1000
     rng = random.Random(29)
     roots = nones = 0
     cases = [(rng.randrange(1, p), n, p) for p in range(3, 500) if is_prime(p)
@@ -273,12 +278,63 @@ def test_nth_root_mod_prime_equals_the_tower():
         for _ in range(4):
             x = rng.randrange(2, big)
             cases += [(x, n, big), (pow(x, n, big), n, big)]
+    for q, m in _BIG_SYLOW:                 # each log has two base-q digits
+        p = m * q * q + 1
+        for n in (q, q * q, 2 * q, 3 * q * q, m * q, (p - 1) // q):
+            for _ in range(10):
+                x = rng.randrange(2, p)
+                cases += [(x, n, p), (pow(x, n, p), n, p)]
     for u, n, p in cases:
         if _same_root_as_the_tower(u, n, p) is None:
             nones += 1
         else:
             roots += 1
     assert roots + nones >= 5000 and roots >= 1000 and nones >= 1000, (roots, nones)
+
+
+@pytest.mark.parametrize("table", [None, 7])
+def test_discrete_log_digits_by_baby_step_giant_step(monkeypatch, table):
+    # each base-q digit of a Pohlig-Hellman log is found by baby-step
+    # giant-step; the oracle walks the digit.  Both agree on every log, and
+    # an element outside the subgroup is refused, also when the table is
+    # capped below sqrt(q) and the giant steps make up the rest
+    from locglob import arith
+    from locglob.arith import _pohlig_hellman_prime_power
+    from search_oracles import discrete_log_by_walk
+    if table is not None:
+        monkeypatch.setattr(arith, "_BABY_STEPS", table)
+    rng = random.Random(30)
+    for q, m in _BIG_SYLOW:
+        p = m * q * q + 1
+        assert is_prime(p)
+        z = 2
+        while pow(z, (p - 1) // q, p) == 1:
+            z += 1
+        gen = pow(z, m, p)                  # order q^2
+        for _ in range(20):
+            e = rng.randrange(q * q)
+            b = pow(gen, e, p)
+            assert _pohlig_hellman_prime_power(b, gen, q, 2, p) == e
+            assert discrete_log_by_walk(b, gen, q, 2, p) == e
+        with pytest.raises(SelfCheckError, match="outside the cyclic subgroup"):
+            _pohlig_hellman_prime_power(z, gen, q, 2, p)
+    with pytest.raises(SelfCheckError, match="outside the cyclic subgroup"):
+        _pohlig_hellman_prime_power(2, pow(2, 4, 13), 3, 1, 13)
+
+
+def test_nth_root_mod_prime_with_a_large_prime_exactly_dividing_n_and_p_minus_1():
+    # p = 2q + 1 with q near 2^63 and q | n: q^e || g and q^s || p - 1 with
+    # e = s = 1, so u's Sylow-q part is 1 and its log has the one digit 0,
+    # found without the baby-step table of about 3 * 10^9 entries
+    q = 9223372036854775073
+    p = 2 * q + 1
+    assert is_prime(q) and is_prime(p)
+    rng = random.Random(31)
+    cases = [(p - 1, q, p), (1, p - 1, p), (rng.randrange(2, p - 1), q, p)]
+    for n in (q, 2 * q, 3 * q, p - 1):
+        cases += [(pow(rng.randrange(2, p), n, p), n, p) for _ in range(3)]
+    roots = [_same_root_as_the_tower(u, n, p) for u, n, p in cases]
+    assert roots.count(None) == 1 and roots[0] == p - 1
 
 
 def test_nth_root_hensel_at_dividing_prime():

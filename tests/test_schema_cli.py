@@ -964,21 +964,29 @@ def test_ec_div_halves_are_pinned(monkeypatch, capsys, curve, place):
     assert code == 0
 
 
-@pytest.mark.parametrize("k,bound,expected,exit_code", [
-    ("1", "997", "ec_div_dz_k1_sweep_997.json", 0),
-    ("2", "997", "ec_div_dz_sweep_997.json", 1),
-    ("3", "199", "ec_div_dz_k3_sweep_199.json", 1),
-    ("600", "97", "ec_div_dz_k600_sweep_97.json", 1),
-], ids=["k1_997", "k2_997", "k3_199", "k600_97"])
-def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, k, bound, expected, exit_code):
-    """The JSON sweep reports of the Dvornicich-Zannier point, byte for
-    byte.  At k = 1 every place decides by the square test.  At k = 3 four
-    places answer no, some of them after the descent has explored part of
-    the halving tree.  At k = 600 the good odd primes stop at their depth
-    cap and the bad prime 5 descends all the way."""
+_DZ_PLUS_T = ("ec-div", "--curve=-15,5,10", "--point=16185/3721,-1914000/226981")
+
+
+@pytest.mark.parametrize("argv,k,bound,expected,exit_code", [
+    (_DZ, "1", "997", "ec_div_dz_k1_sweep_997.json", 0),
+    (_DZ, "2", "997", "ec_div_dz_sweep_997.json", 1),
+    (_DZ, "3", "199", "ec_div_dz_k3_sweep_199.json", 1),
+    (_DZ, "600", "97", "ec_div_dz_k600_sweep_97.json", 1),
+    (_DZ_PLUS_T, "2", "997", "ec_div_dz_plus_t_k2_sweep_997.json", 1),
+    (_DZ_PLUS_T, "3", "199", "ec_div_dz_plus_t_k3_sweep_199.json", 1),
+], ids=["k1_997", "k2_997", "k3_199", "k600_97", "plus_t_k2_997", "plus_t_k3_199"])
+def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, argv, k, bound, expected, exit_code):
+    """The JSON sweep reports of the Dvornicich-Zannier point P and of
+    P + (-15, 0), byte for byte.  At k = 1 every place decides by the square
+    test.  At k = 3 four places answer no for P, some of them after the
+    descent has explored part of the halving tree.  At k = 600 the good odd
+    primes stop at their depth cap and the bad prime 5 descends all the
+    way.  P + (-15, 0) is refused by the residue test at most good odd
+    primes, so at k = 2 and 3 those rows come from the residue gate alone;
+    at k = 2 it is 2^k-divisible at 8 of the 169 places."""
     from locglob.cli import main
     monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    code = main(list(_DZ) + ["--k", k, "--sweep", bound, "--format", "json"])
+    code = main(list(argv) + ["--k", k, "--sweep", bound, "--format", "json"])
     with open(os.path.join(REPO, "tests", "data", expected)) as fh:
         assert capsys.readouterr().out == fh.read()
     assert code == exit_code
