@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from operator import add, mod
+from operator import add, mod, mul, sub
 
 from .errors import InputError, SelfCheckError
 from .linalg import (identity_matrix, integer_kernel, kernel_mod_lattice, lattice_quotient,
@@ -55,16 +55,16 @@ class FinAb(Value):
     def reduce(self, vec) -> tuple:
         if len(vec) != self.rank:
             raise InputError("element has wrong length")
-        return tuple(int(v) % d for v, d in zip(vec, self.invariant_factors))
+        return tuple(map(mod, map(int, vec), self.invariant_factors))
 
     def add(self, a, b) -> tuple:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
+        return tuple(map(mod, map(add, a, b), self.invariant_factors))
 
     def neg(self, a) -> tuple:
         return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
 
     def sub(self, a, b) -> tuple:
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.invariant_factors))
+        return tuple(map(mod, map(sub, a, b), self.invariant_factors))
 
     def scale(self, k, a) -> tuple:
         return tuple((k * x) % d for x, d in zip(a, self.invariant_factors))
@@ -103,9 +103,7 @@ def matrix_is_compatible(mat, space: FinAb) -> bool:
 
 
 def apply_matrix(mat, vec, space: FinAb) -> tuple:
-    d = space.invariant_factors
-    return tuple(sum(mat[i][j] * vec[j] for j in range(space.rank)) % d[i]
-                 for i in range(space.rank))
+    return tuple([sum(map(mul, row, vec)) % d for row, d in zip(mat, space.invariant_factors)])
 
 
 def linear_table(space: FinAb, images, moduli) -> list:
@@ -114,9 +112,12 @@ def linear_table(space: FinAb, images, moduli) -> list:
     is one tuple addition of a multiple of a basis image to an entry before
     it.  f is well defined when d_j * images[j] = 0 mod moduli."""
     moduli = tuple(moduli)
-    out = [(0,) * len(moduli)]
+    zero = (0,) * len(moduli)
+    out = [zero]
     for img, d in zip(images, space.invariant_factors):
-        steps = [tuple(t * x % q for x, q in zip(img, moduli)) for t in range(d)]
+        steps = [zero]
+        for _ in range(d - 1):
+            steps.append(tuple(map(mod, map(add, steps[-1], img), moduli)))
         out = [tuple(map(mod, map(add, v, w), moduli)) for v in out for w in steps]
     return out
 
@@ -173,7 +174,7 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     basis_a = a._quotient.basis
     basis_b = b._quotient.basis
     stacked = [list(ra) + [-x for x in rb] for ra, rb in zip(basis_a, basis_b)]
-    gens = [mat_vec(basis_a, v[:n]) for v in integer_kernel(stacked)]
+    gens = [mat_vec(basis_a, v) for v in integer_kernel(stacked, n)]
     return subgroup_from_generators(a.ambient, gens)
 
 

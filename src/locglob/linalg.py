@@ -7,21 +7,38 @@ stay small (tens of rows).
 A Smith normal form is one elimination pass that advances past a pivot
 only once it divides its whole trailing block, so the diagonal comes out
 as a divisibility chain (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4).  It keeps that diagonal and the two transforms P, Q with
-P*A*Q = D: kernels read Q, lattice coordinates read P.  A lattice quotient
-X/Y costs two Smith normal forms, one of the generators of X and one of the
-generators of Y written in a basis of X.  The matrix helpers (identity,
-product, reduction mod the invariant factors) serve the whole package.
+Theory, 2.4).  It keeps that diagonal and builds only the transforms of
+P*A*Q = D that its caller reads:
+- a kernel (`integer_kernel`, and through it `kernel_mod_lattice` and
+  `abelian.subgroup_intersection`) reads columns of Q, and its callers only
+  their first n coordinates, so it builds those n rows of Q and no P;
+- a restriction map (`cohomology.H1Group.restriction`) reads P and d only;
+- a lattice quotient reads P for coordinates and Q for a basis, and builds
+  both.
+Leaving a transform out changes no pivot and no entry of the others.  Once
+step t is done, row t of S is zero past the pivot, and no later operation
+adds another row into it or a nonzero entry of it into a later column, so
+rows above the pivot stay zero from its column on; a column operation that
+adds a multiple of the pivot column then changes only the pivot row while
+that column is clear below the pivot.  A lattice quotient X/Y costs two
+Smith normal forms, one of the generators of X and one of the generators of
+Y written in a basis of X.  The matrix helpers (identity, product,
+reduction mod the invariant factors) serve the whole package.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter, mul
 
 from .errors import SelfCheckError
 from .value import Value
 
 
 def scalar_matrix(c: int, n: int) -> list[list[int]]:
-    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = c
+    return out
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -44,7 +61,7 @@ def mat_mul(a, b):
     return out
 
 def mat_vec(a, v):
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_mod(mat, moduli) -> tuple:
@@ -53,133 +70,143 @@ def mat_mod(mat, moduli) -> tuple:
     return tuple(tuple(x % d for x in row) for row, d in zip(mat, moduli))
 
 
-class _SnfState:
-    """Mutable S with unimodular P, Q and S = P*A*Q."""
-
-    def __init__(self, mat):
-        self.s = [row[:] for row in mat]
-        self.m = len(mat)
-        self.n = len(mat[0]) if mat else 0
-        self.p = identity_matrix(self.m)
-        self.q = identity_matrix(self.n)
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.p[i], self.p[j] = self.p[j], self.p[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
-        for row in self.q:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(self, i):
-        self.s[i] = [-x for x in self.s[i]]
-        self.p[i] = [-x for x in self.p[i]]
-
-    def add_row(self, i, j, c):
-        # row i += c * row j
-        if c == 0:
-            return
-        self.s[i] = [x + c * y for x, y in zip(self.s[i], self.s[j])]
-        self.p[i] = [x + c * y for x, y in zip(self.p[i], self.p[j])]
-
-    def add_col(self, i, j, c):
-        # col i += c * col j
-        if c == 0:
-            return
-        for row in self.s:
-            row[i] += c * row[j]
-        for row in self.q:
-            row[i] += c * row[j]
-
-
 class Snf(Value):
     """p * a * q is the m x n matrix with d on its diagonal and zeros
     elsewhere; p, q are unimodular, d has min(m, n) entries with
-    0 <= d[i] | d[i+1], and rank counts its nonzero entries."""
+    0 <= d[i] | d[i+1], and rank counts its nonzero entries.  p is None
+    when it was not built, and q holds only the rows of Q that were."""
 
     __slots__ = _compare = ("d", "p", "q", "rank")
 
 
 def _freeze(mat):
-    return tuple(tuple(row) for row in mat)
+    return tuple(map(tuple, mat))
 
 
-def smith_normal_form(mat) -> Snf:
-    """Smith normal form over the integers with its two transforms."""
-    st = _SnfState(mat)
-    m, n = st.m, st.n
+def _scan(s, t, piv):
+    """Read the block of S from row t and column t on, row by row: (i, 0,
+    -1, -1) for the first row i that holds an entry piv does not divide,
+    else (-1, b, i, j) for the first entry (i, j) of least absolute value b
+    among the nonzero ones, b = 0 when there are none."""
+    best, at = 0, (-1, -1)
+    for i in range(t, len(s)):
+        row = s[i]
+        for j in range(t, len(row)):
+            v = row[j]
+            if v:
+                if v % piv:
+                    return i, 0, -1, -1
+                if not best or abs(v) < best:
+                    best, at = abs(v), (i, j)
+                    if best == 1:
+                        return (-1, 1) + at
+    return (-1, best) + at
+
+
+def smith_normal_form(mat, p=True, q_rows=None) -> Snf:
+    """Smith normal form over the integers with the transforms the caller
+    reads: P only when p is true, and only the first q_rows rows of Q (all
+    n when q_rows is None).  Either choice changes no entry it keeps.
+
+    Step t moves the first entry of least absolute value of the trailing
+    block to (t, t), clears its column by row operations and its row by
+    column operations, swapping in any smaller remainder, and adds up a row
+    whose entries the pivot does not all divide.  Rows above t are zero from
+    column t on (see the module docstring), so column swaps touch only the
+    rows from t on and a column operation changes row t alone while column
+    t is clear below the pivot; rows from t on are zero before column t, so
+    the divisibility test reads the next step's block and finds its pivot
+    in the same scan.  Q is kept by columns, so that its column operations
+    and swaps act on whole lists.
+    """
+    s = [list(row) for row in mat]
+    m = len(s)
+    n = len(s[0]) if m else 0
+    pm = identity_matrix(m) if p else None
+    k = n if q_rows is None else q_rows
+    qc = [[0] * k for _ in range(n)]
+    for i in range(k):
+        qc[i][i] = 1
     t = 0
+    least = _scan(s, 0, 1)
     while t < min(m, n):
-        # locate a pivot of least absolute value in the trailing block
-        pi = pj = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = st.s[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pi, pj = i, j
-        if best is None:
+        _, best, pi, pj = least
+        if not best:
             break
-        st.swap_rows(t, pi)
-        st.swap_cols(t, pj)
+        if pi != t:
+            s[t], s[pi] = s[pi], s[t]
+            if pm is not None:
+                pm[t], pm[pi] = pm[pi], pm[t]
+        if pj != t:
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            qc[t], qc[pj] = qc[pj], qc[t]
         while True:
             # clear column t
             dirty = False
             for i in range(t + 1, m):
-                v = st.s[i][t]
+                v = s[i][t]
                 if v:
-                    q = v // st.s[t][t]
-                    st.add_row(i, t, -q)
-                    if st.s[i][t]:
-                        st.swap_rows(t, i)
+                    c = v // s[t][t]
+                    if c:
+                        s[i] = [x - c * y for x, y in zip(s[i], s[t])]
+                        if pm is not None:
+                            pm[i] = [x - c * y for x, y in zip(pm[i], pm[t])]
+                    if s[i][t]:
+                        s[t], s[i] = s[i], s[t]
+                        if pm is not None:
+                            pm[t], pm[i] = pm[i], pm[t]
                         dirty = True
             if dirty:
                 continue
-            # clear row t
+            # clear row t; column t is zero below the pivot until a swap
+            below = False
+            st = s[t]
             for j in range(t + 1, n):
-                v = st.s[t][j]
+                v = st[j]
                 if v:
-                    q = v // st.s[t][t]
-                    st.add_col(j, t, -q)
-                    if st.s[t][j]:
-                        st.swap_cols(t, j)
-                        dirty = True
+                    c = v // st[t]
+                    if c:
+                        if below:
+                            for row in s[t:]:
+                                row[j] -= c * row[t]
+                        else:
+                            st[j] -= c * st[t]
+                        qc[j] = [x - c * y for x, y in zip(qc[j], qc[t])]
+                    if st[j]:
+                        for row in s[t:]:
+                            row[t], row[j] = row[j], row[t]
+                        qc[t], qc[j] = qc[j], qc[t]
+                        dirty = below = True
             if not dirty:
                 break
-        # make every entry of the trailing block divisible by the pivot
-        piv = st.s[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if st.s[i][j] % piv:
-                    st.add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if st.s[t][t] < 0:
-                st.negate_row(t)
-            t += 1
-    d = tuple(st.s[i][i] for i in range(min(m, n)))
-    return Snf(d, _freeze(st.p), _freeze(st.q), sum(1 for x in d if x))
+        # make every entry of the trailing block divisible by the pivot: the
+        # block is the next step's, so the same scan finds that step's pivot
+        piv = s[t][t]
+        least = _scan(s, t + 1, piv)
+        i = least[0]
+        if i >= 0:
+            s[t] = [x + y for x, y in zip(s[t], s[i])]
+            if pm is not None:
+                pm[t] = [x + y for x, y in zip(pm[t], pm[i])]
+            least = _scan(s, t, 1)
+            continue
+        if piv < 0:
+            s[t] = [-x for x in s[t]]
+            if pm is not None:
+                pm[t] = [-x for x in pm[t]]
+        t += 1
+    d = tuple([s[i][i] for i in range(min(m, n))])
+    return Snf(d, None if pm is None else _freeze(pm), tuple(zip(*qc)), len(d) - d.count(0))
 
 
-def integer_kernel(mat) -> list[list[int]]:
-    """Basis of { x : mat @ x == 0 } as a list of integer vectors."""
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return identity_matrix(n)
-    snf = smith_normal_form(mat)
-    n = len(mat[0])
-    return [[snf.q[i][j] for i in range(n)] for j in range(snf.rank, n)]
+def integer_kernel(mat, head: int) -> list[list[int]]:
+    """Basis of { x : mat @ x == 0 } as a list of integer vectors, each cut
+    to its first `head` coordinates: the columns of Q past the rank, which
+    need no P and only those rows of Q."""
+    snf = smith_normal_form(mat, p=False, q_rows=head)
+    n = len(mat[0]) if mat else 0
+    return [[row[j] for row in snf.q] for j in range(snf.rank, n)]
 
 
 def _diagonal_solve(p, d, vec) -> list[int] | None:
@@ -193,7 +220,7 @@ def _diagonal_solve(p, d, vec) -> list[int] | None:
 
 def columns_matrix(vectors, n) -> list[list[int]]:
     """Stack length-n vectors as the columns of a matrix (n x len(vectors))."""
-    return [[v[i] for v in vectors] for i in range(n)]
+    return [list(map(itemgetter(i), vectors)) for i in range(n)]
 
 
 class LatticeQuotient(Value):
@@ -269,9 +296,7 @@ def kernel_mod_lattice(rows, row_moduli, n) -> list[list[int]]:
     live = [(r, m) for r, m in zip(rows, row_moduli) if m != 1]
     if not live:
         return identity_matrix(n)
-    k = len(live)
-    aug = []
-    for i, (r, m) in enumerate(live):
-        aug.append(list(r) + [-(m if j == i else 0) for j in range(k)])
-    kern = integer_kernel(aug)
-    return [v[:n] for v in kern]
+    aug = [list(r) + [0] * len(live) for r, _ in live]
+    for i, (_, m) in enumerate(live):
+        aug[i][n + i] = -m
+    return integer_kernel(aug, n)

@@ -10,7 +10,7 @@ tests read live in `tests/search_oracles.py`.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add, mod
+from operator import add, mod, sub
 
 from .abelian import linear_table
 from .errors import SelfCheckError
@@ -69,27 +69,29 @@ def brute_force_h1(module: GModule) -> BruteH1:
         raise SelfCheckError("generating set does not reach the whole group")
 
     # the residuals, flat, of the walk of e_j in generator slot si, 0 in the
-    # others; a residual coordinate that vanishes in every walk constrains
-    # nothing and is dropped
-    basis = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    cols = [[module.act(g, e) for e in basis] for g in range(m)]
+    # others, where g.e_j is column j of the action matrix of g; a residual
+    # coordinate that vanishes in every walk constrains nothing and is dropped
+    d = space.invariant_factors
+    cols = [[tuple(map(mod, col, d)) for col in zip(*mat)] for mat in module.action]
     walks = []
     for si in range(k):
         for j in range(r):
             f = [zero] * m
             for g, sj, gs in tree:
-                f[gs] = space.add(f[g], cols[g][j]) if sj == si else f[g]
-            res = [space.sub(f[gs], space.add(f[g], cols[g][j]) if sj == si else f[g])
-                   for g, sj, gs in checks]
-            walks.append(_flat(res))
-    moduli = space.invariant_factors * len(checks)
-    live = [i for i in range(len(moduli)) if any(res[i] for res in walks)]
-    moduli = tuple(moduli[i] for i in live)
-    slots = [[tuple(res[i] for i in live) for res in walks[si * r:(si + 1) * r]]
+                f[gs] = tuple(map(add, f[g], cols[g][j])) if sj == si else f[g]
+            res = []
+            for g, sj, gs in checks:
+                res.extend(map(mod, map(sub, f[gs], map(add, f[g], cols[g][j]) if sj == si
+                                        else f[g]), d))
+            walks.append(res)
+    live = [i for i, coords in enumerate(zip(*walks)) if any(coords)]
+    moduli = tuple(map((d * len(checks)).__getitem__, live))
+    slots = [[tuple(map(res.__getitem__, live)) for res in walks[si * r:(si + 1) * r]]
              for si in range(k)]
 
     elems = list(space.elements())
-    gen_moduli = space.invariant_factors * k
+    gen_moduli = d * k
+    basis = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     cobs = set(linear_table(space, [_flat(space.sub(cols[s][j], e) for s in gens)
                                     for j, e in enumerate(basis)], gen_moduli))
     if k:

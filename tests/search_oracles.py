@@ -26,6 +26,10 @@ Newton steps of x^n - u for every n.  An n-th root mod p is taken here by
 the Adleman-Manders-Miller tower of l-th roots and a Bezout recombination,
 with each digit of a discrete log found by a walk, where the program takes
 the same root in closed form and each digit by baby-step giant-step.
+The Smith normal form is taken here with both transforms whole and every
+operation applied to every row and column, where the program builds only
+the transforms its caller reads and leaves the entries an operation
+cannot change.
 
 The entries of `locglob/data/golden.json` are computed here alone
 (`oracle_golden`); run as a script, this module prints the file byte for
@@ -52,7 +56,7 @@ from locglob.elliptic import CurvePoint, divisible_by_2k, group_law, halve_point
 from locglob.errors import InputError, SelfCheckError
 from locglob.gmodules import CyclotomicData, GModule, dual_module
 from locglob.groups import GroupTable, SubgroupSpec, cyclic_subgroups
-from locglob.linalg import identity_matrix, kernel_mod_lattice, mat_mod, mat_mul
+from locglob.linalg import Snf, identity_matrix, kernel_mod_lattice, mat_mod, mat_mul
 from locglob.oracles import BruteH1
 from locglob.padics import Place
 from locglob.reproduce import DZ_CURVE, DZ_POINT_X, DZ_POINT_Y, duplication_x, mu8_model
@@ -803,6 +807,121 @@ def _bezout_combination(values: list[int]) -> list[int]:
         g = a
         coeffs = [c * x0 for c in coeffs] + [y0]
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the reference elimination
+
+
+class _SnfState:
+    """Mutable S with unimodular P, Q and S = P*A*Q."""
+
+    def __init__(self, mat):
+        self.s = [row[:] for row in mat]
+        self.m = len(mat)
+        self.n = len(mat[0]) if mat else 0
+        self.p = identity_matrix(self.m)
+        self.q = identity_matrix(self.n)
+
+    def swap_rows(self, i, j):
+        if i == j:
+            return
+        self.s[i], self.s[j] = self.s[j], self.s[i]
+        self.p[i], self.p[j] = self.p[j], self.p[i]
+
+    def swap_cols(self, i, j):
+        if i == j:
+            return
+        for row in self.s:
+            row[i], row[j] = row[j], row[i]
+        for row in self.q:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(self, i):
+        self.s[i] = [-x for x in self.s[i]]
+        self.p[i] = [-x for x in self.p[i]]
+
+    def add_row(self, i, j, c):
+        # row i += c * row j
+        if c == 0:
+            return
+        self.s[i] = [x + c * y for x, y in zip(self.s[i], self.s[j])]
+        self.p[i] = [x + c * y for x, y in zip(self.p[i], self.p[j])]
+
+    def add_col(self, i, j, c):
+        # col i += c * col j
+        if c == 0:
+            return
+        for row in self.s:
+            row[i] += c * row[j]
+        for row in self.q:
+            row[i] += c * row[j]
+
+
+def smith_normal_form_by_reference(mat) -> Snf:
+    """Smith normal form with both transforms whole, every operation applied
+    to every row and column of S, P and Q: the elimination that
+    `linalg.smith_normal_form` performs, pivot for pivot and operation for
+    operation, where the program builds only the transforms its caller
+    reads and skips the entries an operation cannot change."""
+    st = _SnfState(mat)
+    m, n = st.m, st.n
+    t = 0
+    while t < min(m, n):
+        # locate a pivot of least absolute value in the trailing block
+        pi = pj = -1
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = st.s[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pi, pj = i, j
+        if best is None:
+            break
+        st.swap_rows(t, pi)
+        st.swap_cols(t, pj)
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, m):
+                v = st.s[i][t]
+                if v:
+                    q = v // st.s[t][t]
+                    st.add_row(i, t, -q)
+                    if st.s[i][t]:
+                        st.swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, n):
+                v = st.s[t][j]
+                if v:
+                    q = v // st.s[t][t]
+                    st.add_col(j, t, -q)
+                    if st.s[t][j]:
+                        st.swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        # make every entry of the trailing block divisible by the pivot
+        piv = st.s[t][t]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if st.s[i][j] % piv:
+                    st.add_row(t, i, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            if st.s[t][t] < 0:
+                st.negate_row(t)
+            t += 1
+    d = tuple(st.s[i][i] for i in range(min(m, n)))
+    return Snf(d, tuple(map(tuple, st.p)), tuple(map(tuple, st.q)), sum(1 for x in d if x))
 
 
 # ---------------------------------------------------------------------------

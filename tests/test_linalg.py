@@ -4,9 +4,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locglob.linalg import (columns_matrix, identity_matrix, integer_kernel,
+from locglob import cohomology, linalg
+from locglob.linalg import (Snf, columns_matrix, identity_matrix, integer_kernel,
                             kernel_mod_lattice, lattice_quotient, mat_mul,
                             mat_vec, smith_normal_form)
+from search_oracles import smith_normal_form_by_reference
 
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -74,13 +76,13 @@ def test_snf_decomposition(a):
 @given(matrices)
 @settings(max_examples=100, deadline=None)
 def test_integer_kernel_annihilates(a):
-    for v in integer_kernel(a):
+    for v in integer_kernel(a, len(a[0])):
         assert all(x == 0 for x in mat_vec(a, v))
 
 
 def test_kernel_spans_all_solutions():
     a = [[2, 4, 0], [0, 0, 3]]
-    kern = integer_kernel(a)
+    kern = integer_kernel(a, 3)
     # (2, -1, 0) is a solution and must be an integer combination of the basis
     assert _in_span(kern, [2, -1, 0])
     assert not _in_span(kern, [1, 0, 0])
@@ -151,3 +153,62 @@ def test_kernel_mod_lattice():
     # and it contains (1, 3)
     assert _in_span(gens, [1, 3])
     assert not _in_span(gens, [1, 2])
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall, wide and square matrices with negative entries, mostly zeros,
+    and some rows and columns zero throughout."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-40, 40))
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(mat)]
+
+
+def _agrees_with_the_reference(mat, p=True, q_rows=None):
+    """The Smith form built with these options has the reference's d and
+    rank, its P where P is built and its first q_rows rows of Q."""
+    ref = smith_normal_form_by_reference(mat)
+    got = smith_normal_form(mat, p=p, q_rows=q_rows)
+    rows = len(ref.q) if q_rows is None else q_rows
+    assert got == Snf(ref.d, ref.p if p else None, ref.q[:rows], ref.rank), (mat, p, q_rows)
+
+
+@given(shaped_matrices())
+@settings(max_examples=200, deadline=None)
+def test_smith_form_equals_the_reference(mat):
+    n = len(mat[0])
+    _agrees_with_the_reference(mat)
+    _agrees_with_the_reference(mat, q_rows=0)
+    for k in range(n + 1):
+        _agrees_with_the_reference(mat, p=False, q_rows=k)
+
+
+def test_smith_form_equals_the_reference_on_every_input_of_the_seeded_models(monkeypatch):
+    """Every Smith form that h1, H1_*, the verdicts and the support bound of
+    `seeded_models()` take, with the transforms each caller builds."""
+    from families import seeded_models
+    from locglob.models import finite_support_bound, verdict
+    models = seeded_models()
+    calls = []
+    real = linalg.smith_normal_form
+
+    def spy(mat, p=True, q_rows=None):
+        calls.append(([list(row) for row in mat], p, q_rows))
+        return real(mat, p, q_rows)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", spy)
+    monkeypatch.setattr(cohomology, "smith_normal_form", spy)
+    monkeypatch.setattr(cohomology, "_H1_CACHE", {})
+    for model in models:
+        cohomology.h1_star(model.module)
+        verdict(model, [frozenset(), frozenset(model.labels)])
+        finite_support_bound(model)
+    assert {(p, q_rows is None) for _, p, q_rows in calls} == {
+        (True, True), (True, False), (False, False)}
+    assert any(q_rows for _, p, q_rows in calls if not p)
+    for mat, p, q_rows in calls:
+        _agrees_with_the_reference(mat, p, q_rows)

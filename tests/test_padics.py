@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locglob.arith import is_prime, nth_root_mod_prime
+from locglob.arith import is_prime, legendre_symbol, nth_root_mod_prime, sqrt_mod_prime
 from locglob.errors import InputError, PrecisionError, SelfCheckError
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
-                            nth_root, product_formula_check,
+                            nth_root, product_formula_check, rational_nth_root,
                             square_class_approximate)
 from search_oracles import (hilbert_symbol_search, is_nth_power_search,
                             is_square_mod_prime_brute, nth_root_mod_prime_by_tower)
@@ -236,6 +236,37 @@ def test_nth_root_mod_prime(p, x, n):
     r = nth_root_mod_prime(u, n, p)
     assert r is not None
     assert pow(r, n, p) == u
+
+
+def test_residue_roots_at_their_edge_cases():
+    # p = 2 and a = 0 return a itself; a non-residue has no square root
+    assert [sqrt_mod_prime(a, 2) for a in (0, 1, 2, 3, -1)] == [0, 1, 0, 1, 1]
+    assert sqrt_mod_prime(0, 7) == 0 and sqrt_mod_prime(14, 7) == 0
+    for p in (7, 13, 17):
+        squares = {x * x % p for x in range(p)}
+        for a in range(1, p):
+            r = sqrt_mod_prime(a, p)
+            assert (r is None) == (a not in squares), (a, p)
+            assert r is None or r * r % p == a
+    assert legendre_symbol(0, 7) == legendre_symbol(21, 7) == legendre_symbol(-14, 7) == 0
+    assert legendre_symbol(2, 7) == 1 and legendre_symbol(3, 7) == -1
+    # p | u: 0 is the n-th root of 0 mod p
+    assert nth_root_mod_prime(0, 3, 7) == nth_root_mod_prime(14, 5, 7) == 0
+    assert nth_root_mod_prime(11, 4, 11) == 0
+
+
+def test_rational_nth_root_of_degree_at_least_three():
+    assert rational_nth_root(27, 3) == 3
+    assert rational_nth_root(28, 3) is None
+    assert rational_nth_root(26, 3) is None
+    assert rational_nth_root(Fraction(-8, 27), 3) == Fraction(-2, 3)
+    assert rational_nth_root(2 ** 60, 5) == 2 ** 12
+    assert rational_nth_root(2 ** 60 + 1, 5) is None
+    assert rational_nth_root(Fraction(1, 3 ** 12), 4) == Fraction(1, 27)
+    for b in range(1, 40):
+        for n in (3, 4, 5, 7):
+            assert rational_nth_root(b ** n, n) == b
+            assert rational_nth_root(b ** n + 1, n) is None
 
 
 def _same_root_as_the_tower(u, n, p):
