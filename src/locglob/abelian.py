@@ -25,13 +25,11 @@ class FinAb(Value):
     __slots__ = _compare = ("invariant_factors",)
 
     def __init__(self, invariant_factors):
-        d = tuple(int(x) for x in invariant_factors)
-        for x in d:
-            if x < 2:
-                raise InputError("invariant factors must be >= 2")
-        for a, b in zip(d, d[1:]):
-            if b % a:
-                raise InputError("invariant factors must form a divisibility chain")
+        d = tuple(map(int, invariant_factors))
+        if d and min(d) < 2:
+            raise InputError("invariant factors must be >= 2")
+        if any(map(mod, d[1:], d)):
+            raise InputError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "invariant_factors", d)
 
     @property
@@ -89,17 +87,14 @@ def matrix_is_compatible(mat, space: FinAb) -> bool:
     """Whether an integer matrix defines a homomorphism space -> space.
 
     Entry (i, j) moves the j-th coordinate into the i-th, so it must kill
-    the ambiguity d_j, i.e. mat[i][j] * d_j == 0 mod d_i.
+    the ambiguity d_j, i.e. mat[i][j] * d_j == 0 mod d_i.  For j >= i, d_i
+    divides d_j, so only the entries below the diagonal are tested.
     """
     d = space.invariant_factors
     r = space.rank
     if len(mat) != r or any(len(row) != r for row in mat):
         return False
-    for i in range(r):
-        for j in range(r):
-            if (mat[i][j] * d[j]) % d[i]:
-                return False
-    return True
+    return not any(mat[i][j] * d[j] % d[i] for i in range(1, r) for j in range(i))
 
 
 def apply_matrix(mat, vec, space: FinAb) -> tuple:

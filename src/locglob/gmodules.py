@@ -25,9 +25,12 @@ class GModule(Value):
     bijective.  By induction on the length of h as a product
     (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
     rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
+    The hash is computed once, at construction: `cohomology._H1_CACHE`
+    looks it up on every H1 query.
     """
 
-    __slots__ = _compare = ("group", "space", "action")
+    __slots__ = ("group", "space", "action", "_hash")
+    _compare = ("group", "space", "action")
 
     def __init__(self, group: GroupTable, space: FinAb, action: tuple):
         m = group.order
@@ -39,30 +42,36 @@ class GModule(Value):
         object.__setattr__(self, "action", act)
         d = space.invariant_factors
         red = {}            # each distinct matrix, checked once and reduced
-        for g, mat in enumerate(act):
-            if mat not in red:
-                if not matrix_is_compatible(mat, space):
-                    raise InputError("action matrix %d is not compatible with the moduli" % g)
-                red[mat] = mat_mod(mat, d)
-        if red[act[0]] != mat_mod(identity_matrix(space.rank), d):
+        for mat in dict.fromkeys(act):
+            if not matrix_is_compatible(mat, space):
+                raise InputError("action matrix %d is not compatible with the moduli"
+                                 % act.index(mat))
+            red[mat] = mat_mod(mat, d)
+        if red[act[0]] != tuple(map(tuple, identity_matrix(space.rank))):    # d_i >= 2
             raise InputError("identity element must act trivially")
-        # number the distinct reduced matrices; ids[g] is that of action[g]
-        index = {}
-        ids = [index.setdefault(red[mat], len(index)) for mat in act]
+        index = {}          # number the distinct reduced matrices; ids[g] is that of action[g]
+        number = {mat: index.setdefault(red[mat], len(index)) for mat in red}
+        ids = list(map(number.__getitem__, act))
         # compatible matrices may be reduced before multiplying: a[i][k] d_k
         # = 0 mod d_i, so changing b[k][j] by a multiple of d_k leaves row i
         # of a b unchanged mod d_i.  products[i][j] numbers the product of
-        # reduced matrix i by generator j, None if it is no action matrix.
+        # reduced matrix i by generator j, None if it is no action matrix;
+        # matrix 0 is the identity, so a product with it is the other factor.
         gens = group.generating_set()
-        cols = [tuple(zip(*red[act[s]])) for s in gens]
-        products = [[index.get(tuple(tuple([sum(map(mul, row, col)) % di for col in cs])
-                                     for row, di in zip(rows, d)))
-                     for cs in cols] for rows in index]
+        cols = [(ids[s], tuple(zip(*red[act[s]]))) for s in gens]
+        products = [[j for j, _ in cols]] + [
+            [i if j == 0 else index.get(tuple([tuple([sum(map(mul, row, col)) % di for col in cs])
+                                               for row, di in zip(rows, d)])) for j, cs in cols]
+            for i, rows in enumerate(index) if i]
         for g, row in enumerate(group.table):
             prod = products[ids[g]]
             for j, s in enumerate(gens):
                 if prod[j] != ids[row[s]]:
                     raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
+        object.__setattr__(self, "_hash", hash((group, space, act)))
+
+    def __hash__(self):
+        return self._hash
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)

@@ -8,6 +8,8 @@ group (is_subgroup, subgroup_generators), never a table of its own.
 
 from __future__ import annotations
 
+from operator import contains, itemgetter
+
 from .errors import InputError
 from .value import Value
 
@@ -19,9 +21,10 @@ class GroupTable(Value):
     and all x, y: the a that pass contain 0 and are closed under products,
     as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), and each element
     is a product (...(0 s1) ...) sk, since the greedy set takes every element
-    that the generators before it do not reach from 0."""
+    that the generators before it do not reach from 0.  _places keeps what
+    generic_places walks."""
 
-    __slots__ = ("order", "table", "_gens")
+    __slots__ = ("order", "table", "_gens", "_places")
     _compare = ("order", "table")
 
     def __init__(self, order: int, table: tuple):
@@ -29,23 +32,25 @@ class GroupTable(Value):
         t = table          # t[g][h] = index of g*h
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_places", None)
         if m < 1:
             raise InputError("group order must be >= 1")
         if len(t) != m or any(len(row) != m for row in t):
             raise InputError("multiplication table has wrong shape")
-        if min(map(min, t)) < 0 or max(map(max, t)) >= m:
+        entries = set().union(*t)
+        if min(entries) < 0 or max(entries) >= m:
             raise InputError("table entry out of range")
-        for g in range(m):
-            if t[0][g] != g or t[g][0] != g:
-                raise InputError("index 0 is not a two-sided identity")
-        for g in range(m):
-            if 0 not in t[g]:
-                raise InputError("element %d has no right inverse" % g)
+        rows = tuple(map(tuple, t))     # each check reads whole rows or columns
+        if rows[0] != tuple(range(m)) or tuple(map(itemgetter(0), rows)) != rows[0]:
+            raise InputError("index 0 is not a two-sided identity")
+        inverses = list(map(contains, rows, (0,) * m))
+        if not all(inverses):
+            raise InputError("element %d has no right inverse" % inverses.index(False))
         object.__setattr__(self, "_gens", self.subgroup_generators(range(m)))
         for a in self._gens:
-            for x in range(m):
-                if tuple(t[t[x][a]]) != tuple(map(t[x].__getitem__, t[a])):
-                    raise InputError("table is not associative")
+            if list(map(rows.__getitem__, map(itemgetter(a), rows))) != list(
+                    map(itemgetter(*rows[a]), rows)):
+                raise InputError("table is not associative")
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -104,9 +109,9 @@ class GroupTable(Value):
             gens.append(g)
             frontier = list(have)
             while frontier:
-                cur = frontier.pop()
+                row = self.table[frontier.pop()]
                 for s in gens:
-                    nxt = self.mul(cur, s)
+                    nxt = row[s]
                     if nxt not in have:
                         if nxt not in es:
                             return None
@@ -141,19 +146,20 @@ def cyclic_subgroups(group: GroupTable) -> list[SubgroupSpec]:
         while x:
             powers.append(x)
             x = table[x][g]
-        elems = tuple(sorted(powers))
-        if elems not in seen:
-            seen[elems] = g
-    out = [SubgroupSpec(elems, gen) for elems, gen in seen.items()]
-    out.sort(key=lambda s: (s.order, s.elements))
-    return out
+        seen.setdefault(tuple(sorted(powers)), g)
+    # by element set, then stably by order
+    return [SubgroupSpec(elems, seen[elems]) for elems in sorted(sorted(seen), key=len)]
 
 
 def generic_places(group: GroupTable) -> tuple:
     """The element tuples of the nontrivial cyclic subgroups, in the order
     of cyclic_subgroups: the generic places of every place model over the
-    group, and the subgroups whose restriction kernel is H1_*."""
-    return tuple(z.elements for z in cyclic_subgroups(group) if z.order > 1)
+    group, and the subgroups whose restriction kernel is H1_*; walked once
+    per group and kept on it."""
+    if group._places is None:
+        object.__setattr__(group, "_places", tuple(
+            z.elements for z in cyclic_subgroups(group) if z.order > 1))
+    return group._places
 
 
 # ---------------------------------------------------------------------------

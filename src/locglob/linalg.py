@@ -67,7 +67,7 @@ def mat_vec(a, v):
 def mat_mod(mat, moduli) -> tuple:
     """Row i reduced mod moduli[i], frozen: the entries of an endomorphism of
     Z/d1 x ... x Z/dr that decide equality."""
-    return tuple(tuple(x % d for x in row) for row, d in zip(mat, moduli))
+    return tuple([tuple([x % d for x in row]) for row, d in zip(mat, moduli)])
 
 
 class Snf(Value):

@@ -10,6 +10,8 @@ conditions, labeled places their designated subgroups.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
 # h1 is not called here: perfbench's tracer test checks that it rebinds models.h1
 from .cohomology import (CocycleClass, H1Subgroup, h1, h1_star,  # noqa: F401
@@ -25,7 +27,8 @@ class PlaceModel(Value):
 
     designated maps place labels to subgroups (element tuples) of the
     module's group; archimedean labels must carry subgroups of order at
-    most 2.  cyclic holds the generic places (`groups.generic_places`).
+    most 2.  cyclic holds the generic places, which the group walks once
+    and keeps (`groups.generic_places`).  Labels are read with str() here.
     """
 
     __slots__ = ("module", "designated", "archimedean", "labels", "cyclic", "support_bound")
@@ -34,8 +37,8 @@ class PlaceModel(Value):
     def __init__(self, module: GModule, designated, archimedean):
         pairs = designated.items() if isinstance(designated, dict) else designated
         # sorted ((label, elements), ...)
-        designated = tuple(sorted((str(k), tuple(sorted(set(v)))) for k, v in pairs))
-        archimedean = frozenset(str(x) for x in archimedean)
+        designated = tuple(sorted([(str(k), tuple(sorted(set(v)))) for k, v in pairs]))
+        archimedean = frozenset(map(str, archimedean))
         grp = module.group
         cyclic = generic_places(grp)
         # sets known to be subgroups skip the closure test of is_subgroup
@@ -95,7 +98,7 @@ def sha_of_model(model: PlaceModel, T, v_generators=None) -> ShaGroup:
     then Sha(V, T) = V intersected with the restriction kernel."""
     T = frozenset(str(x) for x in T)
     _check_labels(model, T)
-    members, support = _sha_parts(model, T & model.support_bound)
+    members, support = _sha_parts(model, T & model.support_bound, h1_star(model.module))
     ambient = members.ambient
     if v_generators is not None:
         v_sub = subgroup_from_generators(ambient.structure, v_generators)
@@ -111,8 +114,9 @@ def _check_labels(model: PlaceModel, T):
         raise InputError("unknown labels in T: %s" % sorted(set(T) - model.labels))
 
 
-def _sha_parts(model: PlaceModel, key: frozenset) -> tuple:
-    """(members, support set) of Sha(K) for K = key, a subset of S.
+def _sha_parts(model: PlaceModel, key: frozenset, members: H1Subgroup) -> tuple:
+    """(members, support set) of Sha(K) for K = key, a subset of S, from
+    members = `h1_star` of the module, looked up once by the caller.
     Sha(T) = Sha(T & S) (see finite_support_bound), and Sha(K) is cut out by
     the nontrivial cyclic subgroups and the designated subgroups of the
     labels in S - K: every other label outside K carries a trivial subgroup
@@ -125,7 +129,6 @@ def _sha_parts(model: PlaceModel, key: frozenset) -> tuple:
     is zero every Sha(K) is zero; only a nonzero Sha(S) takes a kernel of
     its own for each K != S."""
     S = model.support_bound
-    members = h1_star(model.module)
     if key != S and not members.is_trivial():
         sets = list(model.cyclic) + [elems for label, elems in model.designated
                                      if label in S and label not in key]
@@ -134,9 +137,11 @@ def _sha_parts(model: PlaceModel, key: frozenset) -> tuple:
 
 
 def _support(model: PlaceModel, members: H1Subgroup) -> frozenset:
-    """The labels where some member restricts nontrivially."""
+    """The labels where some member restricts nontrivially; none without
+    generators."""
+    gens = members.coordinate_generators
     return frozenset(label for label, elems in model.designated
-                     if not members.ambient.vanishes_on(elems, members.coordinate_generators))
+                     if not members.ambient.vanishes_on(elems, gens)) if gens else frozenset()
 
 
 def _subgroups_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -170,16 +175,19 @@ def verdict(model: PlaceModel, queries) -> Verdict:
     Each T is answered from K = T & S: Sha(T) = Sha(K) (see
     finite_support_bound), and the support set of Sha(K) lies inside K, so
     inside T.  Hence T is singular iff Sha(K) has a nonempty support set,
-    and each distinct K takes one Sha group and at most one witness search."""
+    and each distinct K takes one Sha group and at most one witness search.
+    H1_* is looked up once; the labels of all queries are checked as one
+    set, and query by query only to name the first that fails."""
     S = model.support_bound
-    keys = []
-    for T in queries:
-        key = tuple(sorted(map(str, T)))
-        _check_labels(model, key)
-        keys.append((key, S.intersection(key)))
+    keys = [tuple(sorted(map(str, T))) for T in queries]
+    if not model.labels.issuperset(chain.from_iterable(keys)):
+        for key in keys:
+            _check_labels(model, key)
+    parts = [S.intersection(key) for key in keys] if S else [S] * len(keys)
+    star = h1_star(model.module)
     shas = {}
-    for K in dict.fromkeys([frozenset(), S] + [K for _, K in keys]):
-        members, support = _sha_parts(model, K)
+    for K in dict.fromkeys([frozenset(), S] + parts):
+        members, support = _sha_parts(model, K, star)
         shas[K] = ShaGroup(members.ambient, members, K, support)
     sha_empty = shas[frozenset()]
     sha_all = shas[S]
@@ -194,16 +202,11 @@ def verdict(model: PlaceModel, queries) -> Verdict:
                                    sha_empty.members.coordinate_subgroup)
     if strong != (hasse and nonsingular):
         raise SelfCheckError("verdict invariant violated")
-    found = {}
-    singular_results = []
-    for key, K in keys:
-        if K not in found:
-            found[K] = _singular_witness(model, shas[K])
-        wit = found[K]
-        singular_results.append((key, wit is not None))
-        if wit is not None:
-            witnesses.append(("t_singular", key, wit))
-    return Verdict(hasse, strong, tuple(singular_results), tuple(witnesses))
+    found = {K: _singular_witness(model, shas[K]) for K in dict.fromkeys(parts)}
+    wits = list(map(found.__getitem__, parts))
+    witnesses += [("t_singular", key, wit) for key, wit in zip(keys, wits) if wit is not None]
+    return Verdict(hasse, strong, tuple([(key, wit is not None) for key, wit in zip(keys, wits)]),
+                   tuple(witnesses))
 
 
 def _nonzero_witness(sha: ShaGroup) -> CocycleClass:

@@ -98,17 +98,25 @@ def _ints(value, field: str, size: int | None = None, bound: int | None = None) 
 
 def parse_group(doc: dict) -> GroupTable:
     from .groups import GroupTable
+    return _group(doc, GroupTable)
+
+
+def _group(doc: dict, GroupTable) -> GroupTable:
     order = _int(_require(doc, "order"), "order")
     if order < 1:
         raise InputError("order must be a positive integer")
     flat = _ints(_require(doc, "table"), "table", size=order * order)
-    return GroupTable(order, tuple(flat[i * order:(i + 1) * order] for i in range(order)))
+    return GroupTable(order, tuple(zip(*[iter(flat)] * order)))
 
 
 def parse_module(doc: dict) -> GModule:
-    from .abelian import FinAb
-    from .gmodules import GModule
-    group = parse_group(doc)
+    from . import abelian, gmodules, groups
+    return _module(doc, groups.GroupTable, abelian.FinAb, gmodules.GModule)
+
+
+def _module(doc: dict, GroupTable, FinAb, GModule) -> GModule:
+    """The module of a document, built from the classes its caller imported."""
+    group = _group(doc, GroupTable)
     space = FinAb(_ints(_require(doc, "invariant_factors"), "invariant_factors"))
     raw = _require(doc, "action")
     if not isinstance(raw, dict):
@@ -120,7 +128,7 @@ def parse_module(doc: dict) -> GModule:
         if key not in raw:
             raise InputError("action is missing element %d" % g)
         flat = _ints(raw[key], "action matrix for element %d" % g, size=r * r)
-        action.append(tuple(flat[i * r:(i + 1) * r] for i in range(r)))
+        action.append(tuple(zip(*[iter(flat)] * r)))
     return GModule(group, space, tuple(action))
 
 
@@ -144,8 +152,8 @@ def parse_chi(doc: dict, module: GModule) -> CyclotomicData | None:
 
 
 def parse_model(doc: dict) -> PlaceModel:
-    from .models import PlaceModel
-    module = parse_module(doc)
+    from . import abelian, gmodules, groups, models
+    module = _module(doc, groups.GroupTable, abelian.FinAb, gmodules.GModule)
     designated = doc.get("designated", {})
     if not isinstance(designated, dict):
         raise InputError("designated must map labels to element lists")
@@ -155,7 +163,7 @@ def parse_model(doc: dict) -> PlaceModel:
     order = module.group.order
     des = {str(k): _ints(v, "designated subgroup at %r" % str(k), bound=order)
            for k, v in designated.items()}
-    return PlaceModel(module, des, frozenset(str(x) for x in arch))
+    return models.PlaceModel(module, des, arch)
 
 
 def parse_curve(text: str) -> Curve:

@@ -16,7 +16,7 @@ class Value:
     AttributeError.  Two instances are equal when they are of the same class
     and their `_compare` fields are, compared and hashed as one tuple in
     that order.  Fields outside `_compare` hold data derived from the others
-    or caches, and take no part."""
+    or caches, and take no part.  A __hash__ the class defines is kept."""
 
     __slots__ = ()
 
@@ -39,7 +39,8 @@ class Value:
                 return hash(get(self))
 
         cls.__eq__ = __eq__
-        cls.__hash__ = __hash__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
         if "__init__" in cls.__dict__:
             return
         # each slot's own setter passes the frozen __setattr__ by, with no

@@ -356,9 +356,10 @@ def _modules_op(doc, reverse=False):
 
 
 def test_a_modules_op_takes_h1_star_once_per_h1(monkeypatch):
-    # h1_star and Sha(S) share one kernel over the cyclic subgroups; the same
-    # document parsed again takes none and walks the cyclic subgroups once,
-    # in PlaceModel; mu8 has a nonzero Sha(S) = H1_*, so its Sha(empty)
+    # h1_star and Sha(S) share one kernel over the cyclic subgroups; each
+    # parse walks the cyclic subgroups of its new group once, for PlaceModel,
+    # and h1_star reads them off the group; the same document parsed again
+    # takes no kernel; mu8 has a nonzero Sha(S) = H1_*, so its Sha(empty)
     # takes one more kernel each time, the V4 model on Z/2 none
     root = os.path.dirname(os.path.dirname(__file__))
     cases = [(os.path.join(root, "sample_inputs", "mu8.json"), 1),
@@ -394,7 +395,24 @@ def test_a_modules_op_takes_h1_star_once_per_h1(monkeypatch):
                 assert _modules_op(doc) == want
                 assert kernels.count(cyclic) == (1 if first else 0), path
                 assert len(kernels) == int(first) + others, path
-                assert len(walks) == (2 if first else 1), path
+                assert len(walks) == 1, path
+
+
+def test_a_verdict_looks_h1_star_up_once(monkeypatch):
+    # verdict fetches H1_* once and hands it to the Sha(K) of every distinct
+    # K = T & S; over the label subsets of the V4 model on Z/8, S = {p0, p2}
+    # gives four distinct K, which took one lookup each before
+    calls = []
+    real = locglob.models.h1_star
+    monkeypatch.setattr(locglob.models, "h1_star",
+                        lambda module: calls.append(module) or real(module))
+    root = os.path.dirname(os.path.dirname(__file__))
+    model = parse_model(load_document(os.path.join(root, "tests", "data",
+                                                   "v4_z8_two_full_labels.json")))
+    labels = sorted(model.labels)
+    verdict(model, [c for r in range(len(labels) + 1) for c in combinations(labels, r)])
+    assert finite_support_bound(model) == frozenset({"p0", "p2"})
+    assert len(calls) == 1
 
 
 def test_hasse_failure_with_cyclic_decomposition_everywhere():

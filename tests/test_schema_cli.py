@@ -119,6 +119,63 @@ def test_parse_errors_name_the_entry(field, value, message):
     assert str(err.value) == message
 
 
+def _doc(order, table, factors, action, **rest):
+    return dict(order=order, table=table, invariant_factors=factors,
+                action={str(g): mat for g, mat in enumerate(action)}, **rest)
+
+
+_V4 = [0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0]
+_LOOP3 = [0, 1, 2, 1, 0, 1, 2, 2, 0]     # identity and right inverses, not associative
+_I2 = [1, 0, 0, 1]
+_MU8 = [[1], [3], [5], [7]]
+
+
+@pytest.mark.parametrize("doc,message", [
+    # GroupTable; a table of the wrong shape is refused by its size first
+    (_doc(2, [0, 1, 1], [2], [[1]] * 2), "table must hold 4 integers, got 3"),
+    (_doc(2, [1, 0, 0, 1], [2], [[1]] * 2), "index 0 is not a two-sided identity"),
+    (_doc(2, [0, 1, 0, 1], [2], [[1]] * 2), "index 0 is not a two-sided identity"),  # column
+    (_doc(2, [0, 1, 1, 1], [2], [[1]] * 2), "element 1 has no right inverse"),
+    (_doc(3, _LOOP3, [2], [[1]] * 3), "table is not associative"),
+    # GModule; a missing matrix is named before any is built
+    (_doc(4, _V4, [8], _MU8[:3]), "action is missing element 3"),
+    (_doc(4, _V4, [8], [[3], [3], [5], [7]]), "identity element must act trivially"),
+    (_doc(4, _V4, [2, 4], [_I2, _I2, _I2, [1, 0, 1, 1]]),       # 3 = 1 * 2, no generator
+     "action matrix 3 is not compatible with the moduli"),
+    # FinAb
+    (_doc(2, [0, 1, 1, 0], [1], [[1]] * 2), "invariant factors must be >= 2"),
+    (_doc(2, [0, 1, 1, 0], [2, 3], [_I2] * 2), "invariant factors must form a divisibility chain"),
+    # PlaceModel
+    (_doc(4, _V4, [8], _MU8, designated={"2": [0, 1]}, archimedean=["inf"]),
+     "archimedean label 'inf' has no designated subgroup"),
+    (_doc(4, _V4, [8], _MU8, designated={"inf": [0, 1, 2, 3]}, archimedean=["inf"]),
+     "archimedean place 'inf' must have order <= 2"),
+    # two checks broken at once: the one that runs first is reported
+    (_doc(3, _LOOP3, [2, 3], [_I2] * 3), "table is not associative"),
+    (_doc(4, _V4, [2, 4], [[1, 0, 0, 3], _I2, [1, 0, 1, 1], _I2]),
+     "action matrix 2 is not compatible with the moduli"),
+])
+def test_intake_messages_are_pinned(doc, message):
+    with pytest.raises(InputError) as err:
+        parse_model(doc)
+    assert str(err.value) == message
+
+
+def test_constructor_messages_behind_the_schema():
+    # the schema builds the table and the action to size, so these two
+    # checks only answer callers that build the values themselves
+    from locglob.abelian import FinAb
+    from locglob.gmodules import GModule
+    from locglob.groups import GroupTable, klein_four_group
+    for build, message in [
+            (lambda: GroupTable(2, ((0, 1), (1,))), "multiplication table has wrong shape"),
+            (lambda: GModule(klein_four_group(), FinAb((8,)), (((1,),),) * 3),
+             "need one action matrix per group element")]:
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_action_check_names_the_first_failing_pair():
     # GModule multiplies the reduced matrices; on compatible actions whose
     # entries are lifted by multiples of the moduli it names the same first

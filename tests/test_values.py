@@ -60,7 +60,7 @@ CLASSES = {
     "LatticeQuotient": (lambda: lattice_quotient([[1, 0], [0, 1]], [[2, 0], [0, 4]], 2),
                         ("x_p", "x_d", "w_p", "factors_all", "invariant_factors", "basis",
                          "representatives"), ()),
-    "GroupTable": (klein_four_group, ("order", "table"), ("_gens",)),
+    "GroupTable": (klein_four_group, ("order", "table"), ("_gens", "_places")),
     "SubgroupSpec": (lambda: cyclic_subgroups(klein_four_group())[1],
                      ("elements", "generator"), ()),
     "GModule": (_module, ("group", "space", "action"), ()),
@@ -168,6 +168,14 @@ def test_copy_and_pickle_keep_the_value(build, name):
     obj = build(name)
     assert copy.copy(obj) == obj
     assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_a_module_keeps_the_hash_of_its_compared_fields():
+    # GModule computes its hash once, at construction, as the default one
+    # would be: the hash of the compared fields as one tuple
+    module = _module()
+    assert hash(module) == hash((module.group, module.space, module.action))
+    assert hash(pickle.loads(pickle.dumps(module))) == hash(module)
 
 
 def test_repr_names_the_compared_fields():
