@@ -44,8 +44,6 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
     import random
     rng = random.Random(0xC0FFEE ^ n)
     while True:
@@ -74,8 +72,6 @@ def factorize(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -464,8 +464,6 @@ def rational_nth_root(q, n: int) -> Fraction | None:
 
 
 def _int_nth_root(x: int, n: int) -> int | None:
-    if n == 1:
-        return x
     if n == 2:
         r = isqrt(x)
         return r if r * r == x else None
@@ -605,8 +603,6 @@ def square_class_approximate(targets: dict) -> Fraction:
             other = m_all // m
             x += r * other * pow(other, -1, m)
         mult = x % m_all
-        if mult == 0:
-            mult = m_all
     out = base * mult
     for v, t in norm.items():
         if not is_nth_power(out * t, 2, v):

@@ -496,6 +496,26 @@ def test_weak_approx_mu2_constructive():
     assert any(p == "inf" for p, _, _ in w_inf.witnesses)
 
 
+def test_weak_approx_witnesses_at_2_and_at_a_label_that_is_no_prime():
+    # at 2 the square classes are generated by 3, 5 and 2; each witness x
+    # puts g's class at its place v0 and the square class at every other
+    # place of T.  A label that names no place has no witnesses.
+    grp = klein_four_group()
+    module = trivial_action_module(grp, FinAb((2,)))
+    chi = trivial_character(grp, 2)
+    model = PlaceModel(module, {"2": (0,), "5": (0,), "x": (0,)}, frozenset())
+    T = {"2", "5"}
+    w = weak_approx_verdict(model, chi, T)
+    assert w.surjective
+    assert [(v0, g) for v0, g, _ in w.witnesses] == [("2", 3), ("2", 5), ("2", 2),
+                                                     ("5", 2), ("5", 5)]
+    for v0, g, x in w.witnesses:
+        for label in T:
+            assert is_nth_power(x * g if label == v0 else x, 2, Place.parse(label)), (v0, g)
+    w_x = weak_approx_verdict(model, chi, {"x", "5"})
+    assert w_x.surjective and w_x.witnesses == ()
+
+
 def _singular_witness_by_search(model, sha):
     """Least member of Sha(T) restricting nontrivially at some place of T:
     every member tested at every place of T, support_set not read."""

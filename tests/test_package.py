@@ -63,19 +63,20 @@ def test_import_loads_no_submodule():
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _DZ = ("--curve=-15,5,10", "--point", "1561/144,19459/1728")
-_NO_CODEGEN = ("dataclasses", "inspect")
+_ABSENT = ("dataclasses", "inspect", "numpy")
 
 
 @pytest.mark.parametrize("args,absent", [
-    (("h1", "--input", "sample_inputs/mu8.json"), _NO_CODEGEN + ("fractions",)),
-    (("hasse", "--input", "sample_inputs/mu8.json"), _NO_CODEGEN + ("fractions",)),
-    (("power", "--a", "16", "--n", "8", "--p", "7"), _NO_CODEGEN),
-    (("ec-div", *_DZ, "--k", "2", "--place", "3"), _NO_CODEGEN),
+    (("h1", "--input", "sample_inputs/mu8.json"), _ABSENT + ("fractions",)),
+    (("hasse", "--input", "sample_inputs/mu8.json"), _ABSENT + ("fractions",)),
+    (("power", "--a", "16", "--n", "8", "--p", "7"), _ABSENT),
+    (("ec-div", *_DZ, "--k", "2", "--place", "3"), _ABSENT),
 ], ids=["h1", "hasse", "power", "ec-div"])
 def test_command_loads_no_class_code_generator(args, absent):
     # defining a value class generates no code, so no command imports
     # dataclasses or inspect (with ast, dis and tokenize under it) at a cold
-    # start; h1 and hasse build no Fraction, so they load no fractions
+    # start; no command loads numpy, which only the tests use; h1 and hasse
+    # build no Fraction, so they load no fractions
     code = ("import sys\n"
             "from locglob.cli import main\n"
             "main(sys.argv[1:])\n"

@@ -501,8 +501,6 @@ def test_order_400_cyclic_document_exits_0(command):
 
 
 _DZ = ("ec-div", "--curve=-15,5,10", "--point", "1561/144,19459/1728")
-_DZ_SCALED = ("ec-div", "--curve=-15/10000,5/10000,10/10000",
-              "--point", "1561/1440000,19459/1728000000")
 _EC_DIV = _DZ + ("--k", "2", "--place", "3")
 
 
@@ -929,64 +927,132 @@ def test_precision_env_override():
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("args,expected", [
-    (["h1"], "mu8_h1.json"),
-    (["h1star"], "mu8_h1star.json"),
-    (["hasse", "--t", "2", "--t", "inf"], "mu8_hasse_t2_tinf.json"),
-], ids=["h1", "h1star", "hasse"])
-def test_mu8_reports_are_pinned(monkeypatch, capsys, args, expected):
-    """The JSON reports on the sample input, byte for byte, so that a change
-    of representatives or witnesses shows."""
+def _json(*argv):
+    return [*argv, "--format", "json"]
+
+
+_MU8 = ("--input", "sample_inputs/mu8.json")
+_V4_Z8 = ("--input", "tests/data/v4_z8_two_full_labels.json")
+_DZ_SCALED = ("ec-div", "--curve=-15/10000,5/10000,10/10000",
+              "--point", "1561/1440000,19459/1728000000")
+_DZ_PLUS_T = ("ec-div", "--curve=-15,5,10", "--point=16185/3721,-1914000/226981")
+_ORIGIN = ("ec-div", "--curve=-15,5,10", "--point", "inf")
+
+# (argv, pinned file in tests/data, exit code): each report byte for byte,
+# so that a change of representatives, witnesses, digits or precision
+# shows.  A new pin is one row; argv paths are relative to the repository.
+PINNED = [
+    # the sample input mu8, where strong Hasse fails at T = {2}
+    (_json("h1", *_MU8), "mu8_h1.json", 0),
+    (_json("h1star", *_MU8), "mu8_h1star.json", 0),
+    (_json("hasse", *_MU8, "--t", "2", "--t", "inf"), "mu8_hasse_t2_tinf.json", 1),
+    # mu8 with seven labelled primes; queries with and without the one
+    # non-cyclic label 2
+    (_json("hasse", "--input", "tests/data/mu8_seven_labels.json", "--t", "2", "--t", "3,5",
+           "--t", "2,3,17", "--t", "2,3,5,7,11,13,17"), "mu8_seven_labels_hasse.json", 1),
+    # V4 acting trivially on Z/2: |H1| = 4 and H1_* = 0 with S = {v}, so
+    # every Sha(T) is read off the one kernel of Sha(S)
+    (_json("hasse", "--input", "tests/data/v4_trivial_z2.json", "--t", "v", "--t", "v,w"),
+     "v4_trivial_z2_hasse.json", 0),
+    # V4 acting on Z/8 by the units, the whole group at p0 and p2: S = {p0, p2}
+    # and Sha(S) != 0; the queries repeat {p0, p2}, once reversed
+    (_json("hasse", *_V4_Z8, "--t", "p0,p2", "--t", "p2,p0", "--t", "p1", "--t", "p0,p2",
+           "--t", "p3,p2,p0", "--t", "p0", "--t", "p2", "--t", ""),
+     "v4_z8_two_full_labels_hasse.json", 1),
+    # the same module: its Z1 system takes a pivot of 2 and a column swap
+    # while it clears a pivot row (`families._random_module_pool()[22]`),
+    # and H1 = H1_* = Z/2
+    (_json("h1", *_V4_Z8), "v4_z8_two_full_labels_h1.json", 0),
+    (_json("h1star", *_V4_Z8), "v4_z8_two_full_labels_h1star.json", 0),
+    (_json("hasse", *_V4_Z8), "v4_z8_two_full_labels_hasse_no_queries.json", 1),
+    # H1_* of V4 on (Z/4)^2 is (Z/2)^2: its representatives depend on the
+    # basis of the restriction kernel
+    (_json("h1star", "--input", "tests/data/v4_z4_squared.json"),
+     "v4_z4_squared_h1star.json", 0),
+    # C2 acting by -1 on Z/70492, at the edge of the built-in check's rule
+    (_json("h1", "--input", "tests/data/c2_minus_one_z70492.json"),
+     "c2_minus_one_z70492_h1.json", 0),
+    # the trivial group on Z/4 and V4 on the zero module: cocycle systems
+    # with no unknowns
+    (_json("h1", "--input", "tests/data/trivial_group_z4.json"), "trivial_group_z4_h1.json", 0),
+    (_json("h1star", "--input", "tests/data/trivial_group_z4.json"),
+     "trivial_group_z4_h1star.json", 0),
+    (_json("hasse", "--input", "tests/data/trivial_group_z4.json"),
+     "trivial_group_z4_hasse.json", 0),
+    (_json("h1", "--input", "tests/data/v4_zero_module.json"), "v4_zero_module_h1.json", 0),
+    (_json("h1star", "--input", "tests/data/v4_zero_module.json"),
+     "v4_zero_module_h1star.json", 0),
+    (_json("hasse", "--input", "tests/data/v4_zero_module.json", "--t", "v"),
+     "v4_zero_module_hasse.json", 0),
+    # the Grunwald-Wang kernel with its witness 16, and a trivial one
+    (["gw", "--n", "8", "--places", "2"], "gw_n8_places_2.txt", 0),
+    (_json("gw", "--n", "24", "--places", "3"), "gw_n24_places_3.json", 0),
+    (["hilbert", "--a", "3", "--b", "5", "--p", "5"], "hilbert_3_5_p5.txt", 0),
+    (["quadroots", "--quadratics", "0,1;0,5;0,-5", "--place", "2"], "quadroots_2.txt", 1),
+    (["power", "--a", "16", "--n", "8", "--p", "2"], "power_16_8_2.txt", 1),
+    # a 7-adic 8th root of 16, and roots seeded mod p^(2t+1), t = v_p(n) >= 1
+    (_json("power", "--a", "16", "--n", "8", "--p", "7", "--root"), "power_16_8_7_root.json", 0),
+    (_json("power", "--a", "28", "--n", "9", "--p", "3", "--root"), "power_28_9_3_root.json", 0),
+    (_json("power", "--a", "17", "--n", "4", "--p", "2", "--root"), "power_17_4_2_root.json", 0),
+    ([*_DZ, "--k", "2", "--place", "2"], "ec_div_dz_k2_place_2.txt", 1),
+    # the halves of the Dvornicich-Zannier point P: their digits and precision
+    ([*_DZ, "--k", "1", "--halves", "--place", "2"], "ec_div_dz_k1_halves_2.txt", 0),
+    ([*_DZ, "--k", "1", "--halves", "--place", "3"], "ec_div_dz_k1_halves_3.txt", 0),
+    ([*_DZ, "--k", "1", "--halves", "--place", "5"], "ec_div_dz_k1_halves_5.txt", 0),
+    ([*_DZ, "--k", "1", "--halves", "--place", "inf"], "ec_div_dz_k1_halves_inf.txt", 0),
+    ([*_DZ, "--k", "1", "--halves", "--place", "global"],
+     "ec_div_dz_k1_halves_global.txt", 0),
+    # on the curve scaled by 1/100, whose real halves have y^2 below 1e-6
+    ([*_DZ_SCALED, "--k", "1", "--halves", "--place", "inf"],
+     "ec_div_dz_scaled_k1_halves_inf.txt", 0),
+    ([*_DZ_SCALED, "--k", "1", "--halves", "--place", "global"],
+     "ec_div_dz_scaled_k1_halves_global.txt", 0),
+    # the halves of the origin: the only reports that print the point at
+    # infinity and a zero p-adic coordinate, O(3^oo)
+    ([*_ORIGIN, "--k", "1", "--halves", "--place", "3"],
+     "ec_div_origin_k1_halves_3.txt", 0),
+    ([*_ORIGIN, "--k", "1", "--halves", "--place", "global"],
+     "ec_div_origin_k1_halves_global.txt", 0),
+    # sweeps of P: at k = 1 every place decides by the square test; at
+    # k = 3 four places answer no, some after the descent has explored part
+    # of the halving tree; at k = 600 the good odd primes stop at their
+    # depth cap and the bad prime 5 descends all the way
+    (_json(*_DZ, "--k", "1", "--sweep", "997"), "ec_div_dz_k1_sweep_997.json", 0),
+    (_json(*_DZ, "--k", "2", "--sweep", "997"), "ec_div_dz_sweep_997.json", 1),
+    (_json(*_DZ, "--k", "3", "--sweep", "199"), "ec_div_dz_k3_sweep_199.json", 1),
+    (_json(*_DZ, "--k", "600", "--sweep", "97"), "ec_div_dz_k600_sweep_97.json", 1),
+    # sweeps of P + (-15, 0): at k = 1 both verdicts, reducing to the origin
+    # at 61; at k = 2 and 3 most good odd primes refuse it by the residue
+    # test alone, and at k = 2 it is 4-divisible at 8 of the 169 places
+    (_json(*_DZ_PLUS_T, "--k", "1", "--sweep", "997"), "ec_div_dz_plus_t_k1_sweep_997.json", 1),
+    (_json(*_DZ_PLUS_T, "--k", "2", "--sweep", "997"), "ec_div_dz_plus_t_k2_sweep_997.json", 1),
+    (_json(*_DZ_PLUS_T, "--k", "3", "--sweep", "199"), "ec_div_dz_plus_t_k3_sweep_199.json", 1),
+    (_json("reproduce"), "reproduce.json", 0),
+]
+# the first row of each subcommand, which also runs in a subprocess
+_IN_SUBPROCESS = {argv[0]: name for argv, name, _ in reversed(PINNED)}
+
+
+@pytest.mark.parametrize("argv,expected,code", PINNED,
+                         ids=[name.rsplit(".", 1)[0] for _, name, _ in PINNED])
+def test_reports_are_pinned(monkeypatch, capsys, argv, expected, code):
+    """The row's report through `cli.main`, byte for byte, with its exit
+    status; the first row of each subcommand also through `python -m
+    locglob`, the entry point a user runs."""
     from locglob.cli import main
     monkeypatch.chdir(REPO)
-    code = main([args[0], "--input", "sample_inputs/mu8.json", "--format", "json"] + args[1:])
-    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == (1 if args[0] == "hasse" else 0)
+    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
+    with open(os.path.join(REPO, "tests", "data", expected), "rb") as fh:
+        pinned = fh.read()
+    assert (main(argv), capsys.readouterr().out.encode()) == (code, pinned)
+    if _IN_SUBPROCESS[argv[0]] == expected:
+        proc = subprocess.run([sys.executable, "-m", "locglob", *argv], capture_output=True)
+        assert (proc.returncode, proc.stdout) == (code, pinned), proc.stderr
 
 
-def test_mu8_seven_labels_report_is_pinned(monkeypatch, capsys):
-    """The JSON hasse report on mu8 with seven labelled primes, byte for
-    byte, for queries with and without the one non-cyclic label 2."""
-    from locglob.cli import main
-    monkeypatch.chdir(REPO)
-    code = main(["hasse", "--input", "tests/data/mu8_seven_labels.json", "--format", "json",
-                 "--t", "2", "--t", "3,5", "--t", "2,3,17", "--t", "2,3,5,7,11,13,17"])
-    with open(os.path.join(REPO, "tests", "data", "mu8_seven_labels_hasse.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 1
-
-
-def test_v4_trivial_z2_report_is_pinned(monkeypatch, capsys):
-    """The JSON hasse report on V4 acting trivially on Z/2, byte for byte:
-    |H1| = 4 and H1_* = 0 with S = {v}, so every Sha(T) is read off the one
-    kernel of Sha(S)."""
-    from locglob.cli import main
-    monkeypatch.chdir(REPO)
-    code = main(["hasse", "--input", "tests/data/v4_trivial_z2.json",
-                 "--t", "v", "--t", "v,w", "--format", "json"])
-    with open(os.path.join(REPO, "tests", "data", "v4_trivial_z2_hasse.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 0
-
-
-def test_v4_z8_two_full_labels_report_is_pinned(monkeypatch, capsys):
-    """The JSON hasse report on V4 acting on Z/8 by the units, with the whole
-    group at p0 and p2, byte for byte: S = {p0, p2} and Sha(S) != 0, and the
-    queries repeat {p0, p2}, once with its labels reversed."""
-    from locglob.cli import main
-    monkeypatch.chdir(REPO)
-    code = main(["hasse", "--input", "tests/data/v4_z8_two_full_labels.json",
-                 "--t", "p0,p2", "--t", "p2,p0", "--t", "p1", "--t", "p0,p2",
-                 "--t", "p3,p2,p0", "--t", "p0", "--t", "p2", "--t", "", "--format", "json"])
-    with open(os.path.join(REPO, "tests", "data", "v4_z8_two_full_labels_hasse.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 1
-
-
-def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
-    """The JSON h1 report on C2 acting by -1 on Z/70492, byte for byte: the
-    built-in check's price is within 0.01% of its limit, and the check runs."""
+def test_h1_at_the_edge_of_the_check_rule_runs_the_check_once(monkeypatch):
+    """h1 on C2 acting by -1 on Z/70492, a row of PINNED: the built-in
+    check's price is within 0.01% of its limit, and the check runs once."""
     from locglob import cohomology, oracles
     from locglob.cli import main
     monkeypatch.chdir(REPO)
@@ -997,120 +1063,26 @@ def test_h1_report_at_the_edge_of_the_check_rule_is_pinned(monkeypatch, capsys):
     brute = oracles.brute_force_h1
     monkeypatch.setattr(oracles, "brute_force_h1", lambda m: checked.append(m) or brute(m))
     monkeypatch.setattr(cohomology, "_H1_CACHE", {})
-    code = main(["h1", "--input", path, "--format", "json"])
-    with open(os.path.join(REPO, "tests", "data", "c2_minus_one_z70492_h1.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 0 and len(checked) == 1
+    assert main(["h1", "--input", path]) == 0 and len(checked) == 1
 
 
-@pytest.mark.parametrize("curve,place", [("dz", v) for v in ("2", "3", "5", "inf", "global")]
-                         + [("dz_scaled", v) for v in ("inf", "global")],
-                         ids=["2", "3", "5", "inf", "global", "scaled-inf", "scaled-global"])
-def test_ec_div_halves_are_pinned(monkeypatch, capsys, curve, place):
-    """The text report with the halves of the Dvornicich-Zannier point, byte
-    for byte, so that a change in the digits or precision of a half shows;
-    also on the curve scaled by 1/100, whose real halves have y^2 below
-    1e-6."""
+def test_an_ec_div_sweep_checks_its_point_once(monkeypatch):
+    # the curve that parses the point checks it; the 169 places of the sweep
+    # read that check and do not repeat it
+    import locglob.elliptic as elliptic
     from locglob.cli import main
-    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    args = _DZ if curve == "dz" else _DZ_SCALED
-    code = main(list(args) + ["--k", "1", "--halves", "--place", place])
-    with open(os.path.join(REPO, "tests", "data",
-                           "ec_div_%s_k1_halves_%s.txt" % (curve, place))) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 0
+    calls = []
+    real = elliptic.Curve.contains
+    monkeypatch.setattr(elliptic.Curve, "contains", lambda c, p: calls.append(p) or real(c, p))
+    assert main([*_DZ, "--k", "1", "--sweep", "997"]) == 0
+    assert len(calls) == 1
 
 
-_DZ_PLUS_T = ("ec-div", "--curve=-15,5,10", "--point=16185/3721,-1914000/226981")
-
-
-@pytest.mark.parametrize("argv,k,bound,expected,exit_code", [
-    (_DZ, "1", "997", "ec_div_dz_k1_sweep_997.json", 0),
-    (_DZ, "2", "997", "ec_div_dz_sweep_997.json", 1),
-    (_DZ, "3", "199", "ec_div_dz_k3_sweep_199.json", 1),
-    (_DZ, "600", "97", "ec_div_dz_k600_sweep_97.json", 1),
-    (_DZ_PLUS_T, "2", "997", "ec_div_dz_plus_t_k2_sweep_997.json", 1),
-    (_DZ_PLUS_T, "3", "199", "ec_div_dz_plus_t_k3_sweep_199.json", 1),
-], ids=["k1_997", "k2_997", "k3_199", "k600_97", "plus_t_k2_997", "plus_t_k3_199"])
-def test_ec_div_sweeps_are_pinned(monkeypatch, capsys, argv, k, bound, expected, exit_code):
-    """The JSON sweep reports of the Dvornicich-Zannier point P and of
-    P + (-15, 0), byte for byte.  At k = 1 every place decides by the square
-    test.  At k = 3 four places answer no for P, some of them after the
-    descent has explored part of the halving tree.  At k = 600 the good odd
-    primes stop at their depth cap and the bad prime 5 descends all the
-    way.  P + (-15, 0) is refused by the residue test at most good odd
-    primes, so at k = 2 and 3 those rows come from the residue gate alone;
-    at k = 2 it is 2^k-divisible at 8 of the 169 places."""
-    from locglob.cli import main
-    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    code = main(list(argv) + ["--k", k, "--sweep", bound, "--format", "json"])
-    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == exit_code
-
-
-_PINNED_REPORTS = [
-    (["gw", "--n", "8", "--places", "2"], "gw_n8_places_2.txt", 0),
-    (["gw", "--n", "24", "--places", "3", "--format", "json"], "gw_n24_places_3.json", 0),
-    (["hilbert", "--a", "3", "--b", "5", "--p", "5"], "hilbert_3_5_p5.txt", 0),
-    (["quadroots", "--quadratics", "0,1;0,5;0,-5", "--place", "2"], "quadroots_2.txt", 1),
-    (["power", "--a", "16", "--n", "8", "--p", "2"], "power_16_8_2.txt", 1),
-    (list(_DZ) + ["--k", "2", "--place", "2"], "ec_div_dz_k2_place_2.txt", 1),
-    # P + (-15, 0): a k = 1 sweep with both verdicts, reducing to the origin at 61
-    (["ec-div", "--curve=-15,5,10", "--point=16185/3721,-1914000/226981", "--k", "1",
-      "--sweep", "997", "--format", "json"], "ec_div_dz_plus_t_k1_sweep_997.json", 1),
-    (["reproduce", "--format", "json"], "reproduce.json", 0),
-    (["h1star", "--input", "tests/data/v4_z4_squared.json", "--format", "json"],
-     "v4_z4_squared_h1star.json", 0),
-] + [([cmd, "--input", "tests/data/v4_z8_two_full_labels.json", "--format", "json"],
-      "v4_z8_two_full_labels_%s.json" % name, code)
-     for cmd, name, code in (("h1", "h1", 0), ("h1star", "h1star", 0),
-                             ("hasse", "hasse_no_queries", 1))
-] + [([cmd, "--input", "tests/data/%s.json" % doc] + (t if cmd == "hasse" else [])
-      + ["--format", "json"], "%s_%s.json" % (doc, cmd), 0)
-     for doc, t in (("trivial_group_z4", []), ("v4_zero_module", ["--t", "v"]))
-     for cmd in ("h1", "h1star", "hasse")]
-
-
-@pytest.mark.parametrize("argv,expected,code", _PINNED_REPORTS,
-                         ids=[name.rsplit(".", 1)[0] for _, name, _ in _PINNED_REPORTS])
-def test_reports_are_pinned(monkeypatch, capsys, argv, expected, code):
-    """One report of each remaining subcommand, byte for byte, with its
-    exit status.  H1_* of V4 on (Z/4)^2 is (Z/2)^2, so its printed
-    representatives depend on the basis of the restriction kernel.  The Z1
-    system of V4 on Z/8 by the units takes a pivot of 2 and a column swap
-    while it clears a pivot row (`families._random_module_pool()[22]` is
-    the same module), and H1 = H1_* = Z/2 there.  The
-    trivial group on Z/4 and V4 on the zero module give cocycle systems
-    with no unknowns."""
-    from locglob.cli import main
-    monkeypatch.chdir(REPO)
-    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    assert main(argv) == code
-    with open(os.path.join(REPO, "tests", "data", expected)) as fh:
-        assert capsys.readouterr().out == fh.read()
-
-
-def test_power_root_is_pinned(monkeypatch, capsys):
-    """The JSON report with a 7-adic 8th root of 16, byte for byte."""
-    from locglob.cli import main
-    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    code = main(["power", "--a", "16", "--n", "8", "--p", "7", "--root", "--format", "json"])
-    with open(os.path.join(REPO, "tests", "data", "power_16_8_7_root.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 0
-
-
-@pytest.mark.parametrize("a,n,p", [("28", "9", "3"), ("17", "4", "2")])
-def test_power_root_with_p_dividing_n_is_pinned(monkeypatch, capsys, a, n, p):
-    """Roots seeded mod p^(2t+1), t = v_p(n) >= 1, byte for byte."""
-    from locglob.cli import main
-    monkeypatch.delenv("LOCGLOB_PRECISION", raising=False)
-    code = main(["power", "--a", a, "--n", n, "--p", p, "--root", "--format", "json"])
-    path = os.path.join(REPO, "tests", "data", "power_%s_%s_%s_root.json" % (a, n, p))
-    with open(path) as fh:
-        assert capsys.readouterr().out == fh.read()
-    assert code == 0
+@pytest.mark.parametrize("script", ["gw_table.py", "divisibility_table.py"])
+def test_table_scripts_run(script):
+    proc = subprocess.run([sys.executable, os.path.join("scripts", script)], cwd=REPO,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout
 
 
 def test_ec_div_precision_above_the_ceiling_is_refused(capsys):
@@ -1133,11 +1105,12 @@ def test_reproduce_green_and_deterministic():
 
 
 def test_oracle_golden_text_equals_the_golden_file():
-    # the search oracles write golden.json byte for byte
+    # run as a script, the search oracles print golden.json byte for byte
     from importlib import resources
-    from search_oracles import golden_text, oracle_golden
     golden = resources.files("locglob").joinpath("data/golden.json").read_bytes()
-    assert golden_text(oracle_golden()).encode() == golden
+    proc = subprocess.run([sys.executable, os.path.join("tests", "search_oracles.py")],
+                          cwd=REPO, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (0, golden), proc.stderr
 
 
 def test_reproduce_tampered_golden(tmp_path):
