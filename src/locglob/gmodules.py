@@ -25,40 +25,47 @@ class GModule(Value):
     bijective.  By induction on the length of h as a product
     (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
     rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
-    The hash is computed once, at construction: `cohomology._H1_CACHE`
-    looks it up on every H1 query.
+    _h1 keeps the module's H1 (`cohomology.h1`), outside equality like
+    `GroupTable._places`: only the first H1 query of a module object hashes
+    it and looks `_H1_CACHE` up.
     """
 
-    __slots__ = ("group", "space", "action", "_hash")
+    __slots__ = ("group", "space", "action", "_h1")
     _compare = ("group", "space", "action")
 
     def __init__(self, group: GroupTable, space: FinAb, action: tuple):
-        m = group.order
-        if len(action) != m:
+        if len(action) != group.order:
             raise InputError("need one action matrix per group element")
-        act = tuple(tuple(tuple(map(int, row)) for row in mat) for mat in action)
+        try:                # each distinct matrix as given is read once
+            distinct = dict.fromkeys(action)
+        except TypeError:   # a matrix or a row given as a list
+            action = [tuple(map(tuple, mat)) for mat in action]
+            distinct = dict.fromkeys(action)
+        ints = {mat: tuple([tuple(map(int, row)) for row in mat]) for mat in distinct}
+        act = tuple(map(ints.__getitem__, action))
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "action", act)
         d = space.invariant_factors
-        red = {}            # each distinct matrix, checked once and reduced
-        for mat in dict.fromkeys(act):
-            if not matrix_is_compatible(mat, space):
+        one = tuple(map(tuple, identity_matrix(space.rank)))     # reduced, as d_i >= 2
+        red = {}            # each distinct matrix, checked and reduced
+        for mat, rows in ints.items():
+            if rows != one and not matrix_is_compatible(rows, space):
                 raise InputError("action matrix %d is not compatible with the moduli"
-                                 % act.index(mat))
-            red[mat] = mat_mod(mat, d)
-        if red[act[0]] != tuple(map(tuple, identity_matrix(space.rank))):    # d_i >= 2
+                                 % action.index(mat))
+            red[mat] = one if rows == one else mat_mod(rows, d)
+        if red[action[0]] != one:
             raise InputError("identity element must act trivially")
         index = {}          # number the distinct reduced matrices; ids[g] is that of action[g]
         number = {mat: index.setdefault(red[mat], len(index)) for mat in red}
-        ids = list(map(number.__getitem__, act))
+        ids = list(map(number.__getitem__, action))
         # compatible matrices may be reduced before multiplying: a[i][k] d_k
         # = 0 mod d_i, so changing b[k][j] by a multiple of d_k leaves row i
         # of a b unchanged mod d_i.  products[i][j] numbers the product of
         # reduced matrix i by generator j, None if it is no action matrix;
         # matrix 0 is the identity, so a product with it is the other factor.
         gens = group.generating_set()
-        cols = [(ids[s], tuple(zip(*red[act[s]]))) for s in gens]
+        cols = [(ids[s], tuple(zip(*red[action[s]]))) for s in gens]
         products = [[j for j, _ in cols]] + [
             [i if j == 0 else index.get(tuple([tuple([sum(map(mul, row, col)) % di for col in cs])
                                                for row, di in zip(rows, d)])) for j, cs in cols]
@@ -68,10 +75,7 @@ class GModule(Value):
             for j, s in enumerate(gens):
                 if prod[j] != ids[row[s]]:
                     raise InputError("action is not a homomorphism at (%d, %d)" % (g, s))
-        object.__setattr__(self, "_hash", hash((group, space, act)))
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_h1", None)
 
     def act(self, g: int, vec) -> tuple:
         return apply_matrix(self.action[g], vec, self.space)

@@ -35,7 +35,7 @@ class GroupTable(Value):
         object.__setattr__(self, "_places", None)
         if m < 1:
             raise InputError("group order must be >= 1")
-        if len(t) != m or any(len(row) != m for row in t):
+        if len(t) != m or set(map(len, t)) != {m}:
             raise InputError("multiplication table has wrong shape")
         entries = set().union(*t)
         if min(entries) < 0 or max(entries) >= m:
@@ -131,34 +131,34 @@ class SubgroupSpec(Value):
         return len(self.elements)
 
 
-def cyclic_subgroups(group: GroupTable) -> list[SubgroupSpec]:
-    """Every distinct cyclic subgroup exactly once, trivial one included.
-
-    Deduplicates by element-set equality; the chosen generator is the least
-    element generating the subgroup, whose elements are its powers g, g^2,
-    ... up to the first that is 0.
-    """
+def _cyclic_walk(group: GroupTable) -> dict:
+    """Each nontrivial cyclic subgroup once, by element set and then stably
+    by order: its sorted powers g, g^2, ... up to the first that is 0,
+    mapped to the least g that generates it.  Row g walks the powers."""
     seen = {}
-    table = group.table
-    for g in range(group.order):
+    for g in range(1, group.order):
+        row = group.table[g]
         powers = [0]
         x = g
         while x:
             powers.append(x)
-            x = table[x][g]
+            x = row[x]
         seen.setdefault(tuple(sorted(powers)), g)
-    # by element set, then stably by order
-    return [SubgroupSpec(elems, seen[elems]) for elems in sorted(sorted(seen), key=len)]
+    return {elems: seen[elems] for elems in sorted(sorted(seen), key=len)}
+
+
+def cyclic_subgroups(group: GroupTable) -> list[SubgroupSpec]:
+    """Every distinct cyclic subgroup exactly once, the trivial one first,
+    then in the order of `_cyclic_walk`."""
+    return [SubgroupSpec((0,), 0)] + [SubgroupSpec(*z) for z in _cyclic_walk(group).items()]
 
 
 def generic_places(group: GroupTable) -> tuple:
-    """The element tuples of the nontrivial cyclic subgroups, in the order
-    of cyclic_subgroups: the generic places of every place model over the
-    group, and the subgroups whose restriction kernel is H1_*; walked once
-    per group and kept on it."""
+    """The element tuples of the nontrivial cyclic subgroups in the order of
+    cyclic_subgroups, the generic places of every model over the group and
+    the subgroups that cut out H1_*: one `_cyclic_walk` per group, kept."""
     if group._places is None:
-        object.__setattr__(group, "_places", tuple(
-            z.elements for z in cyclic_subgroups(group) if z.order > 1))
+        object.__setattr__(group, "_places", tuple(_cyclic_walk(group)))
     return group._places
 
 

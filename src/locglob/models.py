@@ -10,7 +10,7 @@ conditions, labeled places their designated subgroups.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from .abelian import Subgroup, subgroup_from_generators, subgroup_intersection
 # h1 is not called here: perfbench's tracer test checks that it rebinds models.h1
@@ -177,14 +177,20 @@ def verdict(model: PlaceModel, queries) -> Verdict:
     inside T.  Hence T is singular iff Sha(K) has a nonempty support set,
     and each distinct K takes one Sha group and at most one witness search.
     H1_* is looked up once; the labels of all queries are checked as one
-    set, and query by query only to name the first that fails."""
+    set, and query by query only when one is not a label.  A zero
+    H1_* answers at once: every Sha(T) lies in Sha(S) = H1_*, so is zero."""
     S = model.support_bound
-    keys = [tuple(sorted(map(str, T))) for T in queries]
-    if not model.labels.issuperset(chain.from_iterable(keys)):
+    queries = list(queries)
+    if model.labels.issuperset(chain.from_iterable(queries)):    # labels of the model, all str
+        keys = list(map(tuple, map(sorted, queries)))
+    else:       # labels read with str(), checked query by query to name the first
+        keys = [tuple(sorted(map(str, T))) for T in queries]
         for key in keys:
             _check_labels(model, key)
-    parts = [S.intersection(key) for key in keys] if S else [S] * len(keys)
     star = h1_star(model.module)
+    if star.is_trivial():
+        return Verdict(True, True, tuple(zip(keys, repeat(False))), ())
+    parts = [S.intersection(key) for key in keys] if S else [S] * len(keys)
     shas = {}
     for K in dict.fromkeys([frozenset(), S] + parts):
         members, support = _sha_parts(model, K, star)

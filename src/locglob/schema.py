@@ -28,6 +28,7 @@ ignore them unchecked.  Only `parse_chi` reads and validates them.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import InputError
 
@@ -84,16 +85,25 @@ def _int(value, field: str, bound: int | None = None) -> int:
 
 def _ints(value, field: str, size: int | None = None, bound: int | None = None) -> tuple:
     """value as a list of ints read by _int, of the given size if one is given.
-    A list of plain ints within the bound is taken as it is; any other list
-    goes through _int entry by entry, for its message."""
+    A list of plain ints within the bound is taken as it is (_plain); any
+    other list goes through _int entry by entry, for its message."""
     if not isinstance(value, list):
         raise InputError("%s must be a list of integers" % field)
     if size is not None and len(value) != size:
         raise InputError("%s must hold %d integers, got %d" % (field, size, len(value)))
-    if set(map(type, value)) <= {int} and (
-            bound is None or not value or 0 <= min(value) and max(value) < bound):
+    if _plain([value], None, bound):
         return tuple(value)
     return tuple(_int(x, field + " entry", bound) for x in value)
+
+
+def _plain(values: list, size: int | None, bound: int | None) -> bool:
+    """Whether _ints takes every value as it is, a list of plain ints of the
+    given size and within the bound if any: one pass for a clean document."""
+    if set(map(type, values)) != {list} or size is not None and set(map(len, values)) != {size}:
+        return False
+    flat = list(chain.from_iterable(values))
+    return set(map(type, flat)) <= {int} and (
+        bound is None or not flat or 0 <= min(flat) and max(flat) < bound)
 
 
 def parse_group(doc: dict) -> GroupTable:
@@ -122,14 +132,13 @@ def _module(doc: dict, GroupTable, FinAb, GModule) -> GModule:
     if not isinstance(raw, dict):
         raise InputError("action must map element indices to matrices")
     r = space.rank
-    action = []
-    for g in range(group.order):
-        key = str(g)
-        if key not in raw:
-            raise InputError("action is missing element %d" % g)
-        flat = _ints(raw[key], "action matrix for element %d" % g, size=r * r)
-        action.append(tuple(zip(*[iter(flat)] * r)))
-    return GModule(group, space, tuple(action))
+    flats = list(map(raw.get, map(str, range(group.order))))
+    if not _plain(flats, r * r, None):      # element by element, for the message
+        for g in range(group.order):
+            if str(g) not in raw:
+                raise InputError("action is missing element %d" % g)
+            flats[g] = _ints(raw[str(g)], "action matrix for element %d" % g, size=r * r)
+    return GModule(group, space, tuple([tuple(zip(*[iter(flat)] * r)) for flat in flats]))
 
 
 def parse_chi(doc: dict, module: GModule) -> CyclotomicData | None:
@@ -161,9 +170,11 @@ def parse_model(doc: dict) -> PlaceModel:
     if not isinstance(arch, list):
         raise InputError("archimedean must be a list of labels")
     order = module.group.order
-    des = {str(k): _ints(v, "designated subgroup at %r" % str(k), bound=order)
-           for k, v in designated.items()}
-    return models.PlaceModel(module, des, arch)
+    if set(map(type, designated)) != {str} or not _plain(list(designated.values()), None,
+                                                           order):     # label by label
+        designated = {str(k): _ints(v, "designated subgroup at %r" % str(k), bound=order)
+                      for k, v in designated.items()}
+    return models.PlaceModel(module, designated, arch)
 
 
 def parse_curve(text: str) -> Curve:

@@ -294,6 +294,12 @@ def _spy_on_kernels(monkeypatch) -> list:
     return calls
 
 
+def _with_a_new_module(model):
+    """An equal model over an equal but new module object."""
+    m = model.module
+    return PlaceModel(GModule(m.group, m.space, m.action), model.designated, model.archimedean)
+
+
 def test_sha_matches_its_own_stacked_kernel(monkeypatch):
     # Sha(T) of every label subset T has the order, coordinates and support
     # set of its own stacked kernel, and verdict the witnesses read off
@@ -305,7 +311,9 @@ def test_sha_matches_its_own_stacked_kernel(monkeypatch):
         labels = sorted(model.labels)
         queries = [frozenset(c) for r in range(len(labels) + 1)
                    for c in combinations(labels, r)]
+        # an empty cache and a new module object, which keeps no H1 yet
         monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
+        model = _with_a_new_module(model)
         kernels.clear()
         v = verdict(model, queries)
         S = finite_support_bound(model)
@@ -359,14 +367,17 @@ def test_a_modules_op_takes_h1_star_once_per_h1(monkeypatch):
     # h1_star and Sha(S) share one kernel over the cyclic subgroups; each
     # parse walks the cyclic subgroups of its new group once, for PlaceModel,
     # and h1_star reads them off the group; the same document parsed again
-    # takes no kernel; mu8 has a nonzero Sha(S) = H1_*, so its Sha(empty)
-    # takes one more kernel each time, the V4 model on Z/2 none
+    # takes no kernel, and its module is compared with the cached one once,
+    # by its first H1 lookup, which binds that H1 to it; mu8 has a nonzero
+    # Sha(S) = H1_*, so its Sha(empty) takes one more kernel each time, the
+    # V4 model on Z/2 none
     root = os.path.dirname(os.path.dirname(__file__))
     cases = [(os.path.join(root, "sample_inputs", "mu8.json"), 1),
              (os.path.join(root, "tests", "data", "v4_trivial_z2.json"), 0)]
-    kernels, walks = [], []
+    kernels, walks, comparisons = [], [], []
     real_kernel = locglob.cohomology.restriction_kernel
-    real_walk = locglob.groups.cyclic_subgroups
+    real_walk = locglob.groups._cyclic_walk
+    real_eq = GModule.__eq__
 
     def kernel_spy(h, sets):
         kernels.append(list(sets))
@@ -389,13 +400,17 @@ def test_a_modules_op_takes_h1_star_once_per_h1(monkeypatch):
                         for real, spy in ((real_kernel, kernel_spy), (real_walk, walk_spy)):
                             if value is real:
                                 m.setattr(mod, key, spy)
+            m.setattr(GModule, "__eq__", lambda a, b: comparisons.append(b) or real_eq(a, b))
             for first in (True, False):
                 kernels.clear()
                 walks.clear()
-                assert _modules_op(doc) == want
+                comparisons.clear()
+                got = _modules_op(doc)
+                assert len(comparisons) == (0 if first else 1), path
                 assert kernels.count(cyclic) == (1 if first else 0), path
                 assert len(kernels) == int(first) + others, path
                 assert len(walks) == 1, path
+                assert got == want
 
 
 def test_a_verdict_looks_h1_star_up_once(monkeypatch):
@@ -564,7 +579,8 @@ def test_verdict_per_k_matches_the_per_query_oracle(monkeypatch):
     # witnesses equal those of one Sha(T) per query, over every label subset
     # queried once in order, again reversed with each set's labels reversed,
     # and repeated; the support set of every Sha(K) lies inside K, and each
-    # distinct K reaches the witness search at most once per verdict
+    # distinct K reaches the witness search at most once per verdict, none
+    # when H1_* is zero
     import locglob.models
     from search_oracles import verdict_by_queries
     searched = []
@@ -574,7 +590,7 @@ def test_verdict_per_k_matches_the_per_query_oracle(monkeypatch):
         searched.append(sha.excluded)
         return search(model, sha)
     monkeypatch.setattr(locglob.models, "_singular_witness", spy)
-    singular = []
+    singular, zero_star = [], []
     for model in [mu8_seven_label_model(), v4_trivial_z2_model(),
                   _two_full_v4_model()] + seeded_models():
         labels = sorted(model.labels)
@@ -585,12 +601,17 @@ def test_verdict_per_k_matches_the_per_query_oracle(monkeypatch):
         assert (v.t_singular, v.witnesses) == verdict_by_queries(model, queries)
         S = finite_support_bound(model)
         assert len(searched) == len(set(searched))
-        assert set(searched) == {S & frozenset(c) for c in subsets}
+        zero_star.append(h1_star(model.module).is_trivial())
+        if zero_star[-1]:
+            assert searched == []
+        else:
+            assert set(searched) == {S & frozenset(c) for c in subsets}
         for r in range(len(S) + 1):
             for K in combinations(sorted(S), r):
                 assert sha_of_model(model, K).support_set <= frozenset(K)
         singular += [value for _, value in v.t_singular]
     assert singular.count(True) >= 100 and singular.count(False) >= 1000
+    assert zero_star.count(True) >= 10 and zero_star.count(False) >= 10
 
 
 def test_verdict_names_the_first_query_with_unknown_labels():

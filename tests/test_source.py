@@ -233,3 +233,50 @@ def test_no_module_builds_a_restricted_module():
              for line, name in _definitions(ast.parse(path.read_text()))
              if name in _RESTRICTED_MODULE_PATH]
     assert found == []
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _container_bindings(tree):
+    """(line, name) for each name that module-level code binds to a dict,
+    list or set display or comprehension, or to a dict(), list() or set()
+    call: state that outlives the call that fills it.  A tuple of values
+    that holds one binds every name it is unpacked into.  The bodies of
+    functions and classes are not module-level code."""
+    def container(value):
+        return isinstance(value, _CONTAINERS) or isinstance(value, ast.Call) and isinstance(
+            value.func, ast.Name) and value.func.id in ("dict", "list", "set")
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (container(value) or isinstance(
+                value, ast.Tuple) and any(map(container, value.elts))):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+        stack[:0] = [child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)]
+
+
+def test_container_binding_finder():
+    tree = ast.parse("A = {}\nB: dict = {}\nC, D = [], set()\nE = (1, 2)\n"
+                     "F = {k: 1 for k in E}\nif E:\n    G = list(E)\n    H = tuple(E)\n"
+                     "def f():\n    I = []\nclass K:\n    J = {}\n")
+    assert list(_container_bindings(tree)) == [
+        (1, "A"), (2, "B"), (3, "C"), (3, "D"), (5, "F"), (7, "G")]
+
+
+def test_module_state_is_the_export_tables_and_the_h1_cache():
+    # ROADMAP aim 2 asks for no module-level state that outlives a call: the
+    # export tables are filled once, at import, and _H1_CACHE is the one
+    # process-wide cache (ROADMAP item 8), so an H1 kept elsewhere lives on
+    # its module object (GModule._h1)
+    found = sorted("%s.%s" % (path.stem, name)
+                   for path in SRC.glob("*.py")
+                   for _, name in _container_bindings(ast.parse(path.read_text())))
+    assert found == ["__init__._EXPORTS", "__init__._HOME", "__init__.__all__",
+                     "cohomology._H1_CACHE"]
