@@ -92,7 +92,7 @@ def matrix_is_compatible(mat, space: FinAb) -> bool:
     """
     d = space.invariant_factors
     r = space.rank
-    if len(mat) != r or set(map(len, mat)) - {r}:
+    if len(mat) != r or any(len(row) != r for row in mat):
         return False
     return not any(mat[i][j] * d[j] % d[i] for i in range(1, r) for j in range(i))
 

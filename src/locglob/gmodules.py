@@ -20,11 +20,12 @@ class GModule(Value):
     action[g] is an integer matrix (tuple of row tuples) acting on column
     vectors.  Construction checks compatibility, action[0] = 1 and action[g]
     action[s] = action[gs] for every g and generator s; compatibility runs
-    once per distinct matrix and the product once per distinct (reduced
-    matrix, generator) pair.  Then action[g] action[g^-1] = 1 makes it
-    bijective.  By induction on the length of h as a product
-    (...(0 s1) ...) sk, rho(gh) = rho(g) rho(h): with h = h's,
-    rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g) rho(h') rho(s).
+    once per distinct matrix other than the identity, which is compatible,
+    and the product once per distinct (reduced matrix, generator) pair.
+    Then action[g] action[g^-1] = 1 makes it bijective.  By induction on
+    the length of h as a product (...(0 s1) ...) sk, rho(gh) = rho(g)
+    rho(h): with h = h's, rho(gh) = rho((gh')s) = rho(gh') rho(s) = rho(g)
+    rho(h') rho(s).
     _h1 keeps the module's H1 (`cohomology.h1`), outside equality like
     `GroupTable._places`: only the first H1 query of a module object hashes
     it and looks `_H1_CACHE` up.

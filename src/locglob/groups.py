@@ -35,7 +35,7 @@ class GroupTable(Value):
         object.__setattr__(self, "_places", None)
         if m < 1:
             raise InputError("group order must be >= 1")
-        if len(t) != m or set(map(len, t)) != {m}:
+        if len(t) != m or any(len(row) != m for row in t):
             raise InputError("multiplication table has wrong shape")
         entries = set().union(*t)
         if min(entries) < 0 or max(entries) >= m:

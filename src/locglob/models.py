@@ -177,14 +177,11 @@ def verdict(model: PlaceModel, queries) -> Verdict:
     inside T.  Hence T is singular iff Sha(K) has a nonempty support set,
     and each distinct K takes one Sha group and at most one witness search.
     H1_* is looked up once; the labels of all queries are checked as one
-    set, and query by query only when one is not a label.  A zero
+    set, and query by query only to name the first that fails.  A zero
     H1_* answers at once: every Sha(T) lies in Sha(S) = H1_*, so is zero."""
     S = model.support_bound
-    queries = list(queries)
-    if model.labels.issuperset(chain.from_iterable(queries)):    # labels of the model, all str
-        keys = list(map(tuple, map(sorted, queries)))
-    else:       # labels read with str(), checked query by query to name the first
-        keys = [tuple(sorted(map(str, T))) for T in queries]
+    keys = [tuple(sorted(map(str, T))) for T in queries]
+    if not model.labels.issuperset(chain.from_iterable(keys)):
         for key in keys:
             _check_labels(model, key)
     star = h1_star(model.module)

@@ -312,6 +312,13 @@ def seeded_models():
     return models
 
 
+def with_a_new_module(model: PlaceModel) -> PlaceModel:
+    """An equal model over an equal but new module object, which keeps no
+    H1 yet: with `cohomology._H1_CACHE` empty, its first H1 query computes."""
+    m = model.module
+    return PlaceModel(GModule(m.group, m.space, m.action), model.designated, model.archimedean)
+
+
 _MODULE_POOL: list | None = None
 
 

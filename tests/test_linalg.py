@@ -189,24 +189,35 @@ def test_smith_form_equals_the_reference(mat):
 
 def test_smith_form_equals_the_reference_on_every_input_of_the_seeded_models(monkeypatch):
     """Every Smith form that h1, H1_*, the verdicts and the support bound of
-    `seeded_models()` take, with the transforms each caller builds."""
-    from families import seeded_models
+    `seeded_models()` take, with the transforms each caller builds.  Each
+    model is taken over a new module object: seeded_models() has already
+    asked for the H1 of its modules, and a module object keeps its H1."""
+    from families import seeded_models, with_a_new_module
     from locglob.models import finite_support_bound, verdict
-    models = seeded_models()
+    models = [with_a_new_module(model) for model in seeded_models()]
     calls = []
+    quotients = []
     real = linalg.smith_normal_form
+    real_quotient = cohomology.lattice_quotient
 
     def spy(mat, p=True, q_rows=None):
         calls.append(([list(row) for row in mat], p, q_rows))
         return real(mat, p, q_rows)
 
+    def quotient_spy(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
     monkeypatch.setattr(linalg, "smith_normal_form", spy)
     monkeypatch.setattr(cohomology, "smith_normal_form", spy)
+    monkeypatch.setattr(cohomology, "lattice_quotient", quotient_spy)
     monkeypatch.setattr(cohomology, "_H1_CACHE", {})
     for model in models:
         cohomology.h1_star(model.module)
         verdict(model, [frozenset(), frozenset(model.labels)])
         finite_support_bound(model)
+    # the H1 of every distinct module is computed under the spy, once
+    assert len(quotients) == len(dict.fromkeys(model.module for model in models)) > 1
     assert {(p, q_rows is None) for _, p, q_rows in calls} == {
         (True, True), (True, False), (False, False)}
     assert any(q_rows for _, p, q_rows in calls if not p)

@@ -25,7 +25,7 @@ from locglob.schema import load_document, parse_model
 
 from families import (abelian_shapes_up_to, all_actions, groups_up_to_order_6,
                       mu8_q_model, random_place_model, seeded_models,
-                      v4_trivial_z2_model)
+                      v4_trivial_z2_model, with_a_new_module)
 
 
 def test_place_model_validation():
@@ -178,6 +178,18 @@ def test_verdict_mu8():
         v.singular({"9"})
 
 
+def test_verdict_reads_each_query_once():
+    # a query may be a one-shot iterable, and a label that is no label of
+    # the model, hashable or not, is an InputError; over H1_* != 0 (mu8)
+    # and H1_* = 0 (V4 on Z/2)
+    for model in (mu8_q_model()[2], v4_trivial_z2_model()):
+        queries = [[], sorted(model.labels)]
+        assert verdict(model, (iter(T) for T in queries)) == verdict(model, queries)
+        for bad in (["9"], [["2"]]):
+            with pytest.raises(InputError):
+                verdict(model, [iter(bad)])
+
+
 def test_verdict_trivial_module():
     grp = klein_four_group()
     module = trivial_action_module(grp, FinAb(()))
@@ -294,12 +306,6 @@ def _spy_on_kernels(monkeypatch) -> list:
     return calls
 
 
-def _with_a_new_module(model):
-    """An equal model over an equal but new module object."""
-    m = model.module
-    return PlaceModel(GModule(m.group, m.space, m.action), model.designated, model.archimedean)
-
-
 def test_sha_matches_its_own_stacked_kernel(monkeypatch):
     # Sha(T) of every label subset T has the order, coordinates and support
     # set of its own stacked kernel, and verdict the witnesses read off
@@ -313,7 +319,7 @@ def test_sha_matches_its_own_stacked_kernel(monkeypatch):
                    for c in combinations(labels, r)]
         # an empty cache and a new module object, which keeps no H1 yet
         monkeypatch.setattr(locglob.cohomology, "_H1_CACHE", {})
-        model = _with_a_new_module(model)
+        model = with_a_new_module(model)
         kernels.clear()
         v = verdict(model, queries)
         S = finite_support_bound(model)

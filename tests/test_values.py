@@ -63,7 +63,7 @@ CLASSES = {
     "GroupTable": (klein_four_group, ("order", "table"), ("_gens", "_places")),
     "SubgroupSpec": (lambda: cyclic_subgroups(klein_four_group())[1],
                      ("elements", "generator"), ()),
-    "GModule": (_module, ("group", "space", "action"), ()),
+    "GModule": (_module, ("group", "space", "action"), ("_h1",)),
     "CyclotomicData": (lambda: mu8_klein_model()[1], ("modulus", "character"), ()),
     "CocycleClass": (lambda: CocycleClass(_module(), [(0,), (2,), (4,), (6,)]),
                      ("module", "values"), ()),
@@ -171,9 +171,12 @@ def test_copy_and_pickle_keep_the_value(build, name):
 
 
 def test_a_module_keeps_the_hash_of_its_compared_fields():
-    # GModule computes its hash once, at construction, as the default one
-    # would be: the hash of the compared fields as one tuple
+    # GModule takes Value's default hash, that of the compared fields as one
+    # tuple, whether or not it keeps its H1 yet
     module = _module()
+    assert hash(module) == hash((module.group, module.space, module.action))
+    h1(module)
+    assert module._h1 is not None
     assert hash(module) == hash((module.group, module.space, module.action))
     assert hash(pickle.loads(pickle.dumps(module))) == hash(module)
 
