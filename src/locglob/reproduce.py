@@ -10,7 +10,6 @@ whose entries come from the search oracles of the tests (print it with
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -22,7 +21,7 @@ from .gmodules import mu8_klein_model
 from .models import PlaceModel, sha_of_model, verdict
 from .padics import (Place, gw_decision, hilbert_symbol, is_nth_power,
                      product_formula_check)
-from .schema import format_rational
+from .schema import format_rational, load_document
 from .value import Value
 
 WANG_SWEEP = 10 ** 4
@@ -49,11 +48,13 @@ def _odd_primes(bound):
 
 
 def load_golden(path: str | None = None) -> dict:
+    """The golden file at path, the packaged one by default, read as any
+    input document: a file that is not a UTF-8 JSON object is an input
+    error."""
     if path is not None:
-        with open(path) as fh:
-            return json.load(fh)
-    with resources.files("locglob").joinpath("data/golden.json").open() as fh:
-        return json.load(fh)
+        return load_document(path)
+    with resources.as_file(resources.files("locglob").joinpath("data/golden.json")) as builtin:
+        return load_document(str(builtin))
 
 
 def mu8_model() -> tuple:

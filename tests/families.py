@@ -8,6 +8,7 @@ central homothety.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -78,113 +79,88 @@ def _mat_pow_mod(a, k, space: FinAb):
 
 def enumerate_automorphisms(space: FinAb) -> list[tuple]:
     """All automorphisms of a small FinAb as matrices, in the order of their
-    entries; cached per shape.  Entries are compatible by construction, and
-    every candidate's bijectivity is read from its images of all elements,
-    in numpy batches: the sorted image indices are 0, 1, ..., |M| - 1."""
-    import numpy as np
-    key = space.invariant_factors
-    if key in _AUT_CACHE:
-        return _AUT_CACHE[key]
-    d = space.invariant_factors
-    r = space.rank
-    choices = []
-    for i in range(r):
-        for j in range(r):
-            step = d[i] // gcd(d[i], d[j])
-            choices.append(range(0, d[i], step))
-    if r == 0:
-        out = [()]
-    else:
-        n = space.order
-        mods = np.array(d, dtype=np.int64).reshape(r, 1)
-        evecs = np.array(list(space.elements()), dtype=np.int64).T
-        weights = np.ones(r, dtype=np.int64)
-        for i in range(r - 2, -1, -1):
-            weights[i] = weights[i + 1] * d[i + 1]
-        cands = np.array(list(itertools.product(*choices)), dtype=np.int64).reshape(-1, r, r)
-        out = []
-        for start in range(0, len(cands), 4096):
-            mats = cands[start:start + 4096]
-            images = weights @ ((mats @ evecs) % mods)
-            images.sort(axis=1)
-            bijective = (images == np.arange(n)).all(axis=1)
-            out.extend(tuple(tuple(row) for row in mat.tolist()) for mat in mats[bijective])
-    _AUT_CACHE[key] = out
-    return out
+    entries."""
+    return automorphisms(space).mats
 
 
-_AUT_CACHE: dict = {}
-_PERM_CACHE: dict = {}
-_CLASS_REP_CACHE: dict = {}
+@functools.cache
+def automorphisms(space: FinAb) -> "Automorphisms":
+    """Aut(space), built once per shape."""
+    return Automorphisms(space)
 
 
-def _aut_permutations(space: FinAb):
-    """Automorphisms as permutations of the element list, with inverses;
-    conjugation and powers become cheap tuple compositions.  The batch image
-    computation is vectorized, Aut((Z/2)^4) alone has 20160 members."""
-    import numpy as np
-    key = space.invariant_factors
-    cached = _PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    elems = list(space.elements())
-    mats = enumerate_automorphisms(space)
-    r = space.rank
-    if r == 0:
-        out = (elems, mats, [(0,)], [(0,)])
-        _PERM_CACHE[key] = out
-        return out
-    d = np.array(space.invariant_factors, dtype=np.int64)
-    evecs = np.array(elems, dtype=np.int64).reshape(len(elems), r)
-    # radix weights turning a reduced vector into its lexicographic index
-    weights = np.ones(r, dtype=np.int64)
-    for i in range(r - 2, -1, -1):
-        weights[i] = weights[i + 1] * space.invariant_factors[i + 1]
-    perms = []
-    for m in mats:
-        images = (evecs @ np.array(m, dtype=np.int64).T) % d
-        perms.append(tuple((images @ weights).tolist()))
-    invs = []
-    for p in perms:
-        q = [0] * len(p)
-        for i, pi in enumerate(p):
-            q[pi] = i
-        invs.append(tuple(q))
-    out = (elems, mats, perms, invs)
-    _PERM_CACHE[key] = out
-    return out
+class Automorphisms:
+    """Aut(space) of a small FinAb, enumerated column by column: the image
+    of e_j is killed by d_j, and it is kept only when the span of the
+    columns so far grows by exactly a factor d_j, so the partial map stays
+    injective.  The span is the partial map's `linear_table`, with elements
+    as their indices in `elements()` order; after the last column it is the
+    automorphism's permutation of the element list, in which conjugation
+    and powers are tuple compositions.  Each member's order, and the class
+    representatives of those of order dividing c, are computed once."""
+
+    def __init__(self, space: FinAb):
+        d = space.invariant_factors
+        elems = list(space.elements())
+        index = {e: k for k, e in enumerate(elems)}
+        plus = [[index[space.add(a, b)] for b in elems] for a in elems]
+        killed = [[index[v] for v in itertools.product(
+                       *(range(0, di, di // gcd(di, dj)) for di in d))] for dj in d]
+        found = []
+
+        def extend(cols, table):
+            j = len(cols)
+            if j == len(d):
+                found.append((tuple(zip(*map(elems.__getitem__, cols))), tuple(table)))
+                return
+            span = set(table)
+            for g in killed[j]:
+                steps = [0, g]
+                while len(steps) < d[j]:
+                    steps.append(plus[steps[-1]][g])
+                if span.isdisjoint(steps[1:]):
+                    extend(cols + [g], [plus[a][b] for a in table for b in steps])
+
+        extend([], [0])
+        found.sort()
+        self.mats = [mat for mat, _ in found]
+        self.perms = [perm for _, perm in found]
+        self.matrix = dict(zip(self.perms, self.mats))
+        self._orders = None
+        self._inverses = None
+        self._first_conjugate = {}
+        self._class_reps = {}
+
+    def of_order(self, c: int) -> list:
+        """The permutations p with p^c = 1, in the order of their matrices."""
+        if self._orders is None:
+            self._orders = list(map(_perm_order, self.perms))
+        return [p for p, k in zip(self.perms, self._orders) if c % k == 0]
+
+    def class_representatives(self, c: int) -> list:
+        """The first permutation, in the order of their matrices, of each
+        conjugacy class of those with p^c = 1; exact, by sweeping out each
+        whole conjugacy class once, whatever c first asks for it."""
+        if c not in self._class_reps:
+            if self._inverses is None:
+                self._inverses = [tuple(sorted(range(len(p)), key=p.__getitem__))
+                                  for p in self.perms]
+            first = self._first_conjugate
+            for p in self.of_order(c):
+                if p not in first:
+                    first.update((tuple(map(g.__getitem__, map(p.__getitem__, ginv))), p)
+                                 for g, ginv in zip(self.perms, self._inverses))
+            self._class_reps[c] = [p for p in self.of_order(c) if first[p] == p]
+        return self._class_reps[c]
 
 
-def _perm_power(p, k, ident):
-    out = ident
-    for _ in range(k):
-        out = tuple(map(p.__getitem__, out))
-    return out
-
-
-def _conjugacy_class_representatives(space: FinAb, order: int):
-    """One representative per Aut(space)-conjugacy class of automorphisms of
-    order dividing `order`; exact, by sweeping out whole conjugacy orbits in
-    the permutation domain."""
-    key = (space.invariant_factors, order)
-    cached = _CLASS_REP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    elems, mats, perms, invs = _aut_permutations(space)
-    n = len(elems)
-    ident = tuple(range(n))
-    kept = []
-    seen = set()
-    for mat, p in zip(mats, perms):
-        if _perm_power(p, order, ident) != ident:
-            continue
-        if p in seen:
-            continue
-        kept.append(mat)
-        for g, ginv in zip(perms, invs):
-            seen.add(tuple(g[p[ginv[i]]] for i in range(n)))
-    _CLASS_REP_CACHE[key] = kept
-    return kept
+def _perm_order(p) -> int:
+    ident = tuple(range(len(p)))
+    power, k = p, 1
+    while power != ident:
+        power = tuple(map(p.__getitem__, power))
+        k += 1
+    return k
 
 
 def all_actions(group: GroupTable, space: FinAb, dedup_first: bool = True):
@@ -200,29 +176,23 @@ def all_actions(group: GroupTable, space: FinAb, dedup_first: bool = True):
     if not gens:
         yield (identity_matrix(space.rank),) * group.order
         return
-    elems, mats, perms, _ = _aut_permutations(space)
-    pident = tuple(range(len(elems)))
+    auts = automorphisms(space)
     per_gen = []
     for idx, g in enumerate(gens):
         c = group.element_order(g)
-        if idx == 0 and dedup_first:
-            candidates = _conjugacy_class_representatives(space, c)
-        else:
-            candidates = [m for m, p in zip(mats, perms)
-                          if _perm_power(p, c, pident) == pident]
-        per_gen.append(candidates)
-
+        per_gen.append(auts.class_representatives(c) if idx == 0 and dedup_first
+                       else auts.of_order(c))
     for images in itertools.product(*per_gen):
-        act = _extend_action(group, space, gens, images)
+        act = _extend_action(group, gens, images)
         if act is not None:
-            yield act
+            yield tuple(map(auts.matrix.__getitem__, act))
 
 
-def _extend_action(group: GroupTable, space: FinAb, gens, images):
-    """Extend generator images along the Cayley graph, then verify the
-    result is a homomorphism; None when the images violate a relation."""
-    d = space.invariant_factors
-    act = {0: mat_mod(identity_matrix(space.rank), d)}
+def _extend_action(group: GroupTable, gens, images):
+    """Extend generator images, as permutations, along the Cayley graph,
+    then verify the result is a homomorphism; None when the images violate
+    a relation."""
+    act = {0: tuple(range(len(images[0])))}
     queue = [0]
     img = dict(zip(gens, images))
     while queue:
@@ -230,12 +200,12 @@ def _extend_action(group: GroupTable, space: FinAb, gens, images):
         for s in gens:
             gs = group.mul(g, s)
             if gs not in act:
-                act[gs] = mat_mod(mat_mul(act[g], img[s]), d)
+                act[gs] = tuple(map(act[g].__getitem__, img[s]))
                 queue.append(gs)
-    table = tuple(act[g] for g in range(group.order))
+    table = [act[g] for g in range(group.order)]
     for g in range(group.order):
         for h in range(group.order):
-            if mat_mod(mat_mul(table[g], table[h]), d) != table[group.mul(g, h)]:
+            if tuple(map(table[g].__getitem__, table[h])) != table[group.mul(g, h)]:
                 return None
     return table
 

@@ -7,8 +7,8 @@ sweep at the Hensel modulus, 2-power divisibility by the whole halving
 tree and, at a good odd prime, by the multiples in the reduced group
 E~(F_p) with no p-adics at all, and bijectivity of a matrix on a finite
 abelian group by the triviality of its kernel (GModule reads it from the
-homomorphism check; the test families read it from a numpy batch of image
-counts).
+homomorphism check; the test families build each automorphism column by
+column, keeping a column only when the span grows by its order).
 The axioms of a group table, an action, a cocycle and a character, and
 closure of a subgroup, are tested here on all triples or pairs of
 elements; the program checks them on a generating set.  Cyclic subgroups

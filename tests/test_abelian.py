@@ -1,11 +1,13 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locglob.abelian import (FinAb, Pairing, Subgroup, annihilator,
-                             orthogonal_complement_chain, standard_pairing,
+from locglob.abelian import (FinAb, Pairing, Subgroup, annihilator, linear_table,
+                             matrix_is_compatible, orthogonal_complement_chain,
+                             standard_pairing,
                              subgroup_from_generators, subgroup_intersection,
                              trivial_subgroup)
 from locglob.errors import InputError
@@ -25,6 +27,7 @@ def test_finab_validation():
     assert FinAb(()).order == 1
     assert FinAb((2, 6)).order == 12
     assert FinAb((2, 6)).exponent == 6
+    assert (str(FinAb(())), str(FinAb((2, 6)))) == ("0", "Z/2 x Z/6")
 
 
 @given(shapes, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -217,6 +220,9 @@ def test_matrix_automorphism():
     # the compatibility constraint: entry (2,1) must be even in (2,4)
     assert not matrix_is_automorphism(((1, 0), (1, 1)), space)
     assert matrix_is_automorphism(((1, 0), (2, 1)), space)
+    # a matrix of the wrong shape is no endomorphism
+    assert not matrix_is_compatible(((1, 0),), space)
+    assert not matrix_is_compatible(((1,), (0,)), space)
 
 
 def test_character_value():
@@ -228,17 +234,41 @@ def test_character_value():
     assert value((1, 1), (1, 1)) == 3
 
 
-def test_batched_automorphisms_match_the_per_matrix_loop():
-    # enumerate_automorphisms decides bijectivity for all candidate matrices
-    # in numpy batches; one matrix at a time by kernel triviality, every
-    # shape of order <= 16 gives the same list in the same order
-    from families import _AUT_CACHE, abelian_shapes_up_to, enumerate_automorphisms
+def test_column_by_column_automorphisms_match_the_per_matrix_loop():
+    # Automorphisms enumerates column by column and reads each permutation
+    # off the span it grows; one matrix at a time by kernel triviality,
+    # every shape of order <= 16 gives the same list in the same order, and
+    # each permutation indexes linear_table's images of the elements
+    from families import Automorphisms, abelian_shapes_up_to
     from search_oracles import automorphisms_by_kernel
-    counts = {}
     for space in abelian_shapes_up_to(16):
-        _AUT_CACHE.pop(space.invariant_factors, None)
-        auts = enumerate_automorphisms(space)
-        assert auts == automorphisms_by_kernel(space)
-        counts[space.invariant_factors] = len(auts)
-    assert counts[()] == 1 and counts[(2, 2)] == 6 and counts[(2, 2, 2, 2)] == 20160
-    assert counts[(16,)] == 8 and counts[(4, 4)] == 96
+        auts = Automorphisms(space)
+        assert auts.mats == automorphisms_by_kernel(space)
+        elems = list(space.elements())
+        for mat, perm in zip(auts.mats, auts.perms):
+            table = linear_table(space, zip(*mat), space.invariant_factors)
+            assert list(map(elems.__getitem__, perm)) == table
+
+
+# |Aut(A)| for each of the 25 shapes of order <= 16, and the sha256 of
+# repr([(group name, invariant factors, action), ...]) over the criterion-6
+# family
+_AUT_COUNTS = {
+    (): 1, (2,): 1, (3,): 2, (2, 2): 6, (4,): 2, (5,): 4, (6,): 2, (7,): 6,
+    (2, 2, 2): 168, (2, 4): 8, (8,): 4, (3, 3): 48, (9,): 6, (10,): 4, (11,): 10,
+    (2, 6): 12, (12,): 4, (13,): 12, (14,): 6, (15,): 8, (2, 2, 2, 2): 20160,
+    (2, 2, 4): 192, (2, 8): 16, (4, 4): 96, (16,): 8,
+}
+_FAMILY_SHA256 = "6405668264b11232e6287e0cf5ee30dc5d4959e6461e42fc5c498bdf2dcb59bf"
+
+
+def test_the_test_families_are_pinned():
+    # the 1,954 modules of criterion 6, their order and their action
+    # matrices, and the automorphism count of every shape they range over
+    from families import abelian_shapes_up_to, enumerate_automorphisms, lemma_consistency_family
+    counts = {s.invariant_factors: len(enumerate_automorphisms(s)) for s in abelian_shapes_up_to(16)}
+    assert counts == _AUT_COUNTS and sum(counts.values()) == 20786
+    rows = [(gname, module.space.invariant_factors, module.action)
+            for gname, module in lemma_consistency_family(6, 16)]
+    assert len(rows) == 1954
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _FAMILY_SHA256

@@ -10,7 +10,7 @@ from locglob.elliptic import (MAX_K, Curve, CurvePoint, divisible_by_2k,
                               group_law, halve_point, negate, points_equal,
                               propagation_check, quad_local_roots, scalar_mul)
 from locglob.errors import InputError
-from locglob.padics import Place
+from locglob.padics import PadicNumber, Place
 from locglob.reproduce import duplication_x
 from search_oracles import propagation_by_torsion_translates, reduced_divisible_by_2k
 
@@ -71,6 +71,17 @@ def test_group_law_identity_and_inverse():
     assert group_law(DZ, DZ_P, negate(DZ_P)).infinity
     t = DZ.point(Fraction(-15), Fraction(0))
     assert scalar_mul(DZ, 2, t).infinity
+    assert negate(DZ.infinity()).infinity
+    for k in (1, 2, 3):
+        assert points_equal(scalar_mul(DZ, -k, DZ_P), negate(scalar_mul(DZ, k, DZ_P)))
+
+
+def test_a_rational_point_equals_its_padic_image_from_either_side():
+    # coordinates compare to the p-adic operand's precision, whichever
+    # point holds it
+    local = CurvePoint(*(PadicNumber.from_rational(c, 3, 20) for c in (DZ_P.x, DZ_P.y)))
+    assert points_equal(DZ_P, local) and points_equal(local, DZ_P)
+    assert not points_equal(negate(DZ_P), local)
 
 
 def test_group_law_associativity_spot_checks():
@@ -649,6 +660,8 @@ def test_quad_local_roots():
 
 def test_propagation_examples():
     assert propagation_check(DZ, DZ.infinity(), 4, 2, Place.finite(2))
+    # n = m = 1 asks whether P lies in E(Q_v)
+    assert propagation_check(DZ, DZ_P, 1, 1, Place.finite(2))
     assert propagation_check(DZ, DZ_P, 4, 2, Place.finite(3))
     assert not propagation_check(DZ, DZ_P, 4, 2, Place.finite(2))
     with pytest.raises(InputError):

@@ -75,7 +75,7 @@ _ABSENT = ("dataclasses", "inspect", "numpy")
 def test_command_loads_no_class_code_generator(args, absent):
     # defining a value class generates no code, so no command imports
     # dataclasses or inspect (with ast, dis and tokenize under it) at a cold
-    # start; no command loads numpy, which only the tests use; h1 and hasse
+    # start; no command loads numpy, which only the benchmark uses; h1 and hasse
     # build no Fraction, so they load no fractions
     code = ("import sys\n"
             "from locglob.cli import main\n"

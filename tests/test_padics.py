@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from locglob.arith import is_prime, legendre_symbol, nth_root_mod_prime, sqrt_mod_prime
 from locglob.errors import InputError, PrecisionError, SelfCheckError
 from locglob.padics import (PadicNumber, Place, hilbert_symbol, is_nth_power,
-                            nth_root, product_formula_check, rational_nth_root,
-                            square_class_approximate)
+                            nth_root, parse_rational, product_formula_check,
+                            rational_nth_root, square_class_approximate)
 from search_oracles import (hilbert_symbol_search, is_nth_power_search,
                             is_square_mod_prime_brute, nth_root_mod_prime_by_tower)
 
@@ -114,6 +114,19 @@ def test_cancellation_tracks_precision():
     d = x2 - 1
     assert d.valuation == 6
     assert d.precision == 4          # carries consumed six digits
+
+
+def test_zeros_negative_powers_and_plain_operands():
+    third = Fraction(1, 3)
+    assert parse_rational(third) is third and parse_rational(7) == Fraction(7)
+    zero = PadicNumber.zero(3, 10)
+    assert zero.abs_known == 10
+    # a zero known to 3^10 over 9 is known to 3^8
+    assert zero / PadicNumber.from_rational(9, 3) == PadicNumber.zero(3, 8)
+    # 27 is invisible to a zero known only to 3^2
+    assert PadicNumber.zero(3, 2) + 27 == PadicNumber.zero(3, 2)
+    x = PadicNumber.from_rational(6, 3, 10)
+    assert x ** -2 == 1 / (x * x)
 
 
 def test_padic_square_and_sqrt():
@@ -547,6 +560,7 @@ def test_product_formula(a, b):
 # --- square classes -------------------------------------------------------
 
 def test_square_class_examples():
+    assert square_class_approximate({}) == 1
     assert square_class_approximate({Place.real(): Fraction(1)}) == 1
     x = square_class_approximate({Place.finite(3): Fraction(2)})
     assert is_nth_power(x * 2, 2, Place.finite(3))

@@ -46,6 +46,7 @@ def test_parse_module_and_chi(mu8_file):
     assert module.space.invariant_factors == (8,)
     chi = parse_chi(doc, module)
     assert chi.character == (1, 3, 5, 7)
+    assert parse_chi({k: v for k, v in doc.items() if k != "chi"}, module) is None
     model = parse_model(doc)
     assert model.labels == {"2", "inf"}
 
@@ -1143,6 +1144,38 @@ def test_reproduce_tampered_golden(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["checks_failed"] == 1
     assert doc["results"]["dz.halves_x"].startswith("fail")
+
+
+def test_reproduce_names_each_failure(monkeypatch, capsys, tmp_path):
+    # a golden file without dz_halves_x, and a Grunwald-Wang decision that
+    # answers for 2n: each failed check carries its detail, the first one
+    # is the stderr line, and the run exits 1
+    from locglob import reproduce
+    golden = reproduce.load_golden()
+    del golden["dz_halves_x"]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    decide = reproduce.gw_decision
+    monkeypatch.setattr(reproduce, "gw_decision", lambda n, t: decide(2 * n, t))
+    code, out, err = _main(capsys, "reproduce", "--golden", str(path), "--format", "json")
+    gw = "[(4, (2,), 2), (4, (2, 3), 2), (12, (2,), 2), (12, (2, 3), 2)]"
+    assert (code, err) == (1, "reproduce: FAILED at gw.kernel_rule_n_2_to_64 (%s)\n" % gw)
+    doc = json.loads(out)
+    assert doc["checks_failed"] == 2
+    assert doc["results"]["gw.kernel_rule_n_2_to_64"] == "fail: " + gw
+    assert doc["results"]["dz.halves_x"] == "fail: golden file has no entry 'dz_halves_x'"
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"dz_halves_x": "\xff"}', b"[1, 2]"],
+                         ids=["not_json", "not_utf8", "json_list"])
+def test_malformed_golden_file_exits_2_with_one_line(capsys, tmp_path, content):
+    from locglob.reproduce import load_golden
+    path = tmp_path / "golden.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError):
+        load_golden(str(path))
+    code, out, err = _main(capsys, "reproduce", "--golden", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: input ") and err.count("\n") == 1
 
 
 _BASE = {"locglob", "locglob.cli", "locglob.errors"}

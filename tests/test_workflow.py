@@ -1,5 +1,6 @@
 """The CI workflow parses, and runs tier-1 and the benchmark tests, nothing
-beside them: each check lives in one place, the test suite."""
+beside them: each check lives in one place, the test suite.  Tier-1 runs
+before the benchmark's dependencies are installed."""
 
 import pathlib
 import re
@@ -8,8 +9,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-STEPS = ["Check out the repository", "Set up Python", "Install dependencies",
-         "Tier-1 tests", "Benchmark tests"]
+STEPS = ["Check out the repository", "Set up Python", "Install test dependencies",
+         "Tier-1 tests", "Install benchmark dependencies", "Benchmark tests"]
 
 
 def _steps():
